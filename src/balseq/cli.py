@@ -1,9 +1,9 @@
 """Command-line surface: term, table, series, verify, bench.
 
 Exit codes: 0 success / all checks held, 1 verification or cross-check
-failure, 2 usage error.  Values are always printed as full decimal strings,
-never truncated or in scientific notation; terms reach thousands of digits
-and lossy output would defeat the point of exact arithmetic.
+failure, 2 usage or I/O error.  Values are always printed as full decimal
+strings, never truncated or in scientific notation; terms reach thousands
+of digits and lossy output would defeat the point of exact arithmetic.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 
@@ -53,13 +52,16 @@ def parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"invalid range {text!r}, expected 'lo..hi' or an integer")
 
 
-def parse_threads(text: str) -> int:
-    if text == "auto":
-        return os.cpu_count() or 1
-    count = int(text)
-    if count < 1:
+def parse_threads(text: str) -> str:
+    """Validate --threads; the count is ignored because sweeps run serially."""
+    if text != "auto" and int(text) < 1:
         raise ValueError("thread count must be >= 1")
-    return count
+    return text
+
+
+def _check_iterative_cap(cap: int) -> None:
+    if cap < 0:
+        raise ValueError("iterative cap must be >= 0")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -80,6 +82,7 @@ def _csv_writer(stream):
 # subcommands
 
 def cmd_term(args) -> int:
+    _check_iterative_cap(args.iterative_cap)
     params = SequenceParams(args.k)
     engine = ENGINES[args.engine]
     fn = term_b if args.seq == "B" else term_c
@@ -174,14 +177,14 @@ def cmd_verify(args) -> int:
         identities=tuple(resolve_identities(args.identity)),
         max_listed=args.max_listed,
     )
-    report = run_verify(config, threads=args.threads)
-
     if args.emit_errata is not None:
+        # written before the sweep, so an unwritable path fails fast
         path = args.emit_errata
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(render_document())
         if not args.quiet:
             print(f"errata document written to {path}", file=sys.stderr)
+    report = run_verify(config)
 
     summary = report.summary
     if args.format == "json":
@@ -221,6 +224,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise ValueError("reps must be >= 1")
+    _check_iterative_cap(args.iterative_cap)
     params = SequenceParams(args.k)
     engine_names = (
         list(ENGINES) if args.engines == "all" else
@@ -342,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-listed", type=int, default=25,
                           help="failing reports listed per identity and pool")
     p_verify.add_argument("--threads", type=parse_threads, default="auto",
-                          help="worker threads (integer or 'auto')")
+                          help="accepted for compatibility and ignored;"
+                          " sweeps run serially (integer >= 1 or 'auto')")
     p_verify.add_argument("--emit-errata", nargs="?", const="ERRATA.md",
                           default=None, metavar="PATH",
                           help="also write the machine-checked errata document")
@@ -370,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -65,9 +65,6 @@ class Mat2:
     def det(self) -> int:
         return self.a11 * self.a22 - self.a12 * self.a21
 
-    def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return (self.a11, self.a12), (self.a21, self.a22)
-
 
 def mat_pow(m: Mat2, n: int) -> Mat2:
     if n < 0:

@@ -1,24 +1,29 @@
 """Sweep runner: every identity and gcd theorem over a (k, index) box.
 
 Each catalog entry sweeps its whole in-domain tuple set up to a max index
-and returns counts plus the failing reports (reports are only materialized
-for failures; sweeps over millions of tuples stay allocation-free).  The
-hot multi-index loops repeat the arithmetic of the matching *_sides
-functions inline; a unit test pins the two code paths together.
+and returns counts plus the failing reports.  Most entries are table rows
+run by one of two drivers: `Sides` compares the (lhs, rhs) pair of a
+*_sides function at each index tuple and builds a report only for a
+failure; `Checks` absorbs the GcdReport that a check_* theorem builds for
+every tuple.  The five hot multi-index sweeps (Catalan, d'Ocagne, both
+Vajda forms, addition) keep their own loops, which repeat the arithmetic of
+the matching *_sides functions inline; a unit test pins the two code paths
+together.
 
 Checks whose residue hypothesis (k % 3 != 1) fails are counted in a
-separate expected-failure pool and never as violations.  All aggregation is
-commutative and the final report is canonically sorted, so the emitted JSON
-is byte-identical no matter how many worker threads ran the sweep.
+separate expected-failure pool and never as violations.  Sweeps run
+serially and the final report is canonically sorted, so the emitted JSON is
+byte-identical from one run to the next.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from functools import lru_cache
+from itertools import combinations_with_replacement, product
+from typing import Callable, Iterable
 
 from . import __version__
 from .divisibility import (
@@ -29,14 +34,16 @@ from .divisibility import (
     check_index_divisibility,
     check_strong_gcd,
 )
-from .engines import a_matrix, mat_pow, r_base_matrix, r_matrix
+from .engines import Mat2, a_matrix, matrix_power, r_base_matrix, r_matrix
 from .identities import (
+    Exact,
     IdentityReport,
     TermContext,
     cassini_sides,
     c_from_b_sides,
     doubling_sides,
     power_sum_sides,
+    sum_sides,
 )
 from .ring import SequenceParams
 
@@ -82,7 +89,7 @@ def _identity_fail(out: SweepOutcome, name, inputs, lhs, rhs) -> None:
 
 
 # ---------------------------------------------------------------------------
-# identity sweeps
+# hot sweeps with their own loops
 
 def sweep_catalan(seq: str):
     name = f"catalan-{seq.lower()}"
@@ -104,24 +111,6 @@ def sweep_catalan(seq: str):
                     out.held += 1
                 else:
                     _identity_fail(out, name, {"k": k, "n": n, "r": r}, lhs, rhs)
-        return out
-
-    return run
-
-
-def sweep_cassini(seq: str):
-    name = f"cassini-{seq.lower()}"
-
-    def run(params: SequenceParams, max_index: int) -> SweepOutcome:
-        out = SweepOutcome(name)
-        ctx = TermContext(params).ensure(max_index + 1)
-        for n in range(1, max_index + 1):
-            lhs, rhs = cassini_sides(ctx, seq, n)
-            out.checked += 1
-            if lhs == rhs:
-                out.held += 1
-            else:
-                _identity_fail(out, name, {"k": params.k, "n": n}, lhs, rhs)
         return out
 
     return run
@@ -203,29 +192,6 @@ def sweep_vajda_2(params: SequenceParams, max_index: int) -> SweepOutcome:
     return out
 
 
-def sweep_sum(seq: str):
-    name = f"sum-{seq.lower()}"
-
-    def run(params: SequenceParams, max_index: int) -> SweepOutcome:
-        out = SweepOutcome(name)
-        ctx = TermContext(params).ensure(max_index)
-        x = ctx.seq(seq)
-        k = params.k
-        const = 1 if seq == "B" else 4 - 3 * k
-        running = x[0]
-        for n in range(1, max_index + 1):
-            running += x[n]
-            rhs = Fraction(-(2 * k + 1) * x[n] + (k - 1) * x[n - 1] + const, -2 * k)
-            out.checked += 1
-            if running == rhs:
-                out.held += 1
-            else:
-                _identity_fail(out, name, {"k": k, "n": n}, running, rhs)
-        return out
-
-    return run
-
-
 def sweep_addition(params: SequenceParams, max_index: int) -> SweepOutcome:
     out = SweepOutcome("addition")
     ctx = TermContext(params).ensure(2 * max_index)
@@ -246,181 +212,137 @@ def sweep_addition(params: SequenceParams, max_index: int) -> SweepOutcome:
     return out
 
 
-def sweep_doubling(params: SequenceParams, max_index: int) -> SweepOutcome:
-    out = SweepOutcome("doubling")
-    ctx = TermContext(params).ensure(2 * max_index + 1)
-    for n in range(1, max_index + 1):
-        even, odd = doubling_sides(ctx, n)
-        holds = even[0] == even[1] and odd[0] == odd[1]
-        out.checked += 1
-        if holds:
-            out.held += 1
-        else:
-            shown = even if even[0] != even[1] else odd
-            _identity_fail(
-                out, "doubling", {"k": params.k, "n": n}, shown[0], shown[1]
-            )
-    return out
-
-
-def sweep_power_sum(params: SequenceParams, max_index: int) -> SweepOutcome:
-    out = SweepOutcome("power-sum")
-    ctx = TermContext(params).ensure(max_index + 1)
-    for n in range(1, max_index + 1):
-        lhs, rhs = power_sum_sides(ctx, n)
-        out.checked += 1
-        if lhs == rhs:
-            out.held += 1
-        else:
-            _identity_fail(out, "power-sum", {"k": params.k, "n": n}, lhs, rhs)
-    return out
-
-
-def sweep_c_from_b(params: SequenceParams, max_index: int) -> SweepOutcome:
-    out = SweepOutcome("c-from-b")
-    ctx = TermContext(params).ensure(max_index + 1)
-    for n in range(max_index + 1):
-        lhs, rhs = c_from_b_sides(ctx, n)
-        out.checked += 1
-        if lhs == rhs:
-            out.held += 1
-        else:
-            _identity_fail(out, "c-from-b", {"k": params.k, "n": n}, lhs, rhs)
-    return out
-
-
-def _sweep_entrywise(out, name, k, n, got, want) -> None:
-    for entry in range(4):
-        out.checked += 1
-        if got[entry] == want[entry]:
-            out.held += 1
-        else:
-            inputs = {"k": k, "entry": entry}
-            if n is not None:
-                inputs["n"] = n
-            _identity_fail(out, name, inputs, got[entry], want[entry])
-
-
-def sweep_matrix_b(params: SequenceParams, max_index: int) -> SweepOutcome:
-    """A^n (binary exponentiation) against the iterative B terms, entrywise."""
-    out = SweepOutcome("matrix-b")
-    ctx = TermContext(params).ensure(max_index + 1)
-    b, k = ctx.b, params.k
-    a = a_matrix(params)
-    for n in range(1, max_index + 1):
-        p = mat_pow(a, n)
-        got = (p.a11, p.a12, p.a21, p.a22)
-        want = (b[n + 1], (1 - k) * b[n], b[n], (1 - k) * b[n - 1])
-        _sweep_entrywise(out, "matrix-b", k, n, got, want)
-    return out
-
-
-def sweep_matrix_c(params: SequenceParams, max_index: int) -> SweepOutcome:
-    """R*A^n against the iterative C terms, entrywise."""
-    out = SweepOutcome("matrix-c")
-    ctx = TermContext(params).ensure(max_index + 1)
-    c, k = ctx.c, params.k
-    for n in range(1, max_index + 1):
-        p = r_matrix(params, n)
-        got = (p.a11, p.a12, p.a21, p.a22)
-        want = (c[n + 1], (1 - k) * c[n], c[n], (1 - k) * c[n - 1])
-        _sweep_entrywise(out, "matrix-c", k, n, got, want)
-    return out
-
-
-def sweep_ar_commute(params: SequenceParams, max_index: int) -> SweepOutcome:
-    out = SweepOutcome("ar-commute")
-    a, r = a_matrix(params), r_base_matrix(params)
-    ar, ra = a @ r, r @ a
-    _sweep_entrywise(
-        out,
-        "ar-commute",
-        params.k,
-        None,
-        (ar.a11, ar.a12, ar.a21, ar.a22),
-        (ra.a11, ra.a12, ra.a21, ra.a22),
-    )
-    return out
-
-
 # ---------------------------------------------------------------------------
-# divisibility sweeps
+# table-driven sweeps
 
-def sweep_index_divisibility(params: SequenceParams, max_index: int) -> SweepOutcome:
-    out = SweepOutcome("index-divisibility")
-    ctx = TermContext(params).ensure(max_index)
-    for m in range(1, max_index + 1):
-        for n in range(m, max_index + 1, m):
-            out.absorb(check_index_divisibility(params, m, n, ctx))
-    return out
+Index = tuple[int, ...]
 
 
-def sweep_coprime_norm(seq: str):
-    def run(params: SequenceParams, max_index: int) -> SweepOutcome:
-        out = SweepOutcome(f"coprime-norm-{seq.lower()}")
-        ctx = TermContext(params).ensure(max_index)
-        for n in range(1, max_index + 1):
-            out.absorb(check_coprime_norm(seq, params, n, ctx))
+@dataclass(frozen=True)
+class Sweep:
+    """One catalog row; size and domain are functions of the max index."""
+
+    name: str
+    size: Callable[[int], int]  # index the term tables are built up to
+    domain: Callable[[int], Iterable[Index]]  # the index tuples to check
+
+
+@dataclass(frozen=True)
+class Sides(Sweep):
+    """Compares sides(ctx, *index) -> (lhs, rhs) over the domain."""
+
+    sides: Callable[..., tuple[Exact, Exact]]
+    keys: tuple[str, ...] = ("n",)  # input names of an index tuple
+
+    def __call__(self, params: SequenceParams, max_index: int) -> SweepOutcome:
+        out = SweepOutcome(self.name)
+        ctx = TermContext(params).ensure(self.size(max_index))
+        for index in self.domain(max_index):
+            lhs, rhs = self.sides(ctx, *index)
+            out.checked += 1
+            if lhs == rhs:
+                out.held += 1
+            else:
+                inputs = {"k": params.k, **dict(zip(self.keys, index))}
+                _identity_fail(out, self.name, inputs, lhs, rhs)
         return out
 
-    return run
 
+@dataclass(frozen=True)
+class Checks(Sweep):
+    """Absorbs the GcdReport of check(params, *index, ctx) over the domain."""
 
-def sweep_consecutive_gcd(seq: str):
-    def run(params: SequenceParams, max_index: int) -> SweepOutcome:
-        out = SweepOutcome(f"consecutive-gcd-{seq.lower()}")
-        ctx = TermContext(params).ensure(max_index + 1)
-        for n in range(1, max_index + 1):
-            out.absorb(check_consecutive_coprime(seq, params, n, ctx))
+    check: Callable[..., GcdReport]
+
+    def __call__(self, params: SequenceParams, max_index: int) -> SweepOutcome:
+        out = SweepOutcome(self.name)
+        ctx = TermContext(params).ensure(self.size(max_index))
+        for index in self.domain(max_index):
+            out.absorb(self.check(params, *index, ctx))
         return out
 
-    return run
+
+def _upto(lo: int) -> Callable[[int], Iterable[Index]]:
+    """The domain of one index n with lo <= n <= max index."""
+    return lambda m: product(range(lo, m + 1))
 
 
-def sweep_b_c_coprime(params: SequenceParams, max_index: int) -> SweepOutcome:
-    out = SweepOutcome("b-c-coprime")
-    ctx = TermContext(params).ensure(max_index)
-    for n in range(max_index + 1):
-        out.absorb(check_b_c_coprime(params, n, ctx))
-    return out
+def _entries(p: Mat2) -> tuple[int, int, int, int]:
+    return p.a11, p.a12, p.a21, p.a22
 
 
-def sweep_strong_gcd(params: SequenceParams, max_index: int) -> SweepOutcome:
-    out = SweepOutcome("strong-gcd")
-    ctx = TermContext(params).ensure(max_index)
-    for m in range(1, max_index + 1):
-        for n in range(m, max_index + 1):
-            out.absorb(check_strong_gcd(params, m, n, ctx))
-    return out
+def _doubling_sides(ctx: TermContext, n: int) -> tuple[int, int]:
+    """The even-index doubling pair, or the odd pair once the even one holds."""
+    even, odd = doubling_sides(ctx, n)
+    return odd if even[0] == even[1] else even
+
+
+@lru_cache(maxsize=1)
+def _matrix_power(params: SequenceParams, seq: str, n: int) -> Mat2:
+    # one slot is enough: a sweep reads the four entries of a power in a row
+    return matrix_power(params, n) if seq == "B" else r_matrix(params, n)
+
+
+def _matrix_sides(ctx: TermContext, seq: str, n: int, entry: int) -> tuple[int, int]:
+    """A row-major entry of A^n (B) or R*A^n (C) against the iterative terms."""
+    x, k = ctx.seq(seq), ctx.params.k
+    want = (x[n + 1], (1 - k) * x[n], x[n], (1 - k) * x[n - 1])
+    return _entries(_matrix_power(ctx.params, seq, n))[entry], want[entry]
+
+
+def _ar_commute_sides(ctx: TermContext, entry: int) -> tuple[int, int]:
+    a, r = a_matrix(ctx.params), r_base_matrix(ctx.params)
+    return _entries(a @ r)[entry], _entries(r @ a)[entry]
 
 
 SweepFn = Callable[[SequenceParams, int], SweepOutcome]
 
+# The check_* theorems are called through lambdas, so each call looks up the
+# module-level name and sees a wrapper installed there after import.
 CATALOG: dict[str, SweepFn] = {
     "catalan-b": sweep_catalan("B"),
     "catalan-c": sweep_catalan("C"),
-    "cassini-b": sweep_cassini("B"),
-    "cassini-c": sweep_cassini("C"),
+    "cassini-b": Sides("cassini-b", lambda m: m + 1, _upto(1),
+                       lambda ctx, n: cassini_sides(ctx, "B", n)),
+    "cassini-c": Sides("cassini-c", lambda m: m + 1, _upto(1),
+                       lambda ctx, n: cassini_sides(ctx, "C", n)),
     "docagne-b": sweep_docagne("B"),
     "docagne-c": sweep_docagne("C"),
     "vajda-1": sweep_vajda_1,
     "vajda-2": sweep_vajda_2,
-    "sum-b": sweep_sum("B"),
-    "sum-c": sweep_sum("C"),
+    "sum-b": Sides("sum-b", lambda m: m, _upto(1), lambda ctx, n: sum_sides(ctx, "B", n)),
+    "sum-c": Sides("sum-c", lambda m: m, _upto(1), lambda ctx, n: sum_sides(ctx, "C", n)),
     "addition": sweep_addition,
-    "doubling": sweep_doubling,
-    "power-sum": sweep_power_sum,
-    "c-from-b": sweep_c_from_b,
-    "matrix-b": sweep_matrix_b,
-    "matrix-c": sweep_matrix_c,
-    "ar-commute": sweep_ar_commute,
-    "index-divisibility": sweep_index_divisibility,
-    "coprime-norm-b": sweep_coprime_norm("B"),
-    "coprime-norm-c": sweep_coprime_norm("C"),
-    "consecutive-gcd-b": sweep_consecutive_gcd("B"),
-    "consecutive-gcd-c": sweep_consecutive_gcd("C"),
-    "b-c-coprime": sweep_b_c_coprime,
-    "strong-gcd": sweep_strong_gcd,
+    "doubling": Sides("doubling", lambda m: 2 * m + 1, _upto(1), _doubling_sides),
+    "power-sum": Sides("power-sum", lambda m: m + 1, _upto(1), power_sum_sides),
+    "c-from-b": Sides("c-from-b", lambda m: m + 1, _upto(0), c_from_b_sides),
+    "matrix-b": Sides("matrix-b", lambda m: m + 1,
+                      lambda m: product(range(1, m + 1), range(4)),
+                      lambda ctx, n, entry: _matrix_sides(ctx, "B", n, entry),
+                      ("n", "entry")),
+    "matrix-c": Sides("matrix-c", lambda m: m + 1,
+                      lambda m: product(range(1, m + 1), range(4)),
+                      lambda ctx, n, entry: _matrix_sides(ctx, "C", n, entry),
+                      ("n", "entry")),
+    "ar-commute": Sides("ar-commute", lambda m: 0, lambda m: product(range(4)),
+                        _ar_commute_sides, ("entry",)),
+    "index-divisibility": Checks(
+        "index-divisibility", lambda m: m,
+        lambda m: ((d, n) for d in range(1, m + 1) for n in range(d, m + 1, d)),
+        lambda *args: check_index_divisibility(*args)),
+    "coprime-norm-b": Checks("coprime-norm-b", lambda m: m, _upto(1),
+                             lambda *args: check_coprime_norm("B", *args)),
+    "coprime-norm-c": Checks("coprime-norm-c", lambda m: m, _upto(1),
+                             lambda *args: check_coprime_norm("C", *args)),
+    "consecutive-gcd-b": Checks("consecutive-gcd-b", lambda m: m + 1, _upto(1),
+                                lambda *args: check_consecutive_coprime("B", *args)),
+    "consecutive-gcd-c": Checks("consecutive-gcd-c", lambda m: m + 1, _upto(1),
+                                lambda *args: check_consecutive_coprime("C", *args)),
+    "b-c-coprime": Checks("b-c-coprime", lambda m: m, _upto(0),
+                          lambda *args: check_b_c_coprime(*args)),
+    "strong-gcd": Checks("strong-gcd", lambda m: m,
+                         lambda m: combinations_with_replacement(range(1, m + 1), 2),
+                         lambda *args: check_strong_gcd(*args)),
 }
 
 
@@ -491,33 +413,17 @@ def _sort_key(report: Report):
     return name, sorted(report.inputs.items())
 
 
-def run_verify(config: VerifyRunConfig, threads: int = 1) -> VerifyReport:
-    """Sweep every selected identity over the k range; deterministic output.
+def run_verify(config: VerifyRunConfig) -> VerifyReport:
+    """Sweep every selected identity over the k range, one k at a time.
 
-    The thread count affects wall time only: results are merged
-    commutatively and canonically sorted, never ordered by completion.
+    Sweeps run serially: they are bignum loops that hold the interpreter
+    lock, so worker threads only added wall time.
     """
-    tasks = [
-        (name, k)
-        for name in config.identities
-        for k in range(config.k_lo, config.k_hi + 1)
-    ]
-
-    def run_task(task: tuple[str, int]) -> tuple[str, SweepOutcome]:
-        name, k = task
-        return name, CATALOG[name](SequenceParams(k), config.max_index)
-
-    if threads == 1:
-        partials = [run_task(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run_task, tasks))
-
-    outcomes: dict[str, SweepOutcome] = {
-        name: SweepOutcome(name) for name in config.identities
-    }
-    for name, partial in partials:
-        outcomes[name].merge(partial)
+    outcomes: dict[str, SweepOutcome] = {}
+    for name in config.identities:
+        outcome = outcomes[name] = SweepOutcome(name)
+        for k in range(config.k_lo, config.k_hi + 1):
+            outcome.merge(CATALOG[name](SequenceParams(k), config.max_index))
 
     results: list[Report] = []
     for name, outcome in outcomes.items():
@@ -605,7 +511,6 @@ def report_entry_from_dict(entry: dict) -> Report:
 
 
 def report_to_dict(report: VerifyReport) -> dict:
-    # the thread count is deliberately absent: it must not affect the bytes
     return {
         "tool_version": report.tool_version,
         "config": {

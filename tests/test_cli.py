@@ -187,6 +187,14 @@ class TestVerify:
         assert "c-series-numerator" in text and "refuted" in text
         assert str(target) in err
 
+    def test_emit_errata_unwritable_path_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "E.md"
+        code, out, err = run_cli(capsys, "verify", "--k", "2..2", "--max-index", "4",
+                                 "--emit-errata", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err
+
 
 class TestBench:
     def test_all_engines_agree(self, capsys):
@@ -224,6 +232,20 @@ class TestBench:
                                "--iterative-cap", "2000")
         assert code == 0
         assert "skipped" not in out and "n=1500" in out
+
+    def test_zero_reps_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--k", "2", "--n", "10", "--reps", "0")
+        assert code == 2 and out == ""
+        assert err == "error: reps must be >= 1\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["term", "--seq", "B", "--k", "2", "--n", "10", "--engine", "iterative"],
+        ["bench", "--k", "2", "--n", "10", "--engines", "iterative"],
+    ])
+    def test_negative_iterative_cap_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--iterative-cap", "-5")
+        assert code == 2 and out == ""
+        assert err == "error: iterative cap must be >= 0\n"
 
     def test_unknown_engine_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--k", "2", "--n", "5",

@@ -3,6 +3,7 @@ demonstrably fails and the implemented form demonstrably verifies."""
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -93,3 +94,8 @@ class TestRenderedDocument:
 
     def test_is_deterministic(self):
         assert render_document() == render_document()
+
+    def test_committed_document_is_current(self):
+        # regenerate with `balseq verify --emit-errata` when this fails
+        committed = Path(__file__).resolve().parent.parent / "ERRATA.md"
+        assert committed.read_text(encoding="utf-8") == render_document()

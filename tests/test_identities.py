@@ -210,23 +210,38 @@ class TestFullSweep:
         assert outcome.held == outcome.checked
 
     def test_sweep_counts_match_domain_enumeration(self):
-        params, m = SequenceParams(3), 12
         expected = {
-            "catalan-b": sum(n + 1 for n in range(1, m + 1)),
-            "cassini-b": m,
-            "docagne-b": (m + 1) * (m + 2) // 2,
-            "vajda-1": (m + 1) ** 3,
-            "vajda-2": sum(x * (x + 1) // 2 for x in range(1, m + 1)),
-            "sum-b": m,
-            "addition": m * (m + 1),
-            "doubling": m,
-            "power-sum": m,
-            "c-from-b": m + 1,
-            "matrix-b": 4 * m,
-            "ar-commute": 4,
+            "catalan-b": lambda m: sum(n + 1 for n in range(1, m + 1)),
+            "catalan-c": lambda m: sum(n + 1 for n in range(1, m + 1)),
+            "cassini-b": lambda m: m,
+            "cassini-c": lambda m: m,
+            "docagne-b": lambda m: (m + 1) * (m + 2) // 2,
+            "docagne-c": lambda m: (m + 1) * (m + 2) // 2,
+            "vajda-1": lambda m: (m + 1) ** 3,
+            "vajda-2": lambda m: sum(x * (x + 1) // 2 for x in range(1, m + 1)),
+            "sum-b": lambda m: m,
+            "sum-c": lambda m: m,
+            "addition": lambda m: m * (m + 1),
+            "doubling": lambda m: m,
+            "power-sum": lambda m: m,
+            "c-from-b": lambda m: m + 1,
+            "matrix-b": lambda m: 4 * m,
+            "matrix-c": lambda m: 4 * m,
+            "ar-commute": lambda m: 4,
+            "index-divisibility": lambda m: sum(m // d for d in range(1, m + 1)),
+            "coprime-norm-b": lambda m: m,
+            "coprime-norm-c": lambda m: m,
+            "consecutive-gcd-b": lambda m: m,
+            "consecutive-gcd-c": lambda m: m,
+            "b-c-coprime": lambda m: m + 1,
+            "strong-gcd": lambda m: m * (m + 1) // 2,
         }
-        for name, count in expected.items():
-            assert CATALOG[name](params, m).checked == count, name
+        assert list(expected) == list(CATALOG)
+        # k = 4 breaks the residue hypothesis: those checks still count
+        for k in (3, 4):
+            for m in (1, 12):
+                for name, count in expected.items():
+                    assert CATALOG[name](SequenceParams(k), m).checked == count(m), (name, k, m)
 
     def test_sweeps_agree_with_evaluators(self):
         # the hot sweeps inline the sides arithmetic; pin them to the evaluators

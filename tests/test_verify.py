@@ -114,15 +114,10 @@ class TestSerialization:
         assert again == report
         assert report_to_json(again) == report_to_json(report)
 
-    def test_byte_identical_across_thread_counts(self):
-        import os
-
+    def test_byte_identical_across_runs(self):
         config = VerifyRunConfig(1, 6, 15)
-        texts = {
-            threads: report_to_json(run_verify(config, threads=threads))
-            for threads in (1, 2, os.cpu_count() or 1)
-        }
-        assert len(set(texts.values())) == 1
+        texts = {report_to_json(run_verify(config)) for _ in range(3)}
+        assert len(texts) == 1
 
     def test_big_values_serialized_as_decimal_strings(self):
         import json
