@@ -2,8 +2,11 @@
 
 Exit codes: 0 success / all checks held, 1 verification or cross-check
 failure, 2 usage or I/O error.  Values are always printed as full decimal
-strings, never truncated or in scientific notation; terms reach thousands
-of digits and lossy output would defeat the point of exact arithmetic.
+strings, never truncated or in scientific notation; terms reach hundreds of
+thousands of digits and lossy output would defeat the point of exact
+arithmetic.  Every printed value goes through `decimal_str`, which is
+subquadratic on large values and ignores the interpreter's int-to-str digit
+limit, so the CLI neither reads nor changes that process-wide setting.
 """
 
 from __future__ import annotations
@@ -15,18 +18,26 @@ import sys
 import time
 
 from . import __version__
+from .decimal_io import decimal_str
 from .engines import (
     Engine,
     ITERATIVE_CAP_DEFAULT,
     b_table,
     c_table,
+    check_iterative_cap,
     term_b,
     term_c,
 )
 from .errata import render_document
 from .genfunc import b_series, c_series
 from .ring import SequenceParams
-from .verify import VerifyRunConfig, report_to_json, resolve_identities, run_verify
+from .verify import (
+    VerifyRunConfig,
+    exact_to_str,
+    report_to_json,
+    resolve_identities,
+    run_verify,
+)
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -49,19 +60,24 @@ def parse_range(text: str) -> tuple[int, int]:
             return value, value
         return int(lo), int(hi)
     except ValueError:
-        raise ValueError(f"invalid range {text!r}, expected 'lo..hi' or an integer")
+        raise argparse.ArgumentTypeError(
+            f"invalid range {text!r}, expected 'lo..hi' or an integer"
+        ) from None
 
 
 def parse_threads(text: str) -> str:
     """Validate --threads; the count is ignored because sweeps run serially."""
-    if text != "auto" and int(text) < 1:
-        raise ValueError("thread count must be >= 1")
+    if text == "auto":
+        return text
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"thread count must be an integer >= 1 or 'auto', got {text!r}"
+        )
     return text
-
-
-def _check_iterative_cap(cap: int) -> None:
-    if cap < 0:
-        raise ValueError("iterative cap must be >= 0")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -82,11 +98,10 @@ def _csv_writer(stream):
 # subcommands
 
 def cmd_term(args) -> int:
-    _check_iterative_cap(args.iterative_cap)
     params = SequenceParams(args.k)
     engine = ENGINES[args.engine]
     fn = term_b if args.seq == "B" else term_c
-    value = fn(params, args.n, engine, iterative_cap=args.iterative_cap)
+    value = decimal_str(fn(params, args.n, engine, iterative_cap=args.iterative_cap))
     if args.format == "plain":
         print(value)
     elif args.format == "csv":
@@ -96,7 +111,7 @@ def cmd_term(args) -> int:
     else:
         print(json.dumps(
             {"k": args.k, "n": args.n, "seq": args.seq, "engine": args.engine,
-             "value": str(value)},
+             "value": value},
             sort_keys=True,
         ))
     return EXIT_OK
@@ -122,17 +137,20 @@ def cmd_table(args) -> int:
         for n in range(n_lo, n_hi + 1):
             rows.append([k, n] + [tables[s][n] for s in seqs])
     header = ["k", "n"] + list(seqs)
+    # converted row by row as it is written: a list of every row's strings
+    # would raise peak memory
+    texts = ([decimal_str(x) for x in row] for row in rows)
     if args.format == "plain":
         print(" ".join(header))
-        for row in rows:
-            print(" ".join(str(x) for x in row))
+        for text in texts:
+            print(" ".join(text))
     elif args.format == "csv":
         writer = _csv_writer(sys.stdout)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(texts)
     else:
         print(json.dumps(
-            [{key.lower(): (value if key in ("k", "n") else str(value))
+            [{key.lower(): (value if key in ("k", "n") else decimal_str(value))
               for key, value in zip(header, row)} for row in rows],
             sort_keys=True,
         ))
@@ -153,16 +171,16 @@ def cmd_series(args) -> int:
             )
     coeffs = series.expansion
     if args.format == "plain":
-        print(" ".join(str(c) for c in coeffs))
+        print(" ".join(decimal_str(c) for c in coeffs))
     elif args.format == "csv":
         writer = _csv_writer(sys.stdout)
         writer.writerow(["n", "coefficient"])
         for n, c in enumerate(coeffs):
-            writer.writerow([n, c])
+            writer.writerow([n, decimal_str(c)])
     else:
         print(json.dumps(
             {"seq": args.seq, "k": args.k, "variant": args.variant,
-             "coefficients": [str(c) for c in coeffs]},
+             "coefficients": [decimal_str(c) for c in coeffs]},
             sort_keys=True,
         ))
     return EXIT_OK
@@ -210,9 +228,10 @@ def cmd_verify(args) -> int:
                 tag = "VIOLATION" if entry.hypothesis_met else "expected failure"
                 inputs = ", ".join(f"{k}={v}" for k, v in sorted(entry.inputs.items()))
                 if hasattr(entry, "lhs"):
-                    detail = f"lhs={entry.lhs} rhs={entry.rhs}"
+                    detail = f"lhs={exact_to_str(entry.lhs)} rhs={exact_to_str(entry.rhs)}"
                 else:
-                    detail = f"gcd={entry.computed_gcd} expected={entry.expected}"
+                    detail = (f"gcd={decimal_str(entry.computed_gcd)}"
+                              f" expected={decimal_str(entry.expected)}")
                 print(f"  [{tag}] {name} ({inputs}): {detail}")
         verdict = "all held" if summary["all_held"] else "FAILED"
         print(
@@ -226,7 +245,7 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     if args.reps < 1:
         raise ValueError("reps must be >= 1")
-    _check_iterative_cap(args.iterative_cap)
+    check_iterative_cap(args.iterative_cap)
     params = SequenceParams(args.k)
     engine_names = (
         list(ENGINES) if args.engines == "all" else
@@ -256,7 +275,7 @@ def cmd_bench(args) -> int:
         if len(distinct) > 1:
             print(f"engine value mismatch at k={args.k}, n={n}:", file=sys.stderr)
             for name, value in values.items():
-                digits = len(str(abs(value)))
+                digits = len(decimal_str(abs(value)))
                 print(f"  {name}: {digits} digits", file=sys.stderr)
             return EXIT_FAILED
 
@@ -371,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # terms legitimately exceed the default cap
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

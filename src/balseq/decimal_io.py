@@ -1,0 +1,92 @@
+"""Exact int <-> decimal text at any size, independent of the interpreter limit.
+
+Python 3.11's int-to-str conversion is quadratic and, by default, refuses
+values over 4300 digits.  `decimal_str` keeps `str()` for values well under
+that limit and otherwise converts by divide and conquer (Brent & Zimmermann,
+*Modern Computer Arithmetic*, 2010, section 1.7): split the value at a bit
+position, convert the halves to `decimal.Decimal` and recombine them as
+hi * 2**w + lo, where libmpdec's fast multiplication does the heavy work.  The
+decimal context traps Inexact and Rounded, so a lost digit raises instead of
+printing a wrong value.  `decimal_int` is the inverse, for reading reports
+back.  Neither function reads or changes the interpreter's digit limit.
+"""
+
+from __future__ import annotations
+
+import decimal
+
+# 14,000 bits is about 4,214 digits: under the default 4300-digit str() limit
+_STR_BITS = 14_000
+# bits per leaf of the conversion tree; 128-bit leaves were 2-4x slower
+# than str() below 10k digits
+_LEAF_BITS = 2048
+# digits per leaf when parsing, under the smallest str() limit there is (640)
+_LEAF_DIGITS = 600
+
+
+def decimal_str(n: int) -> str:
+    """str(n) for an int of any size, whatever the interpreter's digit limit."""
+    if n.bit_length() < _STR_BITS:
+        try:
+            return str(n)
+        except ValueError:  # a lowered limit; convert below instead
+            pass
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        ctx.traps[decimal.Rounded] = True
+        value = _to_decimal(abs(n), n.bit_length(), {})
+        return str(-value if n < 0 else value)
+
+
+def _to_decimal(n: int, width: int, powers: dict[int, decimal.Decimal]) -> decimal.Decimal:
+    """Decimal(n) for 0 <= n < 2**width, splitting at half the width."""
+    if width <= _LEAF_BITS:
+        return decimal.Decimal(n)
+    low_width = width >> 1
+    high = n >> low_width
+    low = n - (high << low_width)
+    return (_to_decimal(high, width - low_width, powers) * _power_of_two(low_width, powers)
+            + _to_decimal(low, low_width, powers))
+
+
+def _power_of_two(width: int, powers: dict[int, decimal.Decimal]) -> decimal.Decimal:
+    """Decimal(2)**width, cached for the one conversion that owns `powers`."""
+    power = powers.get(width)
+    if power is None:
+        if width <= _LEAF_BITS:
+            power = decimal.Decimal(1 << width)
+        elif width - 1 in powers:
+            power = powers[width - 1] * 2
+        else:
+            # the two halves differ by at most one, so the larger is often
+            # the cheap doubling of the smaller, which is computed first
+            half = width >> 1
+            power = _power_of_two(half, powers)
+            power = power * _power_of_two(width - half, powers)
+        powers[width] = power
+    return power
+
+
+def decimal_int(text: str) -> int:
+    """int(text) for a decimal integer of any length, whatever the digit limit."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if len(digits) <= _LEAF_DIGITS:
+        return int(text)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid decimal integer of {len(text)} characters")
+    value = _from_digits(digits, {})
+    return -value if text[0] == "-" else value
+
+
+def _from_digits(digits: str, powers: dict[int, int]) -> int:
+    if len(digits) <= _LEAF_DIGITS:
+        return int(digits)
+    low_len = len(digits) >> 1
+    scale = powers.get(low_len)
+    if scale is None:
+        scale = powers[low_len] = 10 ** low_len
+    return (_from_digits(digits[:-low_len], powers) * scale
+            + _from_digits(digits[-low_len:], powers))

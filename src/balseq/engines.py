@@ -6,8 +6,8 @@ takes a different route to the same integers:
 
   iterative  - runs the recurrence (linear in n, capped to avoid accidental
                quadratic bignum blowups);
-  matrix     - binary powers of A = [[3k, 1-k], [1, 0]], reading B_n off
-               A^n and C_n off R*A^n with R = [[3, 1-k], [1, 3(1-k)]];
+  matrix     - top-down binary powers of A = [[3k, 1-k], [1, 0]], reading
+               B_n off A^n and C_n off R*A^n with R = [[3, 1-k], [1, 3(1-k)]];
   binet      - coordinates of alpha^n in the quadratic ring (ring module);
   doubling   - the division-free index-doubling pair
                B_{2n} = 2*B_n*B_{n+1} - 3k*B_n^2,
@@ -66,17 +66,29 @@ class Mat2:
         return self.a11 * self.a22 - self.a12 * self.a21
 
 
+def _mat_square(m: Mat2) -> Mat2:
+    """m @ m from 5 products: the a12*a21 and trace terms are shared."""
+    cross = m.a12 * m.a21
+    trace = m.a11 + m.a22
+    return Mat2(m.a11 * m.a11 + cross, m.a12 * trace, m.a21 * trace, m.a22 * m.a22 + cross)
+
+
 def mat_pow(m: Mat2, n: int) -> Mat2:
+    """m^n by left-to-right binary powers.
+
+    Each step squares the running power and, on a set bit of n, multiplies
+    it by m itself; for the small A of the matrix engine that product costs
+    linear time, where right-to-left powering multiplies two big matrices.
+    """
     if n < 0:
         raise ValueError("exponent must be >= 0")
-    result = Mat2.identity()
-    base = m
-    while n:
-        if n & 1:
-            result = result @ base
-        n >>= 1
-        if n:
-            base = base @ base
+    if n == 0:
+        return Mat2.identity()
+    result = m
+    for shift in range(n.bit_length() - 2, -1, -1):
+        result = _mat_square(result)
+        if (n >> shift) & 1:
+            result = result @ m
     return result
 
 
@@ -88,6 +100,12 @@ def a_matrix(params: SequenceParams) -> Mat2:
 def r_base_matrix(params: SequenceParams) -> Mat2:
     k = params.k
     return Mat2(3, 1 - k, 1, 3 * (1 - k))
+
+
+def check_iterative_cap(cap: int) -> None:
+    """Reject a negative iterative cap, which no index could satisfy."""
+    if cap < 0:
+        raise ValueError("iterative cap must be >= 0")
 
 
 def _check_n(n: int) -> None:
@@ -140,6 +158,7 @@ def term_b(
     iterative_cap: int = ITERATIVE_CAP_DEFAULT,
 ) -> int:
     """Exact B_{k,n} for n >= 0 via the chosen engine."""
+    check_iterative_cap(iterative_cap)
     _check_n(n)
     if engine is Engine.ITERATIVE:
         if n > iterative_cap:
@@ -161,6 +180,7 @@ def term_c(
     iterative_cap: int = ITERATIVE_CAP_DEFAULT,
 ) -> int:
     """Exact C_{k,n} for n >= 0 via the chosen engine."""
+    check_iterative_cap(iterative_cap)
     _check_n(n)
     k = params.k
     if engine is Engine.ITERATIVE:

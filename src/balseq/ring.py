@@ -86,25 +86,33 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     )
 
 
-def ring_pow_counted(a: RingElement, n: int) -> tuple[RingElement, int]:
-    """a^n by binary exponentiation, returning the ring-multiplication count.
+def _ring_square(a: RingElement) -> RingElement:
+    """ring_mul(a, a) from three products: the cross term u*v is shared."""
+    k = a.params.k
+    vv = a.v * a.v
+    return RingElement(a.u * a.u - (k - 1) * vv, 2 * a.u * a.v + 3 * k * vv, a.params)
 
-    The count is at most 2*ceil(log2(n+1)) + 2, which is what keeps the
-    closed-form engine logarithmic in n.
+
+def ring_pow_counted(a: RingElement, n: int) -> tuple[RingElement, int]:
+    """a^n by left-to-right binary powers, returning the ring-multiplication count.
+
+    Each step squares the running power and, on a set bit of n, multiplies
+    it by a itself, which for a = alpha costs linear time.  For n >= 1 the
+    count is (bit_length(n) - 1) squarings plus (popcount(n) - 1) products,
+    at most 2*floor(log2(n)), which is what keeps the closed-form engine
+    logarithmic in n.
     """
     if n < 0:
         raise ValueError("exponent must be >= 0")
-    result = RingElement.one(a.params)
-    base = a
+    if n == 0:
+        return RingElement.one(a.params), 0
+    result = a
     count = 0
-    m = n
-    while m:
-        if m & 1:
-            result = ring_mul(result, base)
-            count += 1
-        m >>= 1
-        if m:
-            base = ring_mul(base, base)
+    for shift in range(n.bit_length() - 2, -1, -1):
+        result = _ring_square(result)
+        count += 1
+        if (n >> shift) & 1:
+            result = ring_mul(result, a)
             count += 1
     return result, count
 

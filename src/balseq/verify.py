@@ -26,6 +26,7 @@ from itertools import combinations_with_replacement, product
 from typing import Callable, Iterable
 
 from . import __version__
+from .decimal_io import decimal_int, decimal_str
 from .divisibility import (
     GcdReport,
     check_b_c_coprime,
@@ -455,17 +456,18 @@ def run_verify(config: VerifyRunConfig) -> VerifyReport:
     return VerifyReport(__version__, config, results, summary)
 
 
-def _exact_to_str(value) -> str:
+def exact_to_str(value) -> str:
+    """Decimal text of an int or Fraction report value, at any size."""
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
+        return f"{decimal_str(value.numerator)}/{decimal_str(value.denominator)}"
+    return decimal_str(value)
 
 
 def _exact_from_str(text: str):
     if "/" in text:
         num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return int(text)
+        return Fraction(decimal_int(num), decimal_int(den))
+    return decimal_int(text)
 
 
 def report_entry_to_dict(report: Report) -> dict:
@@ -474,8 +476,8 @@ def report_entry_to_dict(report: Report) -> dict:
             "kind": "identity",
             "identity_name": report.identity_name,
             "inputs": dict(sorted(report.inputs.items())),
-            "lhs": _exact_to_str(report.lhs),
-            "rhs": _exact_to_str(report.rhs),
+            "lhs": exact_to_str(report.lhs),
+            "rhs": exact_to_str(report.rhs),
             "holds": report.holds,
             "hypothesis_met": report.hypothesis_met,
         }
@@ -483,8 +485,8 @@ def report_entry_to_dict(report: Report) -> dict:
         "kind": "gcd",
         "theorem_name": report.theorem_name,
         "inputs": dict(sorted(report.inputs.items())),
-        "computed_gcd": str(report.computed_gcd),
-        "expected": str(report.expected),
+        "computed_gcd": decimal_str(report.computed_gcd),
+        "expected": decimal_str(report.expected),
         "holds": report.holds,
         "hypothesis_met": report.hypothesis_met,
     }
@@ -503,8 +505,8 @@ def report_entry_from_dict(entry: dict) -> Report:
     return GcdReport(
         entry["theorem_name"],
         dict(entry["inputs"]),
-        int(entry["computed_gcd"]),
-        int(entry["expected"]),
+        decimal_int(entry["computed_gcd"]),
+        decimal_int(entry["expected"]),
         entry["hypothesis_met"],
         entry["holds"],
     )

@@ -6,6 +6,9 @@ import pytest
 
 import balseq.cli as cli
 from balseq.cli import main
+from balseq.decimal_io import decimal_str
+from balseq.engines import term_c
+from balseq.ring import SequenceParams
 
 from conftest import oracle_c
 
@@ -99,6 +102,12 @@ class TestTable:
             main(["table", "--k", "2..x", "--n", "0..3"])
         assert exc.value.code == 2
 
+    def test_bad_range_reason_is_printed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--k", "1..x", "--n", "0..3"])
+        assert exc.value.code == 2
+        assert "invalid range '1..x', expected 'lo..hi' or an integer" in capsys.readouterr().err
+
 
 class TestSeries:
     def test_b_series_plain(self, capsys):
@@ -177,6 +186,14 @@ class TestVerify:
             assert code == 0
             outputs.add(out)
         assert len(outputs) == 1
+
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_bad_thread_count_reason_is_printed(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--k", "2..2", "--max-index", "3", "--threads", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"thread count must be an integer >= 1 or 'auto', got '{value}'" in err
 
     def test_emit_errata(self, capsys, tmp_path):
         target = tmp_path / "errata.md"
@@ -289,6 +306,26 @@ class TestExitCodeContract:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+    def test_main_leaves_interpreter_digit_limit_unchanged(self, capsys):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            code, out, _ = run_cli(capsys, "term", "--seq", "B", "--k", "12", "--n", "20000")
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert code == 0 and len(out.strip()) > 5000
+
+    def test_lowered_digit_limit_prints_exact_value(self):
+        proc = subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=640", "-m", "balseq.cli", "term",
+             "--seq", "C", "--k", "12", "--n", "20000", "--format", "json"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        value = json.loads(proc.stdout)["value"]
+        assert value == decimal_str(term_c(SequenceParams(12), 20000))
 
     def test_huge_term_prints_fully(self):
         # must not trip the interpreter's int->str digit limit

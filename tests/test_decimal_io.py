@@ -1,0 +1,85 @@
+import sys
+
+import pytest
+
+from balseq.decimal_io import decimal_int, decimal_str
+from balseq.engines import term_b, term_c
+from balseq.ring import SequenceParams
+
+
+def reference_str(n: int) -> str:
+    """str(n) with the interpreter's digit limit lifted only for this call."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(n)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _edges(w: int) -> list[int]:
+    return [s * v for v in (2**w - 1, 2**w, 2**w + 1) for s in (1, -1)]
+
+
+# around the str() threshold (14,000 bits), the leaf size (2048 bits) and the
+# width of the first split above it
+WIDTHS = [2047, 2048, 2049, 4095, 4096, 4097, 13_999, 14_000, 14_001, 14_284, 14_285,
+          28_000, 100_000]
+EXPONENTS = [4299, 4300, 4301, 99_999, 100_000, 100_001]
+POWERS_OF_TEN = [10**j - d for j in EXPONENTS for d in (0, 1)]
+TERMS = [fn(SequenceParams(k), n) for fn in (term_b, term_c)
+         for k in range(1, 13) for n in (3_000, 30_000)]
+
+
+class TestDecimalStr:
+    @pytest.mark.parametrize("n", [0, 1, -1])
+    def test_small(self, n):
+        assert decimal_str(n) == str(n)
+
+    @pytest.mark.parametrize("w", WIDTHS)
+    def test_powers_of_two_edges(self, w):
+        for n in _edges(w):
+            assert decimal_str(n) == reference_str(n)
+
+    @pytest.mark.parametrize("j", EXPONENTS)
+    def test_powers_of_ten_edges(self, j):
+        for n in (10**j, 10**j - 1, -(10**j)):
+            assert decimal_str(n) == reference_str(n)
+
+    def test_terms(self):
+        for n in TERMS:
+            assert decimal_str(n) == reference_str(n)
+
+    def test_below_a_lowered_limit(self):
+        # 1,000 digits is under the 14,000-bit threshold but over a 640 limit
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("no interpreter digit limit")
+        n = 10**999 + 7
+        expected = reference_str(n)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert decimal_str(n) == expected
+        finally:
+            sys.set_int_max_str_digits(old)
+
+
+class TestDecimalInt:
+    @pytest.mark.parametrize("w", WIDTHS)
+    def test_round_trip(self, w):
+        for n in _edges(w):
+            assert decimal_int(reference_str(n)) == n
+
+    def test_round_trip_terms_and_powers_of_ten(self):
+        for n in TERMS + POWERS_OF_TEN:
+            assert decimal_int(decimal_str(n)) == n
+
+    def test_plus_sign_and_leading_zeros(self):
+        assert decimal_int("+" + "0" * 5000 + "12") == 12
+
+    @pytest.mark.parametrize("text", ["", "-", "1" * 5000 + "x", "1_" * 3000, "٣" * 5000])
+    def test_rejects_non_decimal_text(self, text):
+        with pytest.raises(ValueError):
+            decimal_int(text)

@@ -55,6 +55,12 @@ class TestTermB:
     def test_default_cap_value(self):
         assert ITERATIVE_CAP_DEFAULT == 100_000
 
+    @pytest.mark.parametrize("fn", [term_b, term_c])
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_negative_cap_rejected_on_every_engine(self, fn, engine):
+        with pytest.raises(ValueError, match="^iterative cap must be >= 0$"):
+            fn(SequenceParams(2), 3, engine, iterative_cap=-5)
+
 
 class TestTermC:
     @pytest.mark.parametrize("engine", ALL_ENGINES)
@@ -226,6 +232,13 @@ class TestMatrices:
 
     def test_mat_pow_identity(self):
         assert mat_pow(Mat2(3, 1, 4, 1), 0) == Mat2.identity()
+
+    def test_mat_pow_matches_repeated_product_for_general_matrix(self):
+        m = Mat2(3, -1, 4, 1)
+        power = Mat2.identity()
+        for n in range(65):
+            assert mat_pow(m, n) == power
+            power = power @ m
 
 
 class TestTables:

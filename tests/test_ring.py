@@ -91,6 +91,24 @@ class TestRingPow:
         _, count = ring_pow_counted(RingElement.alpha(p), n)
         assert count <= 2 * math.ceil(math.log2(n + 1)) + 2
 
+    @pytest.mark.parametrize("j", range(1, 21))
+    def test_multiplication_count_at_powers_of_two(self, j):
+        # n = 2^j - 1 takes j-1 squarings and j-1 products by the base, the
+        # most for its bit length; n = 2^j takes j squarings and no product
+        a = RingElement.alpha(SequenceParams(3))
+        for n, expected in ((2**j - 1, 2 * (j - 1)), (2**j, j)):
+            _, count = ring_pow_counted(a, n)
+            assert count == expected <= 2 * math.floor(math.log2(n))
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_matches_repeated_product_for_general_base(self, k):
+        p = SequenceParams(k)
+        x = RingElement(-2, 5, p)
+        power = RingElement.one(p)
+        for n in range(65):
+            assert ring_pow(x, n) == power
+            power = ring_mul(power, x)
+
     def test_counted_matches_uncounted(self):
         p = SequenceParams(5)
         x = RingElement(2, 7, p)

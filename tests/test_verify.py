@@ -1,3 +1,7 @@
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from balseq.verify import (
@@ -128,3 +132,28 @@ class TestSerialization:
         assert isinstance(entry["computed_gcd"], str)
         assert isinstance(entry["expected"], str)
         assert entry["kind"] == "gcd"
+
+    def test_big_values_round_trip_under_lowered_digit_limit(self):
+        # a fresh interpreter whose int<->str limit is the lowest allowed;
+        # nothing in it lifts the limit, so the library must cope on its own
+        code = textwrap.dedent("""
+            import sys
+            from fractions import Fraction
+            from balseq.identities import IdentityReport
+            from balseq.verify import (VerifyReport, VerifyRunConfig,
+                                       report_from_json, report_to_json)
+            lhs = 7 * 10**9999 + 12345
+            rhs = Fraction(-(3**20000), 2**1000 + 1)
+            entry = IdentityReport("sum-c", {"k": 2, "n": 3}, lhs, rhs, False)
+            report = VerifyReport("0", VerifyRunConfig(2, 2, 3), [entry], {"total_failed": 1})
+            text = report_to_json(report)
+            again = report_from_json(text)
+            assert again == report, "round trip changed the report"
+            assert report_to_json(again) == text
+            assert sys.get_int_max_str_digits() == 640
+            print(len(text))
+        """)
+        proc = subprocess.run([sys.executable, "-X", "int_max_str_digits=640", "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) > 10_000
