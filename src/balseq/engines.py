@@ -4,8 +4,8 @@ B satisfies B_n = 3k*B_{n-1} + (1-k)*B_{n-2} with B_0 = 0, B_1 = 1; the
 companion C shares the recurrence with seeds C_0 = 1, C_1 = 3.  Each engine
 takes a different route to the same integers:
 
-  iterative  - runs the recurrence (linear in n, capped to avoid accidental
-               quadratic bignum blowups);
+  iterative  - runs the recurrence, two terms at a time (linear in n,
+               capped to avoid accidental quadratic bignum blowups);
   matrix     - top-down binary powers of A = [[3k, 1-k], [1, 0]], reading
                B_n off A^n and C_n off R*A^n with R = [[3, 1-k], [1, 3(1-k)]];
   binet      - coordinates of alpha^n in the quadratic ring (ring module);
@@ -24,6 +24,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from typing import Iterator
 
 from .ring import SequenceParams, alpha_power_components
 
@@ -113,28 +115,29 @@ def _check_n(n: int) -> None:
         raise ValueError("n must be >= 0 (use term_b_negative for negative indices)")
 
 
+def _recurrence(k: int, x0: int, x1: int) -> Iterator[int]:
+    """X_0, X_1, ... of X_n = 3k*X_{n-1} + (1-k)*X_{n-2} from the seeds x0, x1.
+
+    Only two terms are held at a time, so reading the n-th term takes
+    memory for two values, not for n + 1.
+    """
+    prev, cur = x0, x1
+    trace, minus_norm = 3 * k, 1 - k
+    while True:
+        yield prev
+        prev, cur = cur, trace * cur + minus_norm * prev
+
+
 def b_table(params: SequenceParams, n_max: int) -> list[int]:
     """B_{k,0..n_max} by the defining recurrence (the iterative engine in bulk)."""
     _check_n(n_max)
-    k = params.k
-    table = [0, 1]
-    prev, cur = 0, 1
-    for _ in range(n_max - 1):
-        prev, cur = cur, 3 * k * cur + (1 - k) * prev
-        table.append(cur)
-    return table[: n_max + 1]
+    return list(islice(_recurrence(params.k, 0, 1), n_max + 1))
 
 
 def c_table(params: SequenceParams, n_max: int) -> list[int]:
     """C_{k,0..n_max} by the defining recurrence."""
     _check_n(n_max)
-    k = params.k
-    table = [1, 3]
-    prev, cur = 1, 3
-    for _ in range(n_max - 1):
-        prev, cur = cur, 3 * k * cur + (1 - k) * prev
-        table.append(cur)
-    return table[: n_max + 1]
+    return list(islice(_recurrence(params.k, 1, 3), n_max + 1))
 
 
 def _doubling_pair(k: int, n: int) -> tuple[int, int]:
@@ -163,7 +166,7 @@ def term_b(
     if engine is Engine.ITERATIVE:
         if n > iterative_cap:
             raise IterativeCapError(f"n={n} exceeds iterative cap {iterative_cap}")
-        return b_table(params, n)[n]
+        return next(islice(_recurrence(params.k, 0, 1), n, None))
     if engine is Engine.MATRIX:
         return mat_pow(a_matrix(params), n).a21
     if engine is Engine.BINET:
@@ -186,7 +189,7 @@ def term_c(
     if engine is Engine.ITERATIVE:
         if n > iterative_cap:
             raise IterativeCapError(f"n={n} exceeds iterative cap {iterative_cap}")
-        return c_table(params, n)[n]
+        return next(islice(_recurrence(k, 1, 3), n, None))
     if engine is Engine.MATRIX:
         return (r_base_matrix(params) @ mat_pow(a_matrix(params), n)).a21
     if engine is Engine.BINET:

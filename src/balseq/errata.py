@@ -123,7 +123,7 @@ def _demo_c_series_numerator() -> Demonstration:
 def _demo_catalan_c_proof_term() -> Demonstration:
     ctx = TermContext(SequenceParams(3)).ensure(8)
     n, r = 3, 1
-    lhs, rhs = catalan_sides(ctx, "C", n, r)
+    (lhs,), (rhs,) = catalan_sides(ctx, "C", n, range(r, r + 1))
     proof_variant = 8 * ctx.pk[n - r + 1] * ctx.b[n] * ctx.b[n]
     return Demonstration(
         printed_fails=lhs != proof_variant,
@@ -139,7 +139,7 @@ def _demo_catalan_c_proof_term() -> Demonstration:
 def _demo_vajda2_sign() -> Demonstration:
     ctx = TermContext(SequenceParams(3)).ensure(4)
     n, m, ell = 1, 4, 1
-    lhs, rhs = vajda2_sides(ctx, n, m, ell)
+    (lhs,), (rhs,) = vajda2_sides(ctx, n, m, range(ell, ell + 1))
     flipped = (1 - 3) ** n * ctx.b[m - n - ell] * ctx.b[ell]
     return Demonstration(
         printed_fails=lhs != flipped,
@@ -153,7 +153,7 @@ def _demo_vajda2_sign() -> Demonstration:
 
 def _demo_sum_c_constant() -> Demonstration:
     ctx = TermContext(SequenceParams(2)).ensure(3)
-    lhs, rhs = sum_sides(ctx, "C", 3)
+    (lhs,), (rhs,) = sum_sides(ctx, "C", range(3, 4))
     k, c = 2, ctx.c
     printed = Fraction(-(2 * k + 1) * c[3] + (k - 1) * c[2] + 4 * (1 - k), -2 * k)
     return Demonstration(

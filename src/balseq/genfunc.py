@@ -27,20 +27,6 @@ class RationalSeries:
     denominator: tuple[int, ...]
     expansion: tuple[int, ...]
 
-    def convolution_holds(self) -> bool:
-        """expansion * denominator reproduces the numerator coefficientwise."""
-        n_terms = len(self.expansion)
-        for n in range(n_terms):
-            acc = 0
-            for j, d in enumerate(self.denominator):
-                if j > n:
-                    break
-                acc += d * self.expansion[n - j]
-            want = self.numerator[n] if n < len(self.numerator) else 0
-            if acc != want:
-                return False
-        return True
-
 
 def expand(numerator: list[int], denominator: list[int], n_coeffs: int) -> list[int]:
     """First n_coeffs+1 coefficients of numerator/denominator, exactly.

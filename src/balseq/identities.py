@@ -76,50 +76,65 @@ def _report(name: str, inputs: dict[str, int], lhs: Exact, rhs: Exact) -> Identi
 
 # ---------------------------------------------------------------------------
 # side computations, shared between single-shot evaluators and sweeps
+#
+# Each takes its last index as a range and returns the (lhs, rhs) lists over
+# it, so a sweep evaluates a whole row per call and a single-shot evaluator
+# passes a one-element range.
 
-def catalan_sides(ctx: TermContext, seq: str, n: int, r: int) -> tuple[int, int]:
-    x = ctx.seq(seq)
-    lhs = x[n + r] * x[n - r] - x[n] * x[n]
-    br = ctx.b[r]
+SideLists = tuple[list[int], list[Exact]]
+
+
+def catalan_sides(ctx: TermContext, seq: str, n: int, rs: range) -> SideLists:
+    x, b, pk = ctx.seq(seq), ctx.b, ctx.pk
+    xn2 = x[n] * x[n]
+    lhs = [x[n + r] * x[n - r] - xn2 for r in rs]
     if seq == "B":
-        rhs = -ctx.pk[n - r] * br * br
+        rhs = [-pk[n - r] * b[r] * b[r] for r in rs]
     else:
-        rhs = 8 * ctx.pk[n - r + 1] * br * br
+        rhs = [8 * pk[n - r + 1] * b[r] * b[r] for r in rs]
     return lhs, rhs
 
 
-def cassini_sides(ctx: TermContext, seq: str, n: int) -> tuple[int, int]:
-    x = ctx.seq(seq)
-    lhs = x[n] * x[n] - x[n - 1] * x[n + 1]
-    rhs = ctx.pk[n - 1] if seq == "B" else -8 * ctx.pk[n]
+def cassini_sides(ctx: TermContext, seq: str, ns: range) -> SideLists:
+    x, pk = ctx.seq(seq), ctx.pk
+    lhs = [x[n] * x[n] - x[n - 1] * x[n + 1] for n in ns]
+    rhs = [pk[n - 1] for n in ns] if seq == "B" else [-8 * pk[n] for n in ns]
     return lhs, rhs
 
 
-def docagne_sides(ctx: TermContext, seq: str, m: int, n: int) -> tuple[int, int]:
-    x = ctx.seq(seq)
-    lhs = x[m] * x[n + 1] - x[n] * x[m + 1]
+def docagne_sides(ctx: TermContext, seq: str, m: int, ns: range) -> SideLists:
+    x, b, pk = ctx.seq(seq), ctx.b, ctx.pk
+    xm, xm1 = x[m], x[m + 1]
+    lhs = [xm * x[n + 1] - x[n] * xm1 for n in ns]
     if seq == "B":
-        rhs = ctx.pk[n] * ctx.b[m - n]
+        rhs = [pk[n] * b[m - n] for n in ns]
     else:
-        rhs = -8 * ctx.pk[n + 1] * ctx.b[m - n]
+        rhs = [-8 * pk[n + 1] * b[m - n] for n in ns]
     return lhs, rhs
 
 
-def vajda1_sides(ctx: TermContext, n: int, i: int, j: int) -> tuple[int, int]:
+def vajda1_sides(ctx: TermContext, n: int, i: int, js: range) -> SideLists:
     b = ctx.b
-    lhs = b[n + i] * b[n + j] - b[n] * b[n + i + j]
-    rhs = ctx.pk[n] * b[i] * b[j]
+    bn, bni, base = b[n], b[n + i], n + i
+    scale = ctx.pk[n] * b[i]
+    lhs = [bni * b[n + j] - bn * b[base + j] for j in js]
+    rhs = [scale * b[j] for j in js]
     return lhs, rhs
 
 
-def vajda2_sides(ctx: TermContext, n: int, m: int, ell: int) -> tuple[int, int]:
+def vajda2_sides(ctx: TermContext, n: int, m: int, ells: range) -> SideLists:
     b = ctx.b
-    lhs = b[n + ell] * b[m - ell] - b[n] * b[m]
-    rhs = ctx.pk[n] * b[m - n - ell] * b[ell]
+    bn_bm, pkn = b[n] * b[m], ctx.pk[n]
+    lhs = [b[n + ell] * b[m - ell] - bn_bm for ell in ells]
+    rhs = [pkn * b[m - n - ell] * b[ell] for ell in ells]
     return lhs, rhs
 
 
-def sum_sides(ctx: TermContext, seq: str, n: int) -> tuple[int, Exact]:
+def _exact(value: Fraction) -> Exact:
+    return value if value.denominator != 1 else value.numerator
+
+
+def sum_sides(ctx: TermContext, seq: str, ns: range) -> SideLists:
     """Direct summation against the closed form.
 
     The C closed form uses additive constant 4 - 3k (the variant that is
@@ -127,40 +142,47 @@ def sum_sides(ctx: TermContext, seq: str, n: int) -> tuple[int, Exact]:
     """
     k = ctx.params.k
     x = ctx.seq(seq)
-    lhs = sum(x[: n + 1])
     const = 1 if seq == "B" else 4 - 3 * k
-    rhs = Fraction(-(2 * k + 1) * x[n] + (k - 1) * x[n - 1] + const, -2 * k)
-    return lhs, rhs if rhs.denominator != 1 else rhs.numerator
-
-
-def addition_sides(ctx: TermContext, m: int, n: int) -> tuple[int, int]:
-    b = ctx.b
-    k = ctx.params.k
-    lhs = b[m + n]
-    rhs = b[m] * b[n + 1] + (1 - k) * b[m - 1] * b[n]
+    lhs = [sum(x[: n + 1]) for n in ns]
+    rhs = [_exact(Fraction(-(2 * k + 1) * x[n] + (k - 1) * x[n - 1] + const, -2 * k))
+           for n in ns]
     return lhs, rhs
 
 
-def doubling_sides(ctx: TermContext, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Sides of both index-doubling identities: (even pair, odd pair)."""
+def addition_sides(ctx: TermContext, m: int, ns: range) -> SideLists:
     b = ctx.b
-    k = ctx.params.k
-    even = (b[2 * n], b[n] * (b[n + 1] + (1 - k) * b[n - 1]))
-    odd = (b[2 * n - 1], b[n] * b[n] + (1 - k) * b[n - 1] * b[n - 1])
-    return even, odd
-
-
-def power_sum_sides(ctx: TermContext, n: int) -> tuple[int, int]:
-    u, v = alpha_power_components(ctx.params, n)
-    lhs = 2 * u + ctx.params.trace * v
-    rhs = ctx.b[n + 1] - ctx.params.norm * ctx.b[n - 1]
+    bm, bm1 = b[m], (1 - ctx.params.k) * b[m - 1]
+    lhs = [b[m + n] for n in ns]
+    rhs = [bm * b[n + 1] + bm1 * b[n] for n in ns]
     return lhs, rhs
 
 
-def c_from_b_sides(ctx: TermContext, n: int) -> tuple[int, int]:
-    k = ctx.params.k
-    lhs = ctx.c[n]
-    rhs = ctx.b[n + 1] + 3 * (1 - k) * ctx.b[n]
+def doubling_sides(ctx: TermContext, ns: range) -> SideLists:
+    """Both index-doubling identities, one pair of sides per n.
+
+    B_{2n} = B_n*(B_{n+1} + (1-k)*B_{n-1}) and B_{2n-1} = B_n^2 + (1-k)*B_{n-1}^2
+    hold at n together exactly when the pair given for n is equal: it is
+    the even-index pair, or the odd-index pair when only that one fails.
+    """
+    b, c = ctx.b, 1 - ctx.params.k
+    even = [(b[2 * n], b[n] * (b[n + 1] + c * b[n - 1])) for n in ns]
+    odd = [(b[2 * n - 1], b[n] * b[n] + c * b[n - 1] * b[n - 1]) for n in ns]
+    shown = [o if e[0] == e[1] and o[0] != o[1] else e for e, o in zip(even, odd)]
+    return [s[0] for s in shown], [s[1] for s in shown]
+
+
+def power_sum_sides(ctx: TermContext, ns: range) -> SideLists:
+    params, b = ctx.params, ctx.b
+    lhs = [2 * u + params.trace * v
+           for u, v in (alpha_power_components(params, n) for n in ns)]
+    rhs = [b[n + 1] - params.norm * b[n - 1] for n in ns]
+    return lhs, rhs
+
+
+def c_from_b_sides(ctx: TermContext, ns: range) -> SideLists:
+    b, c = ctx.b, 3 * (1 - ctx.params.k)
+    lhs = [ctx.c[n] for n in ns]
+    rhs = [b[n + 1] + c * b[n] for n in ns]
     return lhs, rhs
 
 
@@ -176,7 +198,7 @@ def catalan(
     if r < 0 or r > n:
         raise ValueError("r must satisfy 0 <= r <= n")
     ctx = _ctx(params, n + r, ctx)
-    lhs, rhs = catalan_sides(ctx, seq, n, r)
+    (lhs,), (rhs,) = catalan_sides(ctx, seq, n, range(r, r + 1))
     return _report(f"catalan-{seq.lower()}", {"k": params.k, "n": n, "r": r}, lhs, rhs)
 
 
@@ -187,7 +209,7 @@ def cassini(
     if n < 1:
         raise ValueError("n must be >= 1")
     ctx = _ctx(params, n + 1, ctx)
-    lhs, rhs = cassini_sides(ctx, seq, n)
+    (lhs,), (rhs,) = cassini_sides(ctx, seq, range(n, n + 1))
     return _report(f"cassini-{seq.lower()}", {"k": params.k, "n": n}, lhs, rhs)
 
 
@@ -198,7 +220,7 @@ def docagne(
     if n < 0 or m < n:
         raise ValueError("indices must satisfy m >= n >= 0")
     ctx = _ctx(params, m + 1, ctx)
-    lhs, rhs = docagne_sides(ctx, seq, m, n)
+    (lhs,), (rhs,) = docagne_sides(ctx, seq, m, range(n, n + 1))
     return _report(f"docagne-{seq.lower()}", {"k": params.k, "m": m, "n": n}, lhs, rhs)
 
 
@@ -226,7 +248,7 @@ def vajda(
         if n < 0 or i < 0 or j < 0:
             raise ValueError("form 1 requires n, i, j >= 0")
         ctx = _ctx(params, n + i + j, ctx)
-        lhs, rhs = vajda1_sides(ctx, n, i, j)
+        (lhs,), (rhs,) = vajda1_sides(ctx, n, i, range(j, j + 1))
         return _report("vajda-1", {"k": params.k, "n": n, "i": i, "j": j}, lhs, rhs)
     if form == 2:
         if m is None or ell is None:
@@ -234,7 +256,7 @@ def vajda(
         if n < 0 or ell < 0 or m <= n + ell:
             raise ValueError("form 2 requires n, ell >= 0 and m > n + ell")
         ctx = _ctx(params, max(m, n + ell), ctx)
-        lhs, rhs = vajda2_sides(ctx, n, m, ell)
+        (lhs,), (rhs,) = vajda2_sides(ctx, n, m, range(ell, ell + 1))
         return _report("vajda-2", {"k": params.k, "n": n, "m": m, "ell": ell}, lhs, rhs)
     raise ValueError("form must be 1 or 2")
 
@@ -246,7 +268,7 @@ def sum_closed_form(
     if n < 1:
         raise ValueError("n must be >= 1")
     ctx = _ctx(params, n, ctx)
-    lhs, rhs = sum_sides(ctx, seq, n)
+    (lhs,), (rhs,) = sum_sides(ctx, seq, range(n, n + 1))
     return _report(f"sum-{seq.lower()}", {"k": params.k, "n": n}, lhs, rhs)
 
 
@@ -257,7 +279,7 @@ def addition_formula(
     if m < 1 or n < 0:
         raise ValueError("indices must satisfy m >= 1, n >= 0")
     ctx = _ctx(params, m + n, ctx)
-    lhs, rhs = addition_sides(ctx, m, n)
+    (lhs,), (rhs,) = addition_sides(ctx, m, range(n, n + 1))
     return _report("addition", {"k": params.k, "m": m, "n": n}, lhs, rhs)
 
 
@@ -272,10 +294,8 @@ def doubling_formulas(
     if n < 1:
         raise ValueError("n must be >= 1")
     ctx = _ctx(params, 2 * n + 1, ctx)
-    even, odd = doubling_sides(ctx, n)
-    holds = even[0] == even[1] and odd[0] == odd[1]
-    shown = even if even[0] != even[1] or holds else odd
-    return IdentityReport("doubling", {"k": params.k, "n": n}, shown[0], shown[1], holds)
+    (lhs,), (rhs,) = doubling_sides(ctx, range(n, n + 1))
+    return _report("doubling", {"k": params.k, "n": n}, lhs, rhs)
 
 
 def power_sum_identity(
@@ -285,7 +305,7 @@ def power_sum_identity(
     if n < 1:
         raise ValueError("n must be >= 1")
     ctx = _ctx(params, n + 1, ctx)
-    lhs, rhs = power_sum_sides(ctx, n)
+    (lhs,), (rhs,) = power_sum_sides(ctx, range(n, n + 1))
     return _report("power-sum", {"k": params.k, "n": n}, lhs, rhs)
 
 
@@ -296,5 +316,5 @@ def c_from_b(
     if n < 0:
         raise ValueError("n must be >= 0")
     ctx = _ctx(params, n + 1, ctx)
-    lhs, rhs = c_from_b_sides(ctx, n)
+    (lhs,), (rhs,) = c_from_b_sides(ctx, range(n, n + 1))
     return _report("c-from-b", {"k": params.k, "n": n}, lhs, rhs)

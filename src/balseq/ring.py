@@ -33,11 +33,6 @@ class SequenceParams:
         """alpha * beta = k - 1 (zero exactly in the degenerate case k = 1)."""
         return self.k - 1
 
-    @property
-    def discriminant(self) -> int:
-        """trace^2 - 4*norm = 9k^2 - 4k + 4, positive for every k >= 1."""
-        return 9 * self.k * self.k - 4 * self.k + 4
-
 
 @dataclass(frozen=True)
 class RingElement:
@@ -54,15 +49,6 @@ class RingElement:
     @classmethod
     def alpha(cls, params: SequenceParams) -> RingElement:
         return cls(0, 1, params)
-
-    def conj(self) -> RingElement:
-        """Map alpha to the other root beta = 3k - alpha."""
-        return RingElement(self.u + self.params.trace * self.v, -self.v, self.params)
-
-    def norm(self) -> int:
-        """Product with the conjugate: u^2 + 3k*uv + (k-1)*v^2."""
-        k = self.params.k
-        return self.u * self.u + 3 * k * self.u * self.v + (k - 1) * self.v * self.v
 
     def __mul__(self, other: RingElement) -> RingElement:
         if not isinstance(other, RingElement):

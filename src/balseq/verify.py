@@ -1,14 +1,13 @@
 """Sweep runner: every identity and gcd theorem over a (k, index) box.
 
 Each catalog entry sweeps its whole in-domain tuple set up to a max index
-and returns counts plus the failing reports.  Most entries are table rows
-run by one of two drivers: `Sides` compares the (lhs, rhs) pair of a
-*_sides function at each index tuple and builds a report only for a
-failure; `Checks` absorbs the GcdReport that a check_* theorem builds for
-every tuple.  The five hot multi-index sweeps (Catalan, d'Ocagne, both
-Vajda forms, addition) keep their own loops, which repeat the arithmetic of
-the matching *_sides functions inline; a unit test pins the two code paths
-together.
+and returns counts plus the failing reports.  Every entry is a table row
+run by one of two drivers.  `Sides` calls a *_sides function once per
+domain row (the leading indices and a range of the last one), compares the
+two side lists it returns, and builds a report only for a failing element;
+so each identity's arithmetic is written once, in the identities module.
+`Checks` absorbs the GcdReport that a check_* theorem builds for every
+tuple.
 
 Checks whose residue hypothesis (k % 3 != 1) fails are counted in a
 separate expected-failure pool and never as violations.  Sweeps run
@@ -21,7 +20,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Callable, Iterable
 
@@ -37,14 +35,19 @@ from .divisibility import (
 )
 from .engines import Mat2, a_matrix, matrix_power, r_base_matrix, r_matrix
 from .identities import (
-    Exact,
     IdentityReport,
+    SideLists,
     TermContext,
-    cassini_sides,
+    addition_sides,
     c_from_b_sides,
+    cassini_sides,
+    catalan_sides,
+    docagne_sides,
     doubling_sides,
     power_sum_sides,
     sum_sides,
+    vajda1_sides,
+    vajda2_sides,
 )
 from .ring import SequenceParams
 
@@ -84,135 +87,6 @@ class SweepOutcome:
         self.expected_failures.extend(other.expected_failures)
 
 
-def _identity_fail(out: SweepOutcome, name, inputs, lhs, rhs) -> None:
-    out.failed += 1
-    out.violations.append(IdentityReport(name, inputs, lhs, rhs, False))
-
-
-# ---------------------------------------------------------------------------
-# hot sweeps with their own loops
-
-def sweep_catalan(seq: str):
-    name = f"catalan-{seq.lower()}"
-
-    def run(params: SequenceParams, max_index: int) -> SweepOutcome:
-        out = SweepOutcome(name)
-        ctx = TermContext(params).ensure(2 * max_index)
-        x, b, pk, k = ctx.seq(seq), ctx.b, ctx.pk, params.k
-        sign = -1 if seq == "B" else 8
-        shift = 0 if seq == "B" else 1
-        for n in range(1, max_index + 1):
-            xn2 = x[n] * x[n]
-            for r in range(n + 1):
-                lhs = x[n + r] * x[n - r] - xn2
-                br = b[r]
-                rhs = sign * pk[n - r + shift] * br * br
-                out.checked += 1
-                if lhs == rhs:
-                    out.held += 1
-                else:
-                    _identity_fail(out, name, {"k": k, "n": n, "r": r}, lhs, rhs)
-        return out
-
-    return run
-
-
-def sweep_docagne(seq: str):
-    name = f"docagne-{seq.lower()}"
-
-    def run(params: SequenceParams, max_index: int) -> SweepOutcome:
-        out = SweepOutcome(name)
-        ctx = TermContext(params).ensure(max_index + 1)
-        x, b, pk, k = ctx.seq(seq), ctx.b, ctx.pk, params.k
-        scale = 1 if seq == "B" else -8
-        shift = 0 if seq == "B" else 1
-        for m in range(max_index + 1):
-            xm, xm1 = x[m], x[m + 1]
-            for n in range(m + 1):
-                lhs = xm * x[n + 1] - x[n] * xm1
-                rhs = scale * pk[n + shift] * b[m - n]
-                out.checked += 1
-                if lhs == rhs:
-                    out.held += 1
-                else:
-                    _identity_fail(out, name, {"k": k, "m": m, "n": n}, lhs, rhs)
-        return out
-
-    return run
-
-
-def sweep_vajda_1(params: SequenceParams, max_index: int) -> SweepOutcome:
-    out = SweepOutcome("vajda-1")
-    ctx = TermContext(params).ensure(3 * max_index)
-    b, pk, k = ctx.b, ctx.pk, params.k
-    checked = held = 0
-    for n in range(max_index + 1):
-        pkn = pk[n]
-        bn = b[n]
-        for i in range(max_index + 1):
-            bni = b[n + i]
-            pknbi = pkn * b[i]
-            base = n + i
-            for j in range(max_index + 1):
-                lhs = bni * b[n + j] - bn * b[base + j]
-                rhs = pknbi * b[j]
-                checked += 1
-                if lhs == rhs:
-                    held += 1
-                else:
-                    _identity_fail(
-                        out, "vajda-1", {"k": k, "n": n, "i": i, "j": j}, lhs, rhs
-                    )
-    out.checked += checked
-    out.held += held
-    return out
-
-
-def sweep_vajda_2(params: SequenceParams, max_index: int) -> SweepOutcome:
-    out = SweepOutcome("vajda-2")
-    ctx = TermContext(params).ensure(max_index)
-    b, pk, k = ctx.b, ctx.pk, params.k
-    checked = held = 0
-    for m in range(1, max_index + 1):
-        bm = b[m]
-        for n in range(m):
-            pkn = pk[n]
-            bn_bm = b[n] * bm
-            for ell in range(m - n):
-                lhs = b[n + ell] * b[m - ell] - bn_bm
-                rhs = pkn * b[m - n - ell] * b[ell]
-                checked += 1
-                if lhs == rhs:
-                    held += 1
-                else:
-                    _identity_fail(
-                        out, "vajda-2", {"k": k, "n": n, "m": m, "ell": ell}, lhs, rhs
-                    )
-    out.checked += checked
-    out.held += held
-    return out
-
-
-def sweep_addition(params: SequenceParams, max_index: int) -> SweepOutcome:
-    out = SweepOutcome("addition")
-    ctx = TermContext(params).ensure(2 * max_index)
-    b, k = ctx.b, params.k
-    checked = held = 0
-    for m in range(1, max_index + 1):
-        bm, bm1 = b[m], b[m - 1]
-        for n in range(max_index + 1):
-            lhs = b[m + n]
-            rhs = bm * b[n + 1] + (1 - k) * bm1 * b[n]
-            checked += 1
-            if lhs == rhs:
-                held += 1
-            else:
-                _identity_fail(out, "addition", {"k": k, "m": m, "n": n}, lhs, rhs)
-    out.checked += checked
-    out.held += held
-    return out
-
-
 # ---------------------------------------------------------------------------
 # table-driven sweeps
 
@@ -225,27 +99,39 @@ class Sweep:
 
     name: str
     size: Callable[[int], int]  # index the term tables are built up to
-    domain: Callable[[int], Iterable[Index]]  # the index tuples to check
+    domain: Callable[[int], Iterable[tuple]]  # index tuples (Checks) or rows (Sides)
 
 
 @dataclass(frozen=True)
 class Sides(Sweep):
-    """Compares sides(ctx, *index) -> (lhs, rhs) over the domain."""
+    """Compares sides(ctx, *row) -> (lhs list, rhs list) row by row.
 
-    sides: Callable[..., tuple[Exact, Exact]]
+    A domain row is the leading indices and a range of the last one; the
+    sides come back as one list per side over that range.
+    """
+
+    sides: Callable[..., SideLists]
     keys: tuple[str, ...] = ("n",)  # input names of an index tuple
 
     def __call__(self, params: SequenceParams, max_index: int) -> SweepOutcome:
         out = SweepOutcome(self.name)
         ctx = TermContext(params).ensure(self.size(max_index))
-        for index in self.domain(max_index):
-            lhs, rhs = self.sides(ctx, *index)
-            out.checked += 1
+        checked = held = 0
+        for row in self.domain(max_index):
+            lhs, rhs = self.sides(ctx, *row)
+            checked += len(lhs)
             if lhs == rhs:
-                out.held += 1
-            else:
-                inputs = {"k": params.k, **dict(zip(self.keys, index))}
-                _identity_fail(out, self.name, inputs, lhs, rhs)
+                held += len(lhs)
+                continue
+            *lead, last = row
+            for index, left, right in zip(last, lhs, rhs):
+                if left == right:
+                    held += 1
+                    continue
+                inputs = {"k": params.k, **dict(zip(self.keys, (*lead, index)))}
+                out.failed += 1
+                out.violations.append(IdentityReport(self.name, inputs, left, right, False))
+        out.checked, out.held = checked, held
         return out
 
 
@@ -268,32 +154,33 @@ def _upto(lo: int) -> Callable[[int], Iterable[Index]]:
     return lambda m: product(range(lo, m + 1))
 
 
+def _row(lo: int) -> Callable[[int], Iterable[tuple[range]]]:
+    """The domain of _upto(lo) as a single row."""
+    return lambda m: [(range(lo, m + 1),)]
+
+
+def _triangle(lo: int) -> Callable[[int], Iterable[tuple[int, range]]]:
+    """Rows (x, range(x + 1)) for lo <= x <= max index."""
+    return lambda m: ((x, range(x + 1)) for x in range(lo, m + 1))
+
+
 def _entries(p: Mat2) -> tuple[int, int, int, int]:
     return p.a11, p.a12, p.a21, p.a22
 
 
-def _doubling_sides(ctx: TermContext, n: int) -> tuple[int, int]:
-    """The even-index doubling pair, or the odd pair once the even one holds."""
-    even, odd = doubling_sides(ctx, n)
-    return odd if even[0] == even[1] else even
-
-
-@lru_cache(maxsize=1)
-def _matrix_power(params: SequenceParams, seq: str, n: int) -> Mat2:
-    # one slot is enough: a sweep reads the four entries of a power in a row
-    return matrix_power(params, n) if seq == "B" else r_matrix(params, n)
-
-
-def _matrix_sides(ctx: TermContext, seq: str, n: int, entry: int) -> tuple[int, int]:
-    """A row-major entry of A^n (B) or R*A^n (C) against the iterative terms."""
+def _matrix_sides(ctx: TermContext, seq: str, n: int, entries: range) -> SideLists:
+    """Row-major entries of A^n (B) or R*A^n (C) against the iterative terms."""
     x, k = ctx.seq(seq), ctx.params.k
+    power = matrix_power(ctx.params, n) if seq == "B" else r_matrix(ctx.params, n)
+    got = _entries(power)
     want = (x[n + 1], (1 - k) * x[n], x[n], (1 - k) * x[n - 1])
-    return _entries(_matrix_power(ctx.params, seq, n))[entry], want[entry]
+    return [got[e] for e in entries], [want[e] for e in entries]
 
 
-def _ar_commute_sides(ctx: TermContext, entry: int) -> tuple[int, int]:
+def _ar_commute_sides(ctx: TermContext, entries: range) -> SideLists:
     a, r = a_matrix(ctx.params), r_base_matrix(ctx.params)
-    return _entries(a @ r)[entry], _entries(r @ a)[entry]
+    ar, ra = _entries(a @ r), _entries(r @ a)
+    return [ar[e] for e in entries], [ra[e] for e in entries]
 
 
 SweepFn = Callable[[SequenceParams, int], SweepOutcome]
@@ -301,31 +188,40 @@ SweepFn = Callable[[SequenceParams, int], SweepOutcome]
 # The check_* theorems are called through lambdas, so each call looks up the
 # module-level name and sees a wrapper installed there after import.
 CATALOG: dict[str, SweepFn] = {
-    "catalan-b": sweep_catalan("B"),
-    "catalan-c": sweep_catalan("C"),
-    "cassini-b": Sides("cassini-b", lambda m: m + 1, _upto(1),
-                       lambda ctx, n: cassini_sides(ctx, "B", n)),
-    "cassini-c": Sides("cassini-c", lambda m: m + 1, _upto(1),
-                       lambda ctx, n: cassini_sides(ctx, "C", n)),
-    "docagne-b": sweep_docagne("B"),
-    "docagne-c": sweep_docagne("C"),
-    "vajda-1": sweep_vajda_1,
-    "vajda-2": sweep_vajda_2,
-    "sum-b": Sides("sum-b", lambda m: m, _upto(1), lambda ctx, n: sum_sides(ctx, "B", n)),
-    "sum-c": Sides("sum-c", lambda m: m, _upto(1), lambda ctx, n: sum_sides(ctx, "C", n)),
-    "addition": sweep_addition,
-    "doubling": Sides("doubling", lambda m: 2 * m + 1, _upto(1), _doubling_sides),
-    "power-sum": Sides("power-sum", lambda m: m + 1, _upto(1), power_sum_sides),
-    "c-from-b": Sides("c-from-b", lambda m: m + 1, _upto(0), c_from_b_sides),
+    "catalan-b": Sides("catalan-b", lambda m: 2 * m, _triangle(1),
+                       lambda ctx, n, rs: catalan_sides(ctx, "B", n, rs), ("n", "r")),
+    "catalan-c": Sides("catalan-c", lambda m: 2 * m, _triangle(1),
+                       lambda ctx, n, rs: catalan_sides(ctx, "C", n, rs), ("n", "r")),
+    "cassini-b": Sides("cassini-b", lambda m: m + 1, _row(1),
+                       lambda ctx, ns: cassini_sides(ctx, "B", ns)),
+    "cassini-c": Sides("cassini-c", lambda m: m + 1, _row(1),
+                       lambda ctx, ns: cassini_sides(ctx, "C", ns)),
+    "docagne-b": Sides("docagne-b", lambda m: m + 1, _triangle(0),
+                       lambda ctx, m, ns: docagne_sides(ctx, "B", m, ns), ("m", "n")),
+    "docagne-c": Sides("docagne-c", lambda m: m + 1, _triangle(0),
+                       lambda ctx, m, ns: docagne_sides(ctx, "C", m, ns), ("m", "n")),
+    "vajda-1": Sides("vajda-1", lambda m: 3 * m,
+                     lambda m: product(range(m + 1), range(m + 1), [range(m + 1)]),
+                     vajda1_sides, ("n", "i", "j")),
+    "vajda-2": Sides("vajda-2", lambda m: m,
+                     lambda m: ((n, x, range(x - n)) for x in range(1, m + 1)
+                                for n in range(x)),
+                     vajda2_sides, ("n", "m", "ell")),
+    "sum-b": Sides("sum-b", lambda m: m, _row(1), lambda ctx, ns: sum_sides(ctx, "B", ns)),
+    "sum-c": Sides("sum-c", lambda m: m, _row(1), lambda ctx, ns: sum_sides(ctx, "C", ns)),
+    "addition": Sides("addition", lambda m: 2 * m,
+                      lambda m: product(range(1, m + 1), [range(m + 1)]),
+                      addition_sides, ("m", "n")),
+    "doubling": Sides("doubling", lambda m: 2 * m + 1, _row(1), doubling_sides),
+    "power-sum": Sides("power-sum", lambda m: m + 1, _row(1), power_sum_sides),
+    "c-from-b": Sides("c-from-b", lambda m: m + 1, _row(0), c_from_b_sides),
     "matrix-b": Sides("matrix-b", lambda m: m + 1,
-                      lambda m: product(range(1, m + 1), range(4)),
-                      lambda ctx, n, entry: _matrix_sides(ctx, "B", n, entry),
-                      ("n", "entry")),
+                      lambda m: product(range(1, m + 1), [range(4)]),
+                      lambda ctx, n, es: _matrix_sides(ctx, "B", n, es), ("n", "entry")),
     "matrix-c": Sides("matrix-c", lambda m: m + 1,
-                      lambda m: product(range(1, m + 1), range(4)),
-                      lambda ctx, n, entry: _matrix_sides(ctx, "C", n, entry),
-                      ("n", "entry")),
-    "ar-commute": Sides("ar-commute", lambda m: 0, lambda m: product(range(4)),
+                      lambda m: product(range(1, m + 1), [range(4)]),
+                      lambda ctx, n, es: _matrix_sides(ctx, "C", n, es), ("n", "entry")),
+    "ar-commute": Sides("ar-commute", lambda m: 0, lambda m: [(range(4),)],
                         _ar_commute_sides, ("entry",)),
     "index-divisibility": Checks(
         "index-divisibility", lambda m: m,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,20 @@ class TestEngineAgreement:
             assert b[2 * n] == 2 * b[n] * b[n + 1] - 3 * k * b[n] ** 2
             assert b[2 * n + 1] == b[n + 1] ** 2 + (1 - k) * b[n] ** 2
             assert term_b(SequenceParams(k), 2 * n, Engine.FAST_DOUBLING) == b[2 * n]
+
+    @pytest.mark.parametrize("fn", [term_b, term_c])
+    def test_iterative_term_in_constant_memory(self, fn):
+        # two rolling terms of about 6.5 KB each; a table of all 10^4 + 1
+        # terms would peak near 32 MiB
+        params = SequenceParams(12)
+        tracemalloc.start()
+        try:
+            value = fn(params, 10_000, Engine.ITERATIVE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert value == fn(params, 10_000, Engine.FAST_DOUBLING)
 
     def test_growth_digits_monotone(self):
         for k in (1, 2, 7, 12):

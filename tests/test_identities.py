@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from balseq import identities
 from balseq.identities import (
     TermContext,
     addition_formula,
@@ -23,6 +24,25 @@ IDENTITY_NAMES = [
     "vajda-1", "vajda-2", "sum-b", "sum-c", "addition", "doubling", "power-sum",
     "c-from-b", "matrix-b", "matrix-c", "ar-commute",
 ]
+
+# The single-shot evaluator of each identity row, called with the row's
+# index names; the matrix rows have none.
+EVALUATORS = {
+    "catalan-b": lambda p, ctx, n, r: catalan("B", p, n, r, ctx=ctx),
+    "catalan-c": lambda p, ctx, n, r: catalan("C", p, n, r, ctx=ctx),
+    "cassini-b": lambda p, ctx, n: cassini("B", p, n, ctx=ctx),
+    "cassini-c": lambda p, ctx, n: cassini("C", p, n, ctx=ctx),
+    "docagne-b": lambda p, ctx, m, n: docagne("B", p, m, n, ctx=ctx),
+    "docagne-c": lambda p, ctx, m, n: docagne("C", p, m, n, ctx=ctx),
+    "vajda-1": lambda p, ctx, n, i, j: vajda(1, p, n, i=i, j=j, ctx=ctx),
+    "vajda-2": lambda p, ctx, n, m, ell: vajda(2, p, n, m=m, ell=ell, ctx=ctx),
+    "sum-b": lambda p, ctx, n: sum_closed_form("B", p, n, ctx=ctx),
+    "sum-c": lambda p, ctx, n: sum_closed_form("C", p, n, ctx=ctx),
+    "addition": lambda p, ctx, m, n: addition_formula(p, m, n, ctx=ctx),
+    "doubling": lambda p, ctx, n: doubling_formulas(p, n, ctx=ctx),
+    "power-sum": lambda p, ctx, n: power_sum_identity(p, n, ctx=ctx),
+    "c-from-b": lambda p, ctx, n: c_from_b(p, n, ctx=ctx),
+}
 
 
 class TestCatalan:
@@ -243,8 +263,49 @@ class TestFullSweep:
                 for name, count in expected.items():
                     assert CATALOG[name](SequenceParams(k), m).checked == count(m), (name, k, m)
 
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_planted_error_reported_as_by_evaluators(self, monkeypatch, k):
+        # B_7 off by one in every term table: each identity row's sweep must
+        # fail exactly where the evaluators (or, for the matrix rows, a
+        # one-element row) fail on the same context, with the same sides
+        real_b_table = identities.b_table
+
+        def planted(params, n_max):
+            table = real_b_table(params, n_max)
+            if n_max >= 7:
+                table[7] += 1
+            return table
+
+        monkeypatch.setattr(identities, "b_table", planted)
+        params = SequenceParams(k)
+        clean = set()
+        for name in IDENTITY_NAMES:
+            sweep = CATALOG[name]
+            ctx = TermContext(params).ensure(sweep.size(12))
+            expected = []
+            for *lead, last in sweep.domain(12):
+                for x in last:
+                    point = dict(zip(sweep.keys, (*lead, x)))
+                    if name in EVALUATORS:
+                        report = EVALUATORS[name](params, ctx, **point)
+                        if not report.holds:
+                            expected.append((report.inputs, report.lhs, report.rhs))
+                    else:
+                        (lhs,), (rhs,) = sweep.sides(ctx, *lead, range(x, x + 1))
+                        if lhs != rhs:
+                            expected.append(({"k": k, **point}, lhs, rhs))
+            outcome = sweep(params, 12)
+            assert outcome.failed == len(expected), name
+            assert outcome.held == outcome.checked - len(expected), name
+            assert [(v.inputs, v.lhs, v.rhs) for v in outcome.violations] == expected, name
+            if not expected:
+                clean.add(name)
+        # only the rows that never read B miss the planted error
+        assert clean == {"cassini-c", "sum-c", "matrix-c", "ar-commute"}
+
     def test_sweeps_agree_with_evaluators(self):
-        # the hot sweeps inline the sides arithmetic; pin them to the evaluators
+        # sweeps call each *_sides function a row at a time, evaluators one
+        # point at a time; pin the one-point path at random in-domain tuples
         params = SequenceParams(4)
         ctx = TermContext(params)
         rng = random.Random(99)
