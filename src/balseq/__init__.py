@@ -5,111 +5,23 @@ companion C_{k,n} with the same recurrence and seeds C_0 = 1, C_1 = 3.
 Everything is exact integer / rational arithmetic: four independent term
 engines, the classical quadratic identities, divisibility and gcd theorems,
 a generating-function expander, and a verifying CLI.
+
+The top level exports what the README's Library section uses; everything
+else is imported from its submodule (balseq.engines, balseq.identities,
+balseq.divisibility, balseq.verify, ...).
 """
 
 __version__ = "0.1.0"
 
-from .divisibility import (
-    GcdReport,
-    check_b_c_coprime,
-    check_consecutive_coprime,
-    check_coprime_norm,
-    check_index_divisibility,
-    check_strong_gcd,
-)
-from .engines import (
-    Engine,
-    IterativeCapError,
-    ITERATIVE_CAP_DEFAULT,
-    Mat2,
-    b_table,
-    c_table,
-    matrix_power,
-    power_sum,
-    r_matrix,
-    term_b,
-    term_b_negative,
-    term_c,
-)
-from .genfunc import RationalSeries, b_series, c_series, erratum_probe_c_numerator, expand
-from .identities import (
-    IdentityReport,
-    TermContext,
-    addition_formula,
-    c_from_b,
-    cassini,
-    catalan,
-    docagne,
-    doubling_formulas,
-    power_sum_identity,
-    sum_closed_form,
-    vajda,
-)
-from .ring import (
-    RingElement,
-    SequenceParams,
-    alpha_power_components,
-    ring_mul,
-    ring_pow,
-    ring_pow_counted,
-)
-from .verify import (
-    CATALOG,
-    VerifyReport,
-    VerifyRunConfig,
-    report_from_json,
-    report_to_json,
-    resolve_identities,
-    run_verify,
-)
+from .engines import Engine, term_b, term_b_negative
+from .identities import catalan
+from .ring import SequenceParams
 
 __all__ = [
     "__version__",
-    "CATALOG",
     "Engine",
-    "GcdReport",
-    "IdentityReport",
-    "IterativeCapError",
-    "ITERATIVE_CAP_DEFAULT",
-    "Mat2",
-    "RationalSeries",
-    "RingElement",
     "SequenceParams",
-    "TermContext",
-    "VerifyReport",
-    "VerifyRunConfig",
-    "addition_formula",
-    "alpha_power_components",
-    "b_series",
-    "b_table",
-    "c_from_b",
-    "c_series",
-    "c_table",
-    "cassini",
     "catalan",
-    "check_b_c_coprime",
-    "check_consecutive_coprime",
-    "check_coprime_norm",
-    "check_index_divisibility",
-    "check_strong_gcd",
-    "docagne",
-    "doubling_formulas",
-    "erratum_probe_c_numerator",
-    "expand",
-    "matrix_power",
-    "power_sum",
-    "power_sum_identity",
-    "r_matrix",
-    "report_from_json",
-    "report_to_json",
-    "resolve_identities",
-    "ring_mul",
-    "ring_pow",
-    "ring_pow_counted",
-    "run_verify",
-    "sum_closed_form",
     "term_b",
     "term_b_negative",
-    "term_c",
-    "vajda",
 ]

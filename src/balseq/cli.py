@@ -65,6 +65,22 @@ def parse_range(text: str) -> tuple[int, int]:
         ) from None
 
 
+def parse_index_list(text: str) -> list[int]:
+    """Comma-separated indices n >= 0, e.g. "10,100,1000"."""
+    values = []
+    for part in text.split(","):
+        try:
+            value = int(part)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid index {part!r} in {text!r}, expected integers >= 0"
+            ) from None
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"n must be >= 0, got {part!r} in {text!r}")
+        values.append(value)
+    return values
+
+
 def parse_threads(text: str) -> str:
     """Validate --threads; the count is ignored because sweeps run serially."""
     if text == "auto":
@@ -254,13 +270,10 @@ def cmd_bench(args) -> int:
     for name in engine_names:
         if name not in ENGINES:
             raise ValueError(f"unknown engine {name!r}")
-    n_values = [int(part) for part in args.n.split(",")]
     fn = term_b if args.seq == "B" else term_c
 
     rows = []
-    for n in n_values:
-        if n < 0:
-            raise ValueError("n must be >= 0")
+    for n in args.n:
         active = [
             name for name in engine_names
             if not (name == "iterative" and n > args.iterative_cap)
@@ -377,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="time the engines against each other")
     p_bench.add_argument("--k", type=int, required=True)
-    p_bench.add_argument("--n", required=True, help="comma-separated index list")
+    p_bench.add_argument("--n", type=parse_index_list, required=True, metavar="N[,N...]",
+                         help="comma-separated index list")
     p_bench.add_argument("--engines", default="all",
                          help="comma-separated engine names or 'all'")
     p_bench.add_argument("--seq", choices=("B", "C"), default="B")

@@ -7,6 +7,12 @@ violations.  Demonstrating that the condition is necessary (e.g.
 gcd(B_{4,2}, B_{4,3}) = 3) is as much a part of the contract as the theorems
 themselves.
 
+Each theorem is written once, as a *_sides function that takes its last
+index as a range and returns the computed gcds and the expected values over
+it.  The verify sweeps call it a row at a time, with the theorem's hypothesis
+on the catalog row; the check_* functions pass a one-element range and build
+a GcdReport.
+
 gcd is always taken on magnitudes with gcd(0, x) = |x|, since 1 - k is
 negative for k >= 2.
 """
@@ -16,8 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engines import b_table, c_table
-from .identities import TermContext
+from .identities import SideLists, TermContext, _ctx
 from .ring import SequenceParams
 
 
@@ -37,10 +42,44 @@ def residue_hypothesis(params: SequenceParams) -> bool:
 
 
 def _report(
-    name: str, inputs: dict[str, int], computed: int, expected: int, hyp: bool
+    name: str, inputs: dict[str, int], sides: SideLists, hyp: bool
 ) -> GcdReport:
+    (computed,), (expected,) = sides
     return GcdReport(name, inputs, computed, expected, hyp, computed == expected)
 
+
+# ---------------------------------------------------------------------------
+# gcd computations, shared between the check_* theorems and sweeps
+
+def index_divisibility_sides(ctx: TermContext, m: int, ns: range) -> SideLists:
+    b = ctx.b
+    bm = b[m]
+    return [math.gcd(bm, b[n]) for n in ns], [bm] * len(ns)
+
+
+def coprime_norm_sides(ctx: TermContext, seq: str, ns: range) -> SideLists:
+    x, norm = ctx.seq(seq), ctx.params.k - 1
+    return [math.gcd(norm, x[n]) for n in ns], [1] * len(ns)
+
+
+def consecutive_gcd_sides(ctx: TermContext, seq: str, ns: range) -> SideLists:
+    x = ctx.seq(seq)
+    return [math.gcd(x[n], x[n + 1]) for n in ns], [1] * len(ns)
+
+
+def b_c_coprime_sides(ctx: TermContext, ns: range) -> SideLists:
+    b, c = ctx.b, ctx.c
+    return [math.gcd(b[n], c[n]) for n in ns], [1] * len(ns)
+
+
+def strong_gcd_sides(ctx: TermContext, m: int, ns: range) -> SideLists:
+    b = ctx.b
+    bm = b[m]
+    return [math.gcd(bm, b[n]) for n in ns], [b[math.gcd(m, n)] for n in ns]
+
+
+# ---------------------------------------------------------------------------
+# single-shot theorems
 
 def check_index_divisibility(
     params: SequenceParams, m: int, n: int, ctx: TermContext | None = None
@@ -54,14 +93,8 @@ def check_index_divisibility(
         raise ValueError("indices must be >= 1")
     if n % m != 0:
         raise ValueError(f"m={m} does not divide n={n}")
-    b = b_table(params, n) if ctx is None else ctx.ensure(n).b
-    return _report(
-        "index-divisibility",
-        {"k": params.k, "m": m, "n": n},
-        math.gcd(b[m], b[n]),
-        b[m],
-        True,
-    )
+    sides = index_divisibility_sides(_ctx(params, n, ctx), m, range(n, n + 1))
+    return _report("index-divisibility", {"k": params.k, "m": m, "n": n}, sides, True)
 
 
 def check_coprime_norm(
@@ -70,14 +103,9 @@ def check_coprime_norm(
     """gcd(|1-k|, X_n) = 1 for n >= 1, under k % 3 != 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = _seq_table(seq, params, n, ctx)
-    return _report(
-        f"coprime-norm-{seq.lower()}",
-        {"k": params.k, "n": n},
-        math.gcd(params.k - 1, x[n]),
-        1,
-        residue_hypothesis(params),
-    )
+    sides = coprime_norm_sides(_ctx(params, n, ctx), seq, range(n, n + 1))
+    return _report(f"coprime-norm-{seq.lower()}", {"k": params.k, "n": n}, sides,
+                   residue_hypothesis(params))
 
 
 def check_consecutive_coprime(
@@ -86,14 +114,9 @@ def check_consecutive_coprime(
     """gcd(X_n, X_{n+1}) = 1 for n >= 1, under k % 3 != 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = _seq_table(seq, params, n + 1, ctx)
-    return _report(
-        f"consecutive-gcd-{seq.lower()}",
-        {"k": params.k, "n": n},
-        math.gcd(x[n], x[n + 1]),
-        1,
-        residue_hypothesis(params),
-    )
+    sides = consecutive_gcd_sides(_ctx(params, n + 1, ctx), seq, range(n, n + 1))
+    return _report(f"consecutive-gcd-{seq.lower()}", {"k": params.k, "n": n}, sides,
+                   residue_hypothesis(params))
 
 
 def check_b_c_coprime(
@@ -102,18 +125,9 @@ def check_b_c_coprime(
     """gcd(B_n, C_n) = 1 for n >= 0, under k % 3 != 1."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if ctx is None:
-        b, c = b_table(params, n), c_table(params, n)
-    else:
-        ctx.ensure(n)
-        b, c = ctx.b, ctx.c
-    return _report(
-        "b-c-coprime",
-        {"k": params.k, "n": n},
-        math.gcd(b[n], c[n]),
-        1,
-        residue_hypothesis(params),
-    )
+    sides = b_c_coprime_sides(_ctx(params, n, ctx), range(n, n + 1))
+    return _report("b-c-coprime", {"k": params.k, "n": n}, sides,
+                   residue_hypothesis(params))
 
 
 def check_strong_gcd(
@@ -122,21 +136,6 @@ def check_strong_gcd(
     """gcd(B_m, B_n) = B_{gcd(m,n)} for m, n >= 1, under k % 3 != 1."""
     if m < 1 or n < 1:
         raise ValueError("indices must be >= 1")
-    b = b_table(params, max(m, n)) if ctx is None else ctx.ensure(max(m, n)).b
-    return _report(
-        "strong-gcd",
-        {"k": params.k, "m": m, "n": n},
-        math.gcd(b[m], b[n]),
-        b[math.gcd(m, n)],
-        residue_hypothesis(params),
-    )
-
-
-def _seq_table(
-    seq: str, params: SequenceParams, hi: int, ctx: TermContext | None
-) -> list[int]:
-    if seq not in ("B", "C"):
-        raise ValueError(f"seq must be 'B' or 'C', got {seq!r}")
-    if ctx is not None:
-        return ctx.ensure(hi).seq(seq)
-    return b_table(params, hi) if seq == "B" else c_table(params, hi)
+    sides = strong_gcd_sides(_ctx(params, max(m, n), ctx), m, range(n, n + 1))
+    return _report("strong-gcd", {"k": params.k, "m": m, "n": n}, sides,
+                   residue_hypothesis(params))

@@ -1,18 +1,19 @@
 """Sweep runner: every identity and gcd theorem over a (k, index) box.
 
 Each catalog entry sweeps its whole in-domain tuple set up to a max index
-and returns counts plus the failing reports.  Every entry is a table row
-run by one of two drivers.  `Sides` calls a *_sides function once per
-domain row (the leading indices and a range of the last one), compares the
-two side lists it returns, and builds a report only for a failing element;
-so each identity's arithmetic is written once, in the identities module.
-`Checks` absorbs the GcdReport that a check_* theorem builds for every
-tuple.
+and returns counts plus the failing reports.  Every entry is a `Sides` row,
+run by one driver: it calls a *_sides function once per domain row (the
+leading indices and a range of the last one), compares the two side lists
+it returns, and builds a report only for a failing element; so each
+identity's and each theorem's arithmetic is written once, in the identities
+and divisibility modules.
 
-Checks whose residue hypothesis (k % 3 != 1) fails are counted in a
-separate expected-failure pool and never as violations.  Sweeps run
-serially and the final report is canonically sorted, so the emitted JSON is
-byte-identical from one run to the next.
+A gcd row carries its theorem's hypothesis.  When the hypothesis fails at a
+k (the residue condition k % 3 != 1), every check of that k is counted as
+hypothesis_not_met and its failures go to a separate expected-failure pool,
+never to the violations.  Sweeps run serially and the final report is
+canonically sorted, so the emitted JSON is byte-identical from one run to
+the next.
 """
 
 from __future__ import annotations
@@ -20,18 +21,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import product
 from typing import Callable, Iterable
 
 from . import __version__
 from .decimal_io import decimal_int, decimal_str
 from .divisibility import (
     GcdReport,
-    check_b_c_coprime,
-    check_consecutive_coprime,
-    check_coprime_norm,
-    check_index_divisibility,
-    check_strong_gcd,
+    b_c_coprime_sides,
+    consecutive_gcd_sides,
+    coprime_norm_sides,
+    index_divisibility_sides,
+    residue_hypothesis,
+    strong_gcd_sides,
 )
 from .engines import Mat2, a_matrix, matrix_power, r_base_matrix, r_matrix
 from .identities import (
@@ -66,18 +68,6 @@ class SweepOutcome:
     violations: list[Report] = field(default_factory=list)
     expected_failures: list[Report] = field(default_factory=list)
 
-    def absorb(self, report: Report) -> None:
-        self.checked += 1
-        if not report.hypothesis_met:
-            self.hypothesis_not_met += 1
-            if not report.holds:
-                self.expected_failures.append(report)
-        elif report.holds:
-            self.held += 1
-        else:
-            self.failed += 1
-            self.violations.append(report)
-
     def merge(self, other: SweepOutcome) -> None:
         self.checked += other.checked
         self.held += other.held
@@ -90,32 +80,29 @@ class SweepOutcome:
 # ---------------------------------------------------------------------------
 # table-driven sweeps
 
-Index = tuple[int, ...]
-
-
 @dataclass(frozen=True)
-class Sweep:
-    """One catalog row; size and domain are functions of the max index."""
+class Sides:
+    """One catalog row: compares sides(ctx, *row) -> (lhs list, rhs list).
 
-    name: str
-    size: Callable[[int], int]  # index the term tables are built up to
-    domain: Callable[[int], Iterable[tuple]]  # index tuples (Checks) or rows (Sides)
-
-
-@dataclass(frozen=True)
-class Sides(Sweep):
-    """Compares sides(ctx, *row) -> (lhs list, rhs list) row by row.
-
-    A domain row is the leading indices and a range of the last one; the
-    sides come back as one list per side over that range.
+    size and domain are functions of the max index: the index the term
+    tables are built up to, and the rows, each the leading indices and a
+    range of the last one; the sides come back as one list per side over
+    that range.  A gcd row carries its theorem's hypothesis, and an
+    identity row none.
     """
 
+    name: str
+    size: Callable[[int], int]
+    domain: Callable[[int], Iterable[tuple]]
     sides: Callable[..., SideLists]
     keys: tuple[str, ...] = ("n",)  # input names of an index tuple
+    hypothesis: Callable[[SequenceParams], bool] | None = None
 
     def __call__(self, params: SequenceParams, max_index: int) -> SweepOutcome:
         out = SweepOutcome(self.name)
         ctx = TermContext(params).ensure(self.size(max_index))
+        met = self.hypothesis is None or self.hypothesis(params)
+        failures = out.violations if met else out.expected_failures
         checked = held = 0
         for row in self.domain(max_index):
             lhs, rhs = self.sides(ctx, *row)
@@ -129,33 +116,20 @@ class Sides(Sweep):
                     held += 1
                     continue
                 inputs = {"k": params.k, **dict(zip(self.keys, (*lead, index)))}
-                out.failed += 1
-                out.violations.append(IdentityReport(self.name, inputs, left, right, False))
-        out.checked, out.held = checked, held
+                if self.hypothesis is None:
+                    failures.append(IdentityReport(self.name, inputs, left, right, False))
+                else:
+                    failures.append(GcdReport(self.name, inputs, left, right, met, False))
+        out.checked = checked
+        if met:
+            out.held, out.failed = held, len(out.violations)
+        else:
+            out.hypothesis_not_met = checked
         return out
-
-
-@dataclass(frozen=True)
-class Checks(Sweep):
-    """Absorbs the GcdReport of check(params, *index, ctx) over the domain."""
-
-    check: Callable[..., GcdReport]
-
-    def __call__(self, params: SequenceParams, max_index: int) -> SweepOutcome:
-        out = SweepOutcome(self.name)
-        ctx = TermContext(params).ensure(self.size(max_index))
-        for index in self.domain(max_index):
-            out.absorb(self.check(params, *index, ctx))
-        return out
-
-
-def _upto(lo: int) -> Callable[[int], Iterable[Index]]:
-    """The domain of one index n with lo <= n <= max index."""
-    return lambda m: product(range(lo, m + 1))
 
 
 def _row(lo: int) -> Callable[[int], Iterable[tuple[range]]]:
-    """The domain of _upto(lo) as a single row."""
+    """The domain of one index n with lo <= n <= max index, as a single row."""
     return lambda m: [(range(lo, m + 1),)]
 
 
@@ -183,11 +157,7 @@ def _ar_commute_sides(ctx: TermContext, entries: range) -> SideLists:
     return [ar[e] for e in entries], [ra[e] for e in entries]
 
 
-SweepFn = Callable[[SequenceParams, int], SweepOutcome]
-
-# The check_* theorems are called through lambdas, so each call looks up the
-# module-level name and sees a wrapper installed there after import.
-CATALOG: dict[str, SweepFn] = {
+CATALOG: dict[str, Sides] = {
     "catalan-b": Sides("catalan-b", lambda m: 2 * m, _triangle(1),
                        lambda ctx, n, rs: catalan_sides(ctx, "B", n, rs), ("n", "r")),
     "catalan-c": Sides("catalan-c", lambda m: 2 * m, _triangle(1),
@@ -223,23 +193,26 @@ CATALOG: dict[str, SweepFn] = {
                       lambda ctx, n, es: _matrix_sides(ctx, "C", n, es), ("n", "entry")),
     "ar-commute": Sides("ar-commute", lambda m: 0, lambda m: [(range(4),)],
                         _ar_commute_sides, ("entry",)),
-    "index-divisibility": Checks(
-        "index-divisibility", lambda m: m,
-        lambda m: ((d, n) for d in range(1, m + 1) for n in range(d, m + 1, d)),
-        lambda *args: check_index_divisibility(*args)),
-    "coprime-norm-b": Checks("coprime-norm-b", lambda m: m, _upto(1),
-                             lambda *args: check_coprime_norm("B", *args)),
-    "coprime-norm-c": Checks("coprime-norm-c", lambda m: m, _upto(1),
-                             lambda *args: check_coprime_norm("C", *args)),
-    "consecutive-gcd-b": Checks("consecutive-gcd-b", lambda m: m + 1, _upto(1),
-                                lambda *args: check_consecutive_coprime("B", *args)),
-    "consecutive-gcd-c": Checks("consecutive-gcd-c", lambda m: m + 1, _upto(1),
-                                lambda *args: check_consecutive_coprime("C", *args)),
-    "b-c-coprime": Checks("b-c-coprime", lambda m: m, _upto(0),
-                          lambda *args: check_b_c_coprime(*args)),
-    "strong-gcd": Checks("strong-gcd", lambda m: m,
-                         lambda m: combinations_with_replacement(range(1, m + 1), 2),
-                         lambda *args: check_strong_gcd(*args)),
+    "index-divisibility": Sides("index-divisibility", lambda m: m,
+                                lambda m: ((d, range(d, m + 1, d)) for d in range(1, m + 1)),
+                                index_divisibility_sides, ("m", "n"), lambda params: True),
+    "coprime-norm-b": Sides("coprime-norm-b", lambda m: m, _row(1),
+                            lambda ctx, ns: coprime_norm_sides(ctx, "B", ns),
+                            hypothesis=residue_hypothesis),
+    "coprime-norm-c": Sides("coprime-norm-c", lambda m: m, _row(1),
+                            lambda ctx, ns: coprime_norm_sides(ctx, "C", ns),
+                            hypothesis=residue_hypothesis),
+    "consecutive-gcd-b": Sides("consecutive-gcd-b", lambda m: m + 1, _row(1),
+                               lambda ctx, ns: consecutive_gcd_sides(ctx, "B", ns),
+                               hypothesis=residue_hypothesis),
+    "consecutive-gcd-c": Sides("consecutive-gcd-c", lambda m: m + 1, _row(1),
+                               lambda ctx, ns: consecutive_gcd_sides(ctx, "C", ns),
+                               hypothesis=residue_hypothesis),
+    "b-c-coprime": Sides("b-c-coprime", lambda m: m, _row(0), b_c_coprime_sides,
+                         hypothesis=residue_hypothesis),
+    "strong-gcd": Sides("strong-gcd", lambda m: m,
+                        lambda m: ((x, range(x, m + 1)) for x in range(1, m + 1)),
+                        strong_gcd_sides, ("m", "n"), residue_hypothesis),
 }
 
 

@@ -264,6 +264,20 @@ class TestBench:
         assert code == 2 and out == ""
         assert err == "error: iterative cap must be >= 0\n"
 
+    @pytest.mark.parametrize("value, reason", [
+        ("abc", "invalid index 'abc' in 'abc', expected integers >= 0"),
+        ("5,,6", "invalid index '' in '5,,6', expected integers >= 0"),
+        ("3,-1", "n must be >= 0, got '-1' in '3,-1'"),
+    ])
+    def test_bad_index_list_usage_error(self, capsys, value, reason):
+        # rejected by argparse while parsing, before any engine runs
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--k", "2", "--n", value, "--reps", "1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error" in line]
+        assert errors == [f"balseq bench: error: argument --n: {reason}"]
+
     def test_unknown_engine_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--k", "2", "--n", "5",
                                "--engines", "warp")

@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balseq.engines import (
     Engine,
@@ -21,6 +22,7 @@ from balseq.engines import (
     term_b_negative,
     term_c,
 )
+from balseq.genfunc import b_series, c_series
 from balseq.ring import SequenceParams
 
 from conftest import oracle_b, oracle_b_negative, oracle_c
@@ -91,6 +93,15 @@ class TestEngineAgreement:
             for engine in ALL_ENGINES:
                 assert term_b(params, n, engine) == b[n]
                 assert term_c(params, n, engine) == c[n]
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(k=st.integers(1, 12), n=st.integers(0, 3000))
+    def test_engines_and_series_agree_at_random(self, k, n):
+        params = SequenceParams(k)
+        b, c = b_series(params, n).expansion[n], c_series(params, n).expansion[n]
+        for engine in ALL_ENGINES:
+            assert term_b(params, n, engine) == b
+            assert term_c(params, n, engine) == c
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_doubling_pair_formulas_to_500(self, k):

@@ -2,8 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balseq import identities
+from balseq.divisibility import (
+    check_b_c_coprime,
+    check_consecutive_coprime,
+    check_coprime_norm,
+    check_index_divisibility,
+    check_strong_gcd,
+    residue_hypothesis,
+)
 from balseq.identities import (
     TermContext,
     addition_formula,
@@ -43,6 +52,31 @@ EVALUATORS = {
     "power-sum": lambda p, ctx, n: power_sum_identity(p, n, ctx=ctx),
     "c-from-b": lambda p, ctx, n: c_from_b(p, n, ctx=ctx),
 }
+
+# The check_* theorem of each gcd row, called the same way.
+GCD_CHECKS = {
+    "index-divisibility": lambda p, ctx, m, n: check_index_divisibility(p, m, n, ctx),
+    "coprime-norm-b": lambda p, ctx, n: check_coprime_norm("B", p, n, ctx),
+    "coprime-norm-c": lambda p, ctx, n: check_coprime_norm("C", p, n, ctx),
+    "consecutive-gcd-b": lambda p, ctx, n: check_consecutive_coprime("B", p, n, ctx),
+    "consecutive-gcd-c": lambda p, ctx, n: check_consecutive_coprime("C", p, n, ctx),
+    "b-c-coprime": lambda p, ctx, n: check_b_c_coprime(p, n, ctx),
+    "strong-gcd": lambda p, ctx, m, n: check_strong_gcd(p, m, n, ctx),
+}
+
+
+@pytest.fixture
+def planted_b7(monkeypatch):
+    """B_7 off by one in every term table a TermContext builds."""
+    real_b_table = identities.b_table
+
+    def planted(params, n_max):
+        table = real_b_table(params, n_max)
+        if n_max >= 7:
+            table[7] += 1
+        return table
+
+    monkeypatch.setattr(identities, "b_table", planted)
 
 
 class TestCatalan:
@@ -264,19 +298,10 @@ class TestFullSweep:
                     assert CATALOG[name](SequenceParams(k), m).checked == count(m), (name, k, m)
 
     @pytest.mark.parametrize("k", [2, 4])
-    def test_planted_error_reported_as_by_evaluators(self, monkeypatch, k):
+    def test_planted_error_reported_as_by_evaluators(self, planted_b7, k):
         # B_7 off by one in every term table: each identity row's sweep must
         # fail exactly where the evaluators (or, for the matrix rows, a
         # one-element row) fail on the same context, with the same sides
-        real_b_table = identities.b_table
-
-        def planted(params, n_max):
-            table = real_b_table(params, n_max)
-            if n_max >= 7:
-                table[7] += 1
-            return table
-
-        monkeypatch.setattr(identities, "b_table", planted)
         params = SequenceParams(k)
         clean = set()
         for name in IDENTITY_NAMES:
@@ -302,6 +327,62 @@ class TestFullSweep:
                 clean.add(name)
         # only the rows that never read B miss the planted error
         assert clean == {"cassini-c", "sum-c", "matrix-c", "ar-commute"}
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_planted_error_in_gcd_rows_reported_as_by_checks(self, planted_b7, k):
+        # each gcd row must fail exactly where its check_* theorem fails per
+        # point on the same context, with equal reports; at k = 4 the residue
+        # hypothesis fails, so every check counts as hypothesis_not_met and
+        # every failure goes to the expected-failure pool; max index 14 puts
+        # (m, n) = (7, 14) in the index-divisibility box
+        params = SequenceParams(k)
+        failing = set()
+        for name, check in GCD_CHECKS.items():
+            sweep = CATALOG[name]
+            ctx = TermContext(params).ensure(sweep.size(14))
+            expected = []
+            for *lead, last in sweep.domain(14):
+                for x in last:
+                    report = check(params, ctx, **dict(zip(sweep.keys, (*lead, x))))
+                    if not report.holds:
+                        expected.append(report)
+            outcome = sweep(params, 14)
+            if name == "index-divisibility" or residue_hypothesis(params):
+                assert outcome.violations == expected, name
+                assert outcome.failed == len(expected), name
+                assert outcome.held == outcome.checked - len(expected), name
+                assert outcome.hypothesis_not_met == 0 and not outcome.expected_failures
+            else:
+                assert outcome.expected_failures == expected, name
+                assert outcome.failed == 0 and not outcome.violations, name
+                assert outcome.hypothesis_not_met == outcome.checked, name
+                assert outcome.held == 0, name
+            if expected:
+                failing.add(name)
+        # at k = 2, gcd(1 - k, x) = 1 for every x, and the C rows never read B
+        assert failing == (set(GCD_CHECKS) if k == 4 else
+                           {"index-divisibility", "consecutive-gcd-b", "b-c-coprime",
+                            "strong-gcd"})
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted({**EVALUATORS, **GCD_CHECKS})),
+           k=st.integers(1, 12), max_index=st.integers(1, 30))
+    def test_rows_match_evaluators_at_random(self, data, name, k, max_index):
+        # a sweep row and the single-shot evaluator at one in-domain point of
+        # it give the same two sides
+        sweep, params = CATALOG[name], SequenceParams(k)
+        ctx = TermContext(params).ensure(sweep.size(max_index))
+        *lead, last = data.draw(st.sampled_from(list(sweep.domain(max_index))))
+        x = data.draw(st.sampled_from(last))
+        lhs, rhs = sweep.sides(ctx, *lead, last)
+        point = dict(zip(sweep.keys, (*lead, x)))
+        if name in EVALUATORS:
+            report = EVALUATORS[name](params, ctx, **point)
+            got = report.lhs, report.rhs
+        else:
+            report = GCD_CHECKS[name](params, ctx, **point)
+            got = report.computed_gcd, report.expected
+        assert got == (lhs[last.index(x)], rhs[last.index(x)])
 
     def test_sweeps_agree_with_evaluators(self):
         # sweeps call each *_sides function a row at a time, evaluators one
