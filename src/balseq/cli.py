@@ -102,7 +102,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="output format (default plain)",
     )
     parser.add_argument(
-        "--quiet", action="store_true", help="suppress informational notes"
+        "--quiet", action="store_true",
+        help="read by verify only: plain output keeps just the verdict line,"
+        " and no errata note goes to stderr",
     )
 
 
@@ -174,6 +176,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_series(args) -> int:
+    if args.seq == "B" and args.variant == "printed":
+        raise ValueError("--variant printed applies to --seq C only")
     params = SequenceParams(args.k)
     if args.seq == "B":
         series = b_series(params, args.N)
@@ -365,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--N", type=int, required=True, help="highest coefficient index")
     p_series.add_argument(
         "--variant", choices=("corrected", "printed"), default="corrected",
-        help="C-numerator variant (printed = the refuted 1+3x(1+k) form)",
+        help="C-numerator variant (printed = the refuted 1+3x(1+k) form; C only)",
     )
     _add_common(p_series)
     p_series.set_defaults(handler=cmd_series)

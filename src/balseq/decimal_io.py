@@ -1,4 +1,4 @@
-"""Exact int <-> decimal text at any size, independent of the interpreter limit.
+"""Exact int -> decimal text at any size, independent of the interpreter limit.
 
 Python 3.11's int-to-str conversion is quadratic and, by default, refuses
 values over 4300 digits.  `decimal_str` keeps `str()` for values well under
@@ -7,8 +7,8 @@ that limit and otherwise converts by divide and conquer (Brent & Zimmermann,
 position, convert the halves to `decimal.Decimal` and recombine them as
 hi * 2**w + lo, where libmpdec's fast multiplication does the heavy work.  The
 decimal context traps Inexact and Rounded, so a lost digit raises instead of
-printing a wrong value.  `decimal_int` is the inverse, for reading reports
-back.  Neither function reads or changes the interpreter's digit limit.
+printing a wrong value.  It neither reads nor changes the interpreter's digit
+limit.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ _STR_BITS = 14_000
 # bits per leaf of the conversion tree; 128-bit leaves were 2-4x slower
 # than str() below 10k digits
 _LEAF_BITS = 2048
-# digits per leaf when parsing, under the smallest str() limit there is (640)
-_LEAF_DIGITS = 600
 
 
 def decimal_str(n: int) -> str:
@@ -69,24 +67,3 @@ def _power_of_two(width: int, powers: dict[int, decimal.Decimal]) -> decimal.Dec
         powers[width] = power
     return power
 
-
-def decimal_int(text: str) -> int:
-    """int(text) for a decimal integer of any length, whatever the digit limit."""
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    if len(digits) <= _LEAF_DIGITS:
-        return int(text)
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"invalid decimal integer of {len(text)} characters")
-    value = _from_digits(digits, {})
-    return -value if text[0] == "-" else value
-
-
-def _from_digits(digits: str, powers: dict[int, int]) -> int:
-    if len(digits) <= _LEAF_DIGITS:
-        return int(digits)
-    low_len = len(digits) >> 1
-    scale = powers.get(low_len)
-    if scale is None:
-        scale = powers[low_len] = 10 ** low_len
-    return (_from_digits(digits[:-low_len], powers) * scale
-            + _from_digits(digits[-low_len:], powers))

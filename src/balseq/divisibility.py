@@ -10,8 +10,8 @@ themselves.
 Each theorem is written once, as a *_sides function that takes its last
 index as a range and returns the computed gcds and the expected values over
 it.  The verify sweeps call it a row at a time, with the theorem's hypothesis
-on the catalog row; the check_* functions pass a one-element range and build
-a GcdReport.
+on the catalog row; each check_* function builds its own TermContext for
+its one point, passes a one-element range and builds a GcdReport.
 
 gcd is always taken on magnitudes with gcd(0, x) = |x|, since 1 - k is
 negative for k >= 2.
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .identities import SideLists, TermContext, _ctx
+from .identities import SideLists, TermContext
 from .ring import SequenceParams
 
 
@@ -81,9 +81,7 @@ def strong_gcd_sides(ctx: TermContext, m: int, ns: range) -> SideLists:
 # ---------------------------------------------------------------------------
 # single-shot theorems
 
-def check_index_divisibility(
-    params: SequenceParams, m: int, n: int, ctx: TermContext | None = None
-) -> GcdReport:
+def check_index_divisibility(params: SequenceParams, m: int, n: int) -> GcdReport:
     """B_m | B_n whenever m | n; no residue condition.
 
     Stated gcd-style: gcd(B_m, B_n) = B_m, which is equivalent since B_m > 0
@@ -93,49 +91,41 @@ def check_index_divisibility(
         raise ValueError("indices must be >= 1")
     if n % m != 0:
         raise ValueError(f"m={m} does not divide n={n}")
-    sides = index_divisibility_sides(_ctx(params, n, ctx), m, range(n, n + 1))
+    sides = index_divisibility_sides(TermContext(params).ensure(n), m, range(n, n + 1))
     return _report("index-divisibility", {"k": params.k, "m": m, "n": n}, sides, True)
 
 
-def check_coprime_norm(
-    seq: str, params: SequenceParams, n: int, ctx: TermContext | None = None
-) -> GcdReport:
+def check_coprime_norm(seq: str, params: SequenceParams, n: int) -> GcdReport:
     """gcd(|1-k|, X_n) = 1 for n >= 1, under k % 3 != 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    sides = coprime_norm_sides(_ctx(params, n, ctx), seq, range(n, n + 1))
+    sides = coprime_norm_sides(TermContext(params).ensure(n), seq, range(n, n + 1))
     return _report(f"coprime-norm-{seq.lower()}", {"k": params.k, "n": n}, sides,
                    residue_hypothesis(params))
 
 
-def check_consecutive_coprime(
-    seq: str, params: SequenceParams, n: int, ctx: TermContext | None = None
-) -> GcdReport:
+def check_consecutive_coprime(seq: str, params: SequenceParams, n: int) -> GcdReport:
     """gcd(X_n, X_{n+1}) = 1 for n >= 1, under k % 3 != 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    sides = consecutive_gcd_sides(_ctx(params, n + 1, ctx), seq, range(n, n + 1))
+    sides = consecutive_gcd_sides(TermContext(params).ensure(n + 1), seq, range(n, n + 1))
     return _report(f"consecutive-gcd-{seq.lower()}", {"k": params.k, "n": n}, sides,
                    residue_hypothesis(params))
 
 
-def check_b_c_coprime(
-    params: SequenceParams, n: int, ctx: TermContext | None = None
-) -> GcdReport:
+def check_b_c_coprime(params: SequenceParams, n: int) -> GcdReport:
     """gcd(B_n, C_n) = 1 for n >= 0, under k % 3 != 1."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    sides = b_c_coprime_sides(_ctx(params, n, ctx), range(n, n + 1))
+    sides = b_c_coprime_sides(TermContext(params).ensure(n), range(n, n + 1))
     return _report("b-c-coprime", {"k": params.k, "n": n}, sides,
                    residue_hypothesis(params))
 
 
-def check_strong_gcd(
-    params: SequenceParams, m: int, n: int, ctx: TermContext | None = None
-) -> GcdReport:
+def check_strong_gcd(params: SequenceParams, m: int, n: int) -> GcdReport:
     """gcd(B_m, B_n) = B_{gcd(m,n)} for m, n >= 1, under k % 3 != 1."""
     if m < 1 or n < 1:
         raise ValueError("indices must be >= 1")
-    sides = strong_gcd_sides(_ctx(params, max(m, n), ctx), m, range(n, n + 1))
+    sides = strong_gcd_sides(TermContext(params).ensure(max(m, n)), m, range(n, n + 1))
     return _report("strong-gcd", {"k": params.k, "m": m, "n": n}, sides,
                    residue_hypothesis(params))

@@ -64,9 +64,6 @@ class Mat2:
             self.a21 * other.a12 + self.a22 * other.a22,
         )
 
-    def det(self) -> int:
-        return self.a11 * self.a22 - self.a12 * self.a21
-
 
 def _mat_square(m: Mat2) -> Mat2:
     """m @ m from 5 products: the a12*a21 and trace terms are shared."""
@@ -213,12 +210,6 @@ def term_b_negative(params: SequenceParams, n: int) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1 (term_b_negative returns B at index -n)")
     return Fraction(-term_b(params, n), (params.k - 1) ** n)
-
-
-def power_sum(params: SequenceParams, n: int) -> int:
-    """alpha^n + beta^n, read off the ring coordinates as 2u + 3k*v."""
-    u, v = alpha_power_components(params, n)
-    return 2 * u + params.trace * v
 
 
 def matrix_power(params: SequenceParams, n: int) -> Mat2:

@@ -8,14 +8,18 @@ package pins down.
 
 Terms are always recomputed from the iterative recurrence, never from the
 engine a caller might be trying to validate, so identity checks and engine
-checks fail independently.  A TermContext carries the shared tables when a
-sweep evaluates many tuples for the same k.
+checks fail independently.  Each single-shot evaluator builds its own
+TermContext for its one point.  A caller that evaluates many tuples for the
+same k (the verify sweeps, the errata demonstrations) builds one TermContext
+and calls the *_sides functions on it, a whole row of the last index at a
+time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .engines import b_table, c_table
 from .ring import SequenceParams, alpha_power_components
@@ -62,12 +66,6 @@ class TermContext:
         if name == "C":
             return self.c
         raise ValueError(f"seq must be 'B' or 'C', got {name!r}")
-
-
-def _ctx(params: SequenceParams, hi: int, ctx: TermContext | None) -> TermContext:
-    if ctx is None:
-        ctx = TermContext(params)
-    return ctx.ensure(hi)
 
 
 def _report(name: str, inputs: dict[str, int], lhs: Exact, rhs: Exact) -> IdentityReport:
@@ -143,7 +141,8 @@ def sum_sides(ctx: TermContext, seq: str, ns: range) -> SideLists:
     k = ctx.params.k
     x = ctx.seq(seq)
     const = 1 if seq == "B" else 4 - 3 * k
-    lhs = [sum(x[: n + 1]) for n in ns]
+    prefix = list(accumulate(x[: ns.stop]))  # prefix[n] = x[0] + ... + x[n]
+    lhs = [prefix[n] for n in ns]
     rhs = [_exact(Fraction(-(2 * k + 1) * x[n] + (k - 1) * x[n - 1] + const, -2 * k))
            for n in ns]
     return lhs, rhs
@@ -189,37 +188,32 @@ def c_from_b_sides(ctx: TermContext, ns: range) -> SideLists:
 # ---------------------------------------------------------------------------
 # single-shot evaluators
 
-def catalan(
-    seq: str, params: SequenceParams, n: int, r: int, ctx: TermContext | None = None
-) -> IdentityReport:
+def catalan(seq: str, params: SequenceParams, n: int, r: int) -> IdentityReport:
     """X_{n+r}*X_{n-r} - X_n^2 against its closed form, 0 <= r <= n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if r < 0 or r > n:
         raise ValueError("r must satisfy 0 <= r <= n")
-    ctx = _ctx(params, n + r, ctx)
+    # sized to n + 1 at least: the C side reads (k-1)^(n-r+1)
+    ctx = TermContext(params).ensure(n + max(r, 1))
     (lhs,), (rhs,) = catalan_sides(ctx, seq, n, range(r, r + 1))
     return _report(f"catalan-{seq.lower()}", {"k": params.k, "n": n, "r": r}, lhs, rhs)
 
 
-def cassini(
-    seq: str, params: SequenceParams, n: int, ctx: TermContext | None = None
-) -> IdentityReport:
+def cassini(seq: str, params: SequenceParams, n: int) -> IdentityReport:
     """X_n^2 - X_{n-1}*X_{n+1} against (k-1)^{n-1} (B) or -8(k-1)^n (C)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ctx = _ctx(params, n + 1, ctx)
+    ctx = TermContext(params).ensure(n + 1)
     (lhs,), (rhs,) = cassini_sides(ctx, seq, range(n, n + 1))
     return _report(f"cassini-{seq.lower()}", {"k": params.k, "n": n}, lhs, rhs)
 
 
-def docagne(
-    seq: str, params: SequenceParams, m: int, n: int, ctx: TermContext | None = None
-) -> IdentityReport:
+def docagne(seq: str, params: SequenceParams, m: int, n: int) -> IdentityReport:
     """X_m*X_{n+1} - X_n*X_{m+1} against its closed form, m >= n >= 0."""
     if n < 0 or m < n:
         raise ValueError("indices must satisfy m >= n >= 0")
-    ctx = _ctx(params, m + 1, ctx)
+    ctx = TermContext(params).ensure(m + 1)
     (lhs,), (rhs,) = docagne_sides(ctx, seq, m, range(n, n + 1))
     return _report(f"docagne-{seq.lower()}", {"k": params.k, "m": m, "n": n}, lhs, rhs)
 
@@ -232,7 +226,6 @@ def vajda(
     j: int | None = None,
     m: int | None = None,
     ell: int | None = None,
-    ctx: TermContext | None = None,
 ) -> IdentityReport:
     """Both Vajda formulations, rhs base (k-1)^n in each.
 
@@ -247,7 +240,7 @@ def vajda(
             raise ValueError("form 1 takes n, i, j")
         if n < 0 or i < 0 or j < 0:
             raise ValueError("form 1 requires n, i, j >= 0")
-        ctx = _ctx(params, n + i + j, ctx)
+        ctx = TermContext(params).ensure(n + i + j)
         (lhs,), (rhs,) = vajda1_sides(ctx, n, i, range(j, j + 1))
         return _report("vajda-1", {"k": params.k, "n": n, "i": i, "j": j}, lhs, rhs)
     if form == 2:
@@ -255,37 +248,31 @@ def vajda(
             raise ValueError("form 2 takes n, m, ell")
         if n < 0 or ell < 0 or m <= n + ell:
             raise ValueError("form 2 requires n, ell >= 0 and m > n + ell")
-        ctx = _ctx(params, max(m, n + ell), ctx)
+        ctx = TermContext(params).ensure(max(m, n + ell))
         (lhs,), (rhs,) = vajda2_sides(ctx, n, m, range(ell, ell + 1))
         return _report("vajda-2", {"k": params.k, "n": n, "m": m, "ell": ell}, lhs, rhs)
     raise ValueError("form must be 1 or 2")
 
 
-def sum_closed_form(
-    seq: str, params: SequenceParams, n: int, ctx: TermContext | None = None
-) -> IdentityReport:
+def sum_closed_form(seq: str, params: SequenceParams, n: int) -> IdentityReport:
     """First n+1 terms summed directly against the closed form (exact division)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ctx = _ctx(params, n, ctx)
+    ctx = TermContext(params).ensure(n)
     (lhs,), (rhs,) = sum_sides(ctx, seq, range(n, n + 1))
     return _report(f"sum-{seq.lower()}", {"k": params.k, "n": n}, lhs, rhs)
 
 
-def addition_formula(
-    params: SequenceParams, m: int, n: int, ctx: TermContext | None = None
-) -> IdentityReport:
+def addition_formula(params: SequenceParams, m: int, n: int) -> IdentityReport:
     """B_{m+n} = B_m*B_{n+1} + (1-k)*B_{m-1}*B_n for m >= 1, n >= 0."""
     if m < 1 or n < 0:
         raise ValueError("indices must satisfy m >= 1, n >= 0")
-    ctx = _ctx(params, m + n, ctx)
+    ctx = TermContext(params).ensure(m + n)
     (lhs,), (rhs,) = addition_sides(ctx, m, range(n, n + 1))
     return _report("addition", {"k": params.k, "m": m, "n": n}, lhs, rhs)
 
 
-def doubling_formulas(
-    params: SequenceParams, n: int, ctx: TermContext | None = None
-) -> IdentityReport:
+def doubling_formulas(params: SequenceParams, n: int) -> IdentityReport:
     """Both doubling identities at n; holds only when both hold.
 
     The reported sides are the even-index pair, or the first failing pair
@@ -293,28 +280,24 @@ def doubling_formulas(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ctx = _ctx(params, 2 * n + 1, ctx)
+    ctx = TermContext(params).ensure(2 * n + 1)
     (lhs,), (rhs,) = doubling_sides(ctx, range(n, n + 1))
     return _report("doubling", {"k": params.k, "n": n}, lhs, rhs)
 
 
-def power_sum_identity(
-    params: SequenceParams, n: int, ctx: TermContext | None = None
-) -> IdentityReport:
+def power_sum_identity(params: SequenceParams, n: int) -> IdentityReport:
     """alpha^n + beta^n (ring route) against B_{n+1} - (k-1)*B_{n-1}."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ctx = _ctx(params, n + 1, ctx)
+    ctx = TermContext(params).ensure(n + 1)
     (lhs,), (rhs,) = power_sum_sides(ctx, range(n, n + 1))
     return _report("power-sum", {"k": params.k, "n": n}, lhs, rhs)
 
 
-def c_from_b(
-    params: SequenceParams, n: int, ctx: TermContext | None = None
-) -> IdentityReport:
+def c_from_b(params: SequenceParams, n: int) -> IdentityReport:
     """C_n = B_{n+1} + 3(1-k)*B_n for n >= 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    ctx = _ctx(params, n + 1, ctx)
+    ctx = TermContext(params).ensure(n + 1)
     (lhs,), (rhs,) = c_from_b_sides(ctx, range(n, n + 1))
     return _report("c-from-b", {"k": params.k, "n": n}, lhs, rhs)

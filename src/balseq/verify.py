@@ -25,7 +25,7 @@ from itertools import product
 from typing import Callable, Iterable
 
 from . import __version__
-from .decimal_io import decimal_int, decimal_str
+from .decimal_io import decimal_str
 from .divisibility import (
     GcdReport,
     b_c_coprime_sides,
@@ -332,13 +332,6 @@ def exact_to_str(value) -> str:
     return decimal_str(value)
 
 
-def _exact_from_str(text: str):
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(decimal_int(num), decimal_int(den))
-    return decimal_int(text)
-
-
 def report_entry_to_dict(report: Report) -> dict:
     if isinstance(report, IdentityReport):
         return {
@@ -361,26 +354,6 @@ def report_entry_to_dict(report: Report) -> dict:
     }
 
 
-def report_entry_from_dict(entry: dict) -> Report:
-    if entry["kind"] == "identity":
-        return IdentityReport(
-            entry["identity_name"],
-            dict(entry["inputs"]),
-            _exact_from_str(entry["lhs"]),
-            _exact_from_str(entry["rhs"]),
-            entry["holds"],
-            entry["hypothesis_met"],
-        )
-    return GcdReport(
-        entry["theorem_name"],
-        dict(entry["inputs"]),
-        decimal_int(entry["computed_gcd"]),
-        decimal_int(entry["expected"]),
-        entry["hypothesis_met"],
-        entry["holds"],
-    )
-
-
 def report_to_dict(report: VerifyReport) -> dict:
     return {
         "tool_version": report.tool_version,
@@ -396,25 +369,6 @@ def report_to_dict(report: VerifyReport) -> dict:
     }
 
 
-def report_from_dict(data: dict) -> VerifyReport:
-    config = VerifyRunConfig(
-        data["config"]["k_lo"],
-        data["config"]["k_hi"],
-        data["config"]["max_index"],
-        tuple(data["config"]["identities"]),
-        data["config"]["max_listed"],
-    )
-    return VerifyReport(
-        data["tool_version"],
-        config,
-        [report_entry_from_dict(e) for e in data["results"]],
-        data["summary"],
-    )
-
-
 def report_to_json(report: VerifyReport) -> str:
     return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
 
-
-def report_from_json(text: str) -> VerifyReport:
-    return report_from_dict(json.loads(text))

@@ -125,6 +125,24 @@ class TestSeries:
         assert out.split() == ["1", "15", "89", "519"]   # long-division oracle
         assert "warning" in err and "n=1" in err
 
+    def test_printed_variant_rejected_for_b(self, capsys):
+        # the variant is a C numerator; B has no printed form to select
+        code, out, err = run_cli(capsys, "series", "--seq", "B", "--k", "2", "--N", "3",
+                                 "--variant", "printed", "--format", "json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--variant" in err
+
+    def test_b_accepts_the_default_variant(self, capsys):
+        outputs = set()
+        for extra in ([], ["--variant", "corrected"]):
+            code, out, _ = run_cli(capsys, "series", "--seq", "B", "--k", "2", "--N", "3",
+                                   "--format", "json", *extra)
+            assert code == 0
+            outputs.add(out)
+        assert outputs == {'{"coefficients": ["0", "1", "6", "35"], "k": 2, "seq": "B",'
+                           ' "variant": "corrected"}\n'}
+
     def test_corrected_variant_matches_terms(self, capsys):
         code, out, _ = run_cli(capsys, "series", "--seq", "C", "--k", "5", "--N", "20")
         assert code == 0
@@ -203,6 +221,20 @@ class TestVerify:
         text = target.read_text()
         assert "c-series-numerator" in text and "refuted" in text
         assert str(target) in err
+
+    def test_quiet_plain_prints_only_the_verdict(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--k", "4..4", "--max-index", "6",
+                                 "--identity", "cassini-b,consecutive-gcd", "--quiet")
+        assert code == 0 and err == ""
+        assert out == "verify: all held (checked=18, failed=0, hypothesis_not_met=12)\n"
+
+    def test_quiet_emit_errata_writes_nothing_to_stderr(self, capsys, tmp_path):
+        target = tmp_path / "errata.md"
+        code, _, err = run_cli(capsys, "verify", "--k", "2..2", "--max-index", "4",
+                               "--identity", "cassini-b", "--emit-errata", str(target),
+                               "--quiet")
+        assert code == 0 and err == ""
+        assert "c-series-numerator" in target.read_text()
 
     def test_emit_errata_unwritable_path_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "E.md"

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from balseq.decimal_io import decimal_int, decimal_str
+from balseq.decimal_io import decimal_str
 from balseq.engines import term_b, term_c
 from balseq.ring import SequenceParams
 
@@ -28,7 +28,6 @@ def _edges(w: int) -> list[int]:
 WIDTHS = [2047, 2048, 2049, 4095, 4096, 4097, 13_999, 14_000, 14_001, 14_284, 14_285,
           28_000, 100_000]
 EXPONENTS = [4299, 4300, 4301, 99_999, 100_000, 100_001]
-POWERS_OF_TEN = [10**j - d for j in EXPONENTS for d in (0, 1)]
 TERMS = [fn(SequenceParams(k), n) for fn in (term_b, term_c)
          for k in range(1, 13) for n in (3_000, 30_000)]
 
@@ -65,21 +64,3 @@ class TestDecimalStr:
         finally:
             sys.set_int_max_str_digits(old)
 
-
-class TestDecimalInt:
-    @pytest.mark.parametrize("w", WIDTHS)
-    def test_round_trip(self, w):
-        for n in _edges(w):
-            assert decimal_int(reference_str(n)) == n
-
-    def test_round_trip_terms_and_powers_of_ten(self):
-        for n in TERMS + POWERS_OF_TEN:
-            assert decimal_int(decimal_str(n)) == n
-
-    def test_plus_sign_and_leading_zeros(self):
-        assert decimal_int("+" + "0" * 5000 + "12") == 12
-
-    @pytest.mark.parametrize("text", ["", "-", "1" * 5000 + "x", "1_" * 3000, "٣" * 5000])
-    def test_rejects_non_decimal_text(self, text):
-        with pytest.raises(ValueError):
-            decimal_int(text)

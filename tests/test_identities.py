@@ -16,11 +16,15 @@ from balseq.divisibility import (
 from balseq.identities import (
     TermContext,
     addition_formula,
+    addition_sides,
     c_from_b,
     cassini,
+    cassini_sides,
     catalan,
+    catalan_sides,
     docagne,
     doubling_formulas,
+    doubling_sides,
     power_sum_identity,
     sum_closed_form,
     vajda,
@@ -37,31 +41,31 @@ IDENTITY_NAMES = [
 # The single-shot evaluator of each identity row, called with the row's
 # index names; the matrix rows have none.
 EVALUATORS = {
-    "catalan-b": lambda p, ctx, n, r: catalan("B", p, n, r, ctx=ctx),
-    "catalan-c": lambda p, ctx, n, r: catalan("C", p, n, r, ctx=ctx),
-    "cassini-b": lambda p, ctx, n: cassini("B", p, n, ctx=ctx),
-    "cassini-c": lambda p, ctx, n: cassini("C", p, n, ctx=ctx),
-    "docagne-b": lambda p, ctx, m, n: docagne("B", p, m, n, ctx=ctx),
-    "docagne-c": lambda p, ctx, m, n: docagne("C", p, m, n, ctx=ctx),
-    "vajda-1": lambda p, ctx, n, i, j: vajda(1, p, n, i=i, j=j, ctx=ctx),
-    "vajda-2": lambda p, ctx, n, m, ell: vajda(2, p, n, m=m, ell=ell, ctx=ctx),
-    "sum-b": lambda p, ctx, n: sum_closed_form("B", p, n, ctx=ctx),
-    "sum-c": lambda p, ctx, n: sum_closed_form("C", p, n, ctx=ctx),
-    "addition": lambda p, ctx, m, n: addition_formula(p, m, n, ctx=ctx),
-    "doubling": lambda p, ctx, n: doubling_formulas(p, n, ctx=ctx),
-    "power-sum": lambda p, ctx, n: power_sum_identity(p, n, ctx=ctx),
-    "c-from-b": lambda p, ctx, n: c_from_b(p, n, ctx=ctx),
+    "catalan-b": lambda p, n, r: catalan("B", p, n, r),
+    "catalan-c": lambda p, n, r: catalan("C", p, n, r),
+    "cassini-b": lambda p, n: cassini("B", p, n),
+    "cassini-c": lambda p, n: cassini("C", p, n),
+    "docagne-b": lambda p, m, n: docagne("B", p, m, n),
+    "docagne-c": lambda p, m, n: docagne("C", p, m, n),
+    "vajda-1": lambda p, n, i, j: vajda(1, p, n, i=i, j=j),
+    "vajda-2": lambda p, n, m, ell: vajda(2, p, n, m=m, ell=ell),
+    "sum-b": lambda p, n: sum_closed_form("B", p, n),
+    "sum-c": lambda p, n: sum_closed_form("C", p, n),
+    "addition": addition_formula,
+    "doubling": doubling_formulas,
+    "power-sum": power_sum_identity,
+    "c-from-b": c_from_b,
 }
 
 # The check_* theorem of each gcd row, called the same way.
 GCD_CHECKS = {
-    "index-divisibility": lambda p, ctx, m, n: check_index_divisibility(p, m, n, ctx),
-    "coprime-norm-b": lambda p, ctx, n: check_coprime_norm("B", p, n, ctx),
-    "coprime-norm-c": lambda p, ctx, n: check_coprime_norm("C", p, n, ctx),
-    "consecutive-gcd-b": lambda p, ctx, n: check_consecutive_coprime("B", p, n, ctx),
-    "consecutive-gcd-c": lambda p, ctx, n: check_consecutive_coprime("C", p, n, ctx),
-    "b-c-coprime": lambda p, ctx, n: check_b_c_coprime(p, n, ctx),
-    "strong-gcd": lambda p, ctx, m, n: check_strong_gcd(p, m, n, ctx),
+    "index-divisibility": check_index_divisibility,
+    "coprime-norm-b": lambda p, n: check_coprime_norm("B", p, n),
+    "coprime-norm-c": lambda p, n: check_coprime_norm("C", p, n),
+    "consecutive-gcd-b": lambda p, n: check_consecutive_coprime("B", p, n),
+    "consecutive-gcd-c": lambda p, n: check_consecutive_coprime("C", p, n),
+    "b-c-coprime": check_b_c_coprime,
+    "strong-gcd": check_strong_gcd,
 }
 
 
@@ -88,6 +92,14 @@ class TestCatalan:
     def test_r_zero_degenerate(self):
         report = catalan("B", SequenceParams(7), 5, 0)
         assert report.lhs == report.rhs == 0 and report.holds
+
+    @pytest.mark.parametrize("seq", ["B", "C"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_r_zero_in_domain(self, seq, k):
+        # both sides vanish at r = 0; the C side reads (k-1)^(n+1), one past n + r
+        for n in range(1, 6):
+            report = catalan(seq, SequenceParams(k), n, 0)
+            assert report.lhs == report.rhs == 0 and report.holds, n
 
     def test_c_example(self):
         # k=2, n=2, r=1: 99*3 - 17^2 = 8 = 8*(k-1)^2*B_1^2
@@ -300,8 +312,9 @@ class TestFullSweep:
     @pytest.mark.parametrize("k", [2, 4])
     def test_planted_error_reported_as_by_evaluators(self, planted_b7, k):
         # B_7 off by one in every term table: each identity row's sweep must
-        # fail exactly where the evaluators (or, for the matrix rows, a
-        # one-element row) fail on the same context, with the same sides
+        # fail exactly where the evaluators fail, each on term tables of its
+        # own (for the matrix rows, where a one-element row fails), with the
+        # same sides
         params = SequenceParams(k)
         clean = set()
         for name in IDENTITY_NAMES:
@@ -312,7 +325,7 @@ class TestFullSweep:
                 for x in last:
                     point = dict(zip(sweep.keys, (*lead, x)))
                     if name in EVALUATORS:
-                        report = EVALUATORS[name](params, ctx, **point)
+                        report = EVALUATORS[name](params, **point)
                         if not report.holds:
                             expected.append((report.inputs, report.lhs, report.rhs))
                     else:
@@ -331,19 +344,18 @@ class TestFullSweep:
     @pytest.mark.parametrize("k", [2, 4])
     def test_planted_error_in_gcd_rows_reported_as_by_checks(self, planted_b7, k):
         # each gcd row must fail exactly where its check_* theorem fails per
-        # point on the same context, with equal reports; at k = 4 the residue
-        # hypothesis fails, so every check counts as hypothesis_not_met and
-        # every failure goes to the expected-failure pool; max index 14 puts
-        # (m, n) = (7, 14) in the index-divisibility box
+        # point, with equal reports; at k = 4 the residue hypothesis fails,
+        # so every check counts as hypothesis_not_met and every failure goes
+        # to the expected-failure pool; max index 14 puts (m, n) = (7, 14) in
+        # the index-divisibility box
         params = SequenceParams(k)
         failing = set()
         for name, check in GCD_CHECKS.items():
             sweep = CATALOG[name]
-            ctx = TermContext(params).ensure(sweep.size(14))
             expected = []
             for *lead, last in sweep.domain(14):
                 for x in last:
-                    report = check(params, ctx, **dict(zip(sweep.keys, (*lead, x))))
+                    report = check(params, **dict(zip(sweep.keys, (*lead, x))))
                     if not report.holds:
                         expected.append(report)
             outcome = sweep(params, 14)
@@ -377,10 +389,10 @@ class TestFullSweep:
         lhs, rhs = sweep.sides(ctx, *lead, last)
         point = dict(zip(sweep.keys, (*lead, x)))
         if name in EVALUATORS:
-            report = EVALUATORS[name](params, ctx, **point)
+            report = EVALUATORS[name](params, **point)
             got = report.lhs, report.rhs
         else:
-            report = GCD_CHECKS[name](params, ctx, **point)
+            report = GCD_CHECKS[name](params, **point)
             got = report.computed_gcd, report.expected
         assert got == (lhs[last.index(x)], rhs[last.index(x)])
 
@@ -388,35 +400,37 @@ class TestFullSweep:
         # sweeps call each *_sides function a row at a time, evaluators one
         # point at a time; pin the one-point path at random in-domain tuples
         params = SequenceParams(4)
-        ctx = TermContext(params)
         rng = random.Random(99)
         for _ in range(200):
             n, i, j = (rng.randint(0, 25) for _ in range(3))
-            assert vajda(1, params, n, i=i, j=j, ctx=ctx).holds
+            assert vajda(1, params, n, i=i, j=j).holds
             m = rng.randint(1, 25)
             nn = rng.randint(0, m - 1)
             ell = rng.randint(0, m - nn - 1)
-            assert vajda(2, params, nn, m=m, ell=ell, ctx=ctx).holds
+            assert vajda(2, params, nn, m=m, ell=ell).holds
             r = rng.randint(0, n) if n >= 1 else 0
             if n >= 1:
-                assert catalan("B", params, n, r, ctx=ctx).holds
-                assert catalan("C", params, n, r, ctx=ctx).holds
-                assert docagne("C", params, m, nn, ctx=ctx).holds
-                assert addition_formula(params, m, nn, ctx=ctx).holds
+                assert catalan("B", params, n, r).holds
+                assert catalan("C", params, n, r).holds
+                assert docagne("C", params, m, nn).holds
+                assert addition_formula(params, m, nn).holds
 
 
 class TestDeepSweep:
-    """n up to 1000; the second index of the two-index identities is sampled."""
+    """n up to 1000 on one shared TermContext, through the *_sides functions;
+    the second index of the two-index identities is sampled."""
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_catalan_cassini_addition_doubling_deep(self, k):
-        params = SequenceParams(k)
-        ctx = TermContext(params).ensure(2002)
+        ctx = TermContext(SequenceParams(k)).ensure(2002)
         rng = random.Random(1000 + k)
-        for n in range(1, 1001):
-            assert cassini("B", params, n, ctx=ctx).holds
-            assert doubling_formulas(params, n, ctx=ctx).holds
+        ns = range(1, 1001)
+        for lhs, rhs in (cassini_sides(ctx, "B", ns), doubling_sides(ctx, ns)):
+            assert lhs == rhs
+        for n in ns:
             for r in {0, 1, n // 2, n, rng.randint(0, n)}:
-                assert catalan("B", params, n, r, ctx=ctx).holds
+                lhs, rhs = catalan_sides(ctx, "B", n, range(r, r + 1))
+                assert lhs == rhs, (n, r)
             for m in {1, n, rng.randint(1, n)}:
-                assert addition_formula(params, m, n, ctx=ctx).holds
+                lhs, rhs = addition_sides(ctx, m, range(n, n + 1))
+                assert lhs == rhs, (m, n)
