@@ -176,6 +176,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_series(args) -> int:
+    if args.N < 0:
+        raise ValueError(f"--N must be >= 0, got {args.N}")
     if args.seq == "B" and args.variant == "printed":
         raise ValueError("--variant printed applies to --seq C only")
     params = SequenceParams(args.k)

@@ -1,9 +1,13 @@
 """Divisibility and gcd theorems for the B and C sequences.
 
-Most of these hold only under the residue condition k % 3 != 1.  Checks are
-run regardless and tagged: hypothesis_met is False when the condition fails,
-and such results land in an expected-failure pool instead of counting as
-violations.  Demonstrating that the condition is necessary (e.g.
+B_{k,n} is the Lucas sequence U_n(P, Q) with P = 3k and Q = k - 1, so these
+are instances of Lucas-sequence theory.  Most of them hold only under its
+classical hypothesis gcd(P, Q) = 1, which here is gcd(3, k - 1) = 1, i.e. the
+residue condition k % 3 != 1.  b-c-coprime restates consecutive-gcd-b, since
+C_n = B_{n+1} + 3(1-k)B_n gives gcd(B_n, C_n) = gcd(B_n, B_{n+1}).  Checks
+are run regardless and tagged: hypothesis_met is False when the condition
+fails, and such results land in an expected-failure pool instead of counting
+as violations.  Demonstrating that the condition is necessary (e.g.
 gcd(B_{4,2}, B_{4,3}) = 3) is as much a part of the contract as the theorems
 themselves.
 
@@ -37,8 +41,14 @@ class GcdReport:
 
 
 def residue_hypothesis(params: SequenceParams) -> bool:
-    """The k % 3 != 1 condition shared by the gcd theorems."""
-    return params.k % 3 != 1
+    """gcd(P, Q) = 1 for the Lucas parameters P = 3k, Q = k - 1 of B.
+
+    This is the hypothesis under which a Lucas sequence U_n(P, Q) has strong
+    divisibility, gcd(U_m, U_n) = U_{gcd(m, n)} (E. Lucas, Amer. J. Math. 1,
+    1878; R. D. Carmichael, Ann. Math. 15, 1913).  Since
+    gcd(3k, k - 1) = gcd(3, k - 1), it holds exactly when k % 3 != 1.
+    """
+    return math.gcd(params.trace, params.norm) == 1
 
 
 def _report(
@@ -68,6 +78,11 @@ def consecutive_gcd_sides(ctx: TermContext, seq: str, ns: range) -> SideLists:
 
 
 def b_c_coprime_sides(ctx: TermContext, ns: range) -> SideLists:
+    """gcd(B_n, C_n) against 1.
+
+    C_n = B_{n+1} + 3(1-k)B_n, so gcd(B_n, C_n) = gcd(B_n, B_{n+1}): this row
+    restates consecutive-gcd-b on the same n.
+    """
     b, c = ctx.b, ctx.c
     return [math.gcd(b[n], c[n]) for n in ns], [1] * len(ns)
 

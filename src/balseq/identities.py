@@ -12,7 +12,8 @@ checks fail independently.  Each single-shot evaluator builds its own
 TermContext for its one point.  A caller that evaluates many tuples for the
 same k (the verify sweeps, the errata demonstrations) builds one TermContext
 and calls the *_sides functions on it, a whole row of the last index at a
-time.
+time.  The vajda-1 sweep also shares a table of pairwise products of B
+terms on its context; a single-shot evaluator builds none.
 """
 
 from __future__ import annotations
@@ -41,13 +42,17 @@ class IdentityReport:
 class TermContext:
     """Iterative-engine term tables for one k, grown on demand.
 
-    b[i] = B_{k,i}, c[i] = C_{k,i}, pk[i] = (k-1)^i.
+    b[i] = B_{k,i}, c[i] = C_{k,i}, pk[i] = (k-1)^i.  A sweep that reads the
+    same products of B terms many times may also share pairs[a][c] =
+    b[a]*b[c], built by share_pairs for rows a <= hi over the full width of
+    b; growing b drops it.
     """
 
     params: SequenceParams
     b: list[int] = field(default_factory=list)
     c: list[int] = field(default_factory=list)
     pk: list[int] = field(default_factory=list)
+    pairs: list[list[int]] = field(default_factory=list)
 
     def ensure(self, hi: int) -> TermContext:
         if hi >= len(self.b):
@@ -58,7 +63,23 @@ class TermContext:
             for _ in range(hi):
                 pk.append(pk[-1] * norm)
             self.pk = pk
+            self.pairs = []
         return self
+
+    def share_pairs(self, hi: int) -> None:
+        """Build the pair table rows 0..hi (at most the length of b)."""
+        b = self.b
+        self.pairs = [[x * y for y in b] for x in b[: hi + 1]]
+
+    def products(self, a: int, lo: int, hi: int) -> list[int]:
+        """b[a]*b[c] for lo <= c < hi: a slice of the pair table where it
+        covers them, computed otherwise (never a shorter list)."""
+        pairs = self.pairs
+        if a < len(pairs) and hi <= len(pairs[a]):
+            return pairs[a][lo:hi]
+        b = self.b
+        ba = b[a]
+        return [ba * b[c] for c in range(lo, hi)]
 
     def seq(self, name: str) -> list[int]:
         if name == "B":
@@ -112,11 +133,14 @@ def docagne_sides(ctx: TermContext, seq: str, m: int, ns: range) -> SideLists:
 
 
 def vajda1_sides(ctx: TermContext, n: int, i: int, js: range) -> SideLists:
-    b = ctx.b
-    bn, bni, base = b[n], b[n + i], n + i
-    scale = ctx.pk[n] * b[i]
-    lhs = [bni * b[n + j] - bn * b[base + j] for j in js]
-    rhs = [scale * b[j] for j in js]
+    """B_{n+i}*B_{n+j} - B_n*B_{n+i+j} against (k-1)^n * B_i*B_j, js a step-1
+    range; every product of two B terms comes from ctx.products."""
+    lo, hi = js.start, js.stop
+    first = ctx.products(n + i, n + lo, n + hi)
+    second = ctx.products(n, n + i + lo, n + i + hi)
+    pkn = ctx.pk[n]
+    lhs = list(map(int.__sub__, first, second))
+    rhs = [pkn * p for p in ctx.products(i, lo, hi)]
     return lhs, rhs
 
 

@@ -9,7 +9,7 @@ identity's and each theorem's arithmetic is written once, in the identities
 and divisibility modules.
 
 A gcd row carries its theorem's hypothesis.  When the hypothesis fails at a
-k (the residue condition k % 3 != 1), every check of that k is counted as
+k (gcd(3k, k - 1) = 1, i.e. k % 3 != 1), every check of that k is counted as
 hypothesis_not_met and its failures go to a separate expected-failure pool,
 never to the violations.  Sweeps run serially and the final report is
 canonically sorted, so the emitted JSON is byte-identical from one run to
@@ -87,8 +87,9 @@ class Sides:
     size and domain are functions of the max index: the index the term
     tables are built up to, and the rows, each the leading indices and a
     range of the last one; the sides come back as one list per side over
-    that range.  A gcd row carries its theorem's hypothesis, and an
-    identity row none.
+    that range.  pairs, if set, gives the last row of the shared table of
+    B-term products the sides read.  A gcd row carries its theorem's
+    hypothesis, and an identity row none.
     """
 
     name: str
@@ -97,10 +98,18 @@ class Sides:
     sides: Callable[..., SideLists]
     keys: tuple[str, ...] = ("n",)  # input names of an index tuple
     hypothesis: Callable[[SequenceParams], bool] | None = None
+    pairs: Callable[[int], int] | None = None
+
+    def context(self, params: SequenceParams, max_index: int) -> TermContext:
+        """The term tables (and pair table, if any) the sweep reads."""
+        ctx = TermContext(params).ensure(self.size(max_index))
+        if self.pairs is not None:
+            ctx.share_pairs(self.pairs(max_index))
+        return ctx
 
     def __call__(self, params: SequenceParams, max_index: int) -> SweepOutcome:
         out = SweepOutcome(self.name)
-        ctx = TermContext(params).ensure(self.size(max_index))
+        ctx = self.context(params, max_index)
         met = self.hypothesis is None or self.hypothesis(params)
         failures = out.violations if met else out.expected_failures
         checked = held = 0
@@ -172,7 +181,7 @@ CATALOG: dict[str, Sides] = {
                        lambda ctx, m, ns: docagne_sides(ctx, "C", m, ns), ("m", "n")),
     "vajda-1": Sides("vajda-1", lambda m: 3 * m,
                      lambda m: product(range(m + 1), range(m + 1), [range(m + 1)]),
-                     vajda1_sides, ("n", "i", "j")),
+                     vajda1_sides, ("n", "i", "j"), pairs=lambda m: 2 * m),
     "vajda-2": Sides("vajda-2", lambda m: m,
                      lambda m: ((n, x, range(x - n)) for x in range(1, m + 1)
                                 for n in range(x)),

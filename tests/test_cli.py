@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -133,6 +134,13 @@ class TestSeries:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "--variant" in err
 
+    def test_negative_n_usage_error(self, capsys):
+        # --N is the highest index, so the error names it rather than the
+        # coefficient count the series oracle is asked for
+        code, out, err = run_cli(capsys, "series", "--seq", "B", "--k", "2", "--N", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: --N must be >= 0, got -1\n"
+
     def test_b_accepts_the_default_variant(self, capsys):
         outputs = set()
         for extra in ([], ["--variant", "corrected"]):
@@ -156,6 +164,22 @@ class TestSeries:
 
 
 class TestVerify:
+    # sha256 of `verify --k 1..12 --max-index 40` stdout per format.  A pin
+    # may change only with a deliberate change to the report, named in
+    # CHANGES.md; a speed-up of the sweeps must leave every byte as it is.
+    REPORT_SHA256 = {
+        "json": "90fd41a71c637e35994697e88f3139cf576c2f8369a10c7f5460e4133800bc0b",
+        "csv": "5d2e7211af160c6d641b6edfe021db523c83aab3d39ad3677b2fac90cf7c9f12",
+        "plain": "0e3a071b38a2e09702ad19071784980edb1592e7e44d15e768b98e5262723677",
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(REPORT_SHA256))
+    def test_report_bytes_pinned(self, capsys, fmt):
+        code, out, _ = run_cli(capsys, "verify", "--k", "1..12", "--max-index", "40",
+                               "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.REPORT_SHA256[fmt]
+
     def test_small_sweep_all_held(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--k", "2..3", "--max-index", "10")
         assert code == 0

@@ -140,3 +140,8 @@ class TestResidueSweeps:
         outcome = CATALOG["consecutive-gcd-b"](SequenceParams(4), 10)
         found = [r for r in outcome.expected_failures if r.inputs["n"] == 2]
         assert found and found[0].computed_gcd == 3
+
+    def test_lucas_hypothesis_is_the_residue_condition(self):
+        # gcd(P, Q) = 1 for P = 3k, Q = k - 1 reduces to gcd(3, k - 1) = 1
+        for k in range(1, 10**4):
+            assert residue_hypothesis(SequenceParams(k)) == (k % 3 != 1), k

@@ -28,6 +28,7 @@ from balseq.identities import (
     power_sum_identity,
     sum_closed_form,
     vajda,
+    vajda1_sides,
 )
 from balseq.ring import SequenceParams
 from balseq.verify import CATALOG
@@ -309,17 +310,17 @@ class TestFullSweep:
                 for name, count in expected.items():
                     assert CATALOG[name](SequenceParams(k), m).checked == count(m), (name, k, m)
 
-    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("k", [1, 2, 4])
     def test_planted_error_reported_as_by_evaluators(self, planted_b7, k):
         # B_7 off by one in every term table: each identity row's sweep must
         # fail exactly where the evaluators fail, each on term tables of its
         # own (for the matrix rows, where a one-element row fails), with the
-        # same sides
+        # same sides; k = 1 has beta = 0, so (k-1)^n = 0^n on the rhs
         params = SequenceParams(k)
         clean = set()
         for name in IDENTITY_NAMES:
             sweep = CATALOG[name]
-            ctx = TermContext(params).ensure(sweep.size(12))
+            ctx = sweep.context(params, 12)
             expected = []
             for *lead, last in sweep.domain(12):
                 for x in last:
@@ -338,8 +339,10 @@ class TestFullSweep:
             assert [(v.inputs, v.lhs, v.rhs) for v in outcome.violations] == expected, name
             if not expected:
                 clean.add(name)
-        # only the rows that never read B miss the planted error
-        assert clean == {"cassini-c", "sum-c", "matrix-c", "ar-commute"}
+        # only the rows that never read B miss the planted error; at k = 1
+        # catalan-c and docagne-c read B only times (k-1)^(n+1) = 0
+        assert clean == ({"cassini-c", "sum-c", "matrix-c", "ar-commute"}
+                         | ({"catalan-c", "docagne-c"} if k == 1 else set()))
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_planted_error_in_gcd_rows_reported_as_by_checks(self, planted_b7, k):
@@ -395,6 +398,67 @@ class TestFullSweep:
             report = GCD_CHECKS[name](params, **point)
             got = report.computed_gcd, report.expected
         assert got == (lhs[last.index(x)], rhs[last.index(x)])
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 12), max_index=st.integers(1, 30))
+    def test_vajda1_rows_on_the_pair_table_match_the_evaluator(self, data, k, max_index):
+        # a vajda-1 row read off the context the sweep builds, pair table
+        # included, gives at each j the sides of the single-shot evaluator,
+        # which builds no table
+        sweep, params = CATALOG["vajda-1"], SequenceParams(k)
+        ctx = sweep.context(params, max_index)
+        assert len(ctx.pairs) == 2 * max_index + 1
+        n, i, js = data.draw(st.sampled_from(list(sweep.domain(max_index))))
+        lhs, rhs = sweep.sides(ctx, n, i, js)
+        got = [(r.lhs, r.rhs) for r in (vajda(1, params, n, i=i, j=j) for j in js)]
+        assert got == list(zip(lhs, rhs))
+
+    def test_single_shot_vajda_builds_no_pair_table(self, monkeypatch):
+        # one point reads three products, each computed from b; a table for
+        # n = 3000 would hold about 9 million of them
+        def refuse(ctx, hi):
+            raise AssertionError("pair table built")
+
+        reads = []
+        products = TermContext.products
+
+        def spy(ctx, a, lo, hi):
+            reads.append((len(ctx.pairs), hi - lo))
+            return products(ctx, a, lo, hi)
+
+        monkeypatch.setattr(TermContext, "share_pairs", refuse)
+        monkeypatch.setattr(TermContext, "products", spy)
+        assert vajda(1, SequenceParams(12), 3000, i=3, j=4).holds
+        assert reads == [(0, 1)] * 3
+
+    def test_reads_beyond_the_pair_table_compute(self):
+        # a read the table does not cover computes its products: never a
+        # short slice, which would lower the sweep's checked count
+        params = SequenceParams(5)
+        ctx = CATALOG["vajda-1"].context(params, 4)   # b[0..12], rows 0..8
+        b = ctx.b
+        assert len(ctx.pairs) == 9 and {len(row) for row in ctx.pairs} == {13}
+
+        def computed(a, lo, hi):
+            return [b[a] * b[c] for c in range(lo, hi)]
+
+        # past the height: row 10 of a table with rows 0..8
+        assert ctx.products(10, 2, 13) == computed(10, 2, 13)
+        lhs, rhs = vajda1_sides(ctx, 2, 8, range(3))
+        assert list(zip(lhs, rhs)) == [(r.lhs, r.rhs) for r in
+                                       (vajda(1, params, 2, i=8, j=j) for j in range(3))]
+        # past the width: rows cut to columns 0..5 under a longer b
+        narrow = TermContext(params, b=b, pairs=[row[:6] for row in ctx.pairs])
+        assert narrow.products(3, 2, 10) == computed(3, 2, 10)
+        assert narrow.products(3, 2, 6) == computed(3, 2, 6)
+        # growing b drops the table, so no row is narrower than b
+        ctx.ensure(30)
+        assert ctx.pairs == [] and len(ctx.b) == 31
+        with pytest.raises(IndexError):   # past b itself: no short list either
+            ctx.products(3, 20, 32)
+        lhs, rhs = vajda1_sides(ctx, 8, 8, range(15))
+        assert len(lhs) == len(rhs) == 15 and lhs == rhs == [
+            vajda(1, params, 8, i=8, j=j).lhs for j in range(15)]
 
     def test_sweeps_agree_with_evaluators(self):
         # sweeps call each *_sides function a row at a time, evaluators one
