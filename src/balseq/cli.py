@@ -32,6 +32,7 @@ from .errata import render_document
 from .genfunc import b_series, c_series
 from .ring import SequenceParams
 from .verify import (
+    COUNTS,
     VerifyRunConfig,
     exact_to_str,
     report_to_json,
@@ -43,12 +44,7 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 
-ENGINES = {
-    "iterative": Engine.ITERATIVE,
-    "matrix": Engine.MATRIX,
-    "binet": Engine.BINET,
-    "doubling": Engine.FAST_DOUBLING,
-}
+ENGINES = {engine.value: engine for engine in Engine}
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -231,20 +227,15 @@ def cmd_verify(args) -> int:
         print(report_to_json(report))
     elif args.format == "csv":
         writer = _csv_writer(sys.stdout)
-        writer.writerow(["identity", "checked", "held", "failed", "hypothesis_not_met"])
+        writer.writerow(["identity", *COUNTS])
         for name in sorted(summary["per_identity"]):
             counts = summary["per_identity"][name]
-            writer.writerow([name, counts["checked"], counts["held"],
-                             counts["failed"], counts["hypothesis_not_met"]])
+            writer.writerow([name, *(counts[key] for key in COUNTS)])
     else:
         if not args.quiet:
             for name in sorted(summary["per_identity"]):
                 counts = summary["per_identity"][name]
-                print(
-                    f"{name}: checked={counts['checked']} held={counts['held']}"
-                    f" failed={counts['failed']}"
-                    f" hypothesis_not_met={counts['hypothesis_not_met']}"
-                )
+                print(f"{name}: " + " ".join(f"{key}={counts[key]}" for key in COUNTS))
             for entry in report.results:
                 name = getattr(entry, "identity_name", None) or entry.theorem_name
                 tag = "VIOLATION" if entry.hypothesis_met else "expected failure"
@@ -256,11 +247,10 @@ def cmd_verify(args) -> int:
                               f" expected={decimal_str(entry.expected)}")
                 print(f"  [{tag}] {name} ({inputs}): {detail}")
         verdict = "all held" if summary["all_held"] else "FAILED"
-        print(
-            f"verify: {verdict} (checked={summary['total_checked']},"
-            f" failed={summary['total_failed']},"
-            f" hypothesis_not_met={summary['total_hypothesis_not_met']})"
-        )
+        # the verdict leaves out the held total: it is checked less the others
+        totals = ", ".join(f"{key}={summary['total_' + key]}"
+                           for key in (COUNTS[0], *COUNTS[2:]))
+        print(f"verify: {verdict} ({totals})")
     return report.exit_code
 
 
@@ -284,29 +274,22 @@ def cmd_bench(args) -> int:
             name for name in engine_names
             if not (name == "iterative" and n > args.iterative_cap)
         ]
-        skipped = [name for name in engine_names if name not in active]
-
-        values = {
-            name: fn(params, n, ENGINES[name], iterative_cap=args.iterative_cap)
-            for name in active
-        }
-        distinct = set(values.values())
-        if len(distinct) > 1:
+        # the values the timed runs return are the ones cross-checked
+        best, values = {}, {}
+        for name in active:
+            runs = [_timed(fn, params, n, ENGINES[name], args.iterative_cap)
+                    for _ in range(args.reps)]
+            best[name] = min(seconds for seconds, _ in runs)
+            values[name] = {value for _, value in runs}
+        if len(set().union(*values.values())) > 1:
             print(f"engine value mismatch at k={args.k}, n={n}:", file=sys.stderr)
-            for name, value in values.items():
-                digits = len(decimal_str(abs(value)))
-                print(f"  {name}: {digits} digits", file=sys.stderr)
+            for name, seen in values.items():
+                for value in seen:
+                    digits = len(decimal_str(abs(value)))
+                    print(f"  {name}: {digits} digits", file=sys.stderr)
             return EXIT_FAILED
 
-        for name in engine_names:
-            if name in skipped:
-                rows.append((name, n, None))
-                continue
-            best = min(
-                _timed(fn, params, n, ENGINES[name], args.iterative_cap)
-                for _ in range(args.reps)
-            )
-            rows.append((name, n, best))
+        rows.extend((name, n, best.get(name)) for name in engine_names)
 
     if args.format == "json":
         print(json.dumps(
@@ -332,10 +315,10 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _timed(fn, params, n, engine, iterative_cap) -> float:
+def _timed(fn, params, n, engine, iterative_cap) -> tuple[float, int]:
     start = time.perf_counter()
-    fn(params, n, engine, iterative_cap=iterative_cap)
-    return time.perf_counter() - start
+    value = fn(params, n, engine, iterative_cap=iterative_cap)
+    return time.perf_counter() - start, value
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,15 @@ package pins down.
 
 Terms are always recomputed from the iterative recurrence, never from the
 engine a caller might be trying to validate, so identity checks and engine
-checks fail independently.  Each single-shot evaluator builds its own
-TermContext for its one point.  A caller that evaluates many tuples for the
-same k (the verify sweeps, the errata demonstrations) builds one TermContext
-and calls the *_sides functions on it, a whole row of the last index at a
-time.  The vajda-1 sweep also shares a table of pairwise products of B
-terms on its context; a single-shot evaluator builds none.
+checks fail independently.  Only the matrix rows (matrix_sides,
+ar_commute_sides) read an engine: the matrices whose representation they
+check.  Every verify identity row's arithmetic lives here.  Each single-shot
+evaluator builds its own TermContext for its one point.  A caller that
+evaluates many tuples for the same k (the verify sweeps, the errata
+demonstrations) builds one TermContext and calls the *_sides functions on
+it, a whole row of the last index at a time.  The vajda-1 sweep also shares
+a table of pairwise products of B terms on its context; a single-shot
+evaluator builds none.
 """
 
 from __future__ import annotations
@@ -22,7 +25,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
-from .engines import b_table, c_table
+from .engines import (
+    Mat2,
+    a_matrix,
+    b_table,
+    c_table,
+    matrix_power,
+    r_base_matrix,
+    r_matrix,
+)
 from .ring import SequenceParams, alpha_power_components
 
 Exact = int | Fraction
@@ -207,6 +218,26 @@ def c_from_b_sides(ctx: TermContext, ns: range) -> SideLists:
     lhs = [ctx.c[n] for n in ns]
     rhs = [b[n + 1] + c * b[n] for n in ns]
     return lhs, rhs
+
+
+def _entries(p: Mat2) -> tuple[int, int, int, int]:
+    return p.a11, p.a12, p.a21, p.a22
+
+
+def matrix_sides(ctx: TermContext, seq: str, n: int, entries: range) -> SideLists:
+    """Row-major entries of A^n (B) or R*A^n (C) against the iterative terms."""
+    x, k = ctx.seq(seq), ctx.params.k
+    power = matrix_power(ctx.params, n) if seq == "B" else r_matrix(ctx.params, n)
+    got = _entries(power)
+    want = (x[n + 1], (1 - k) * x[n], x[n], (1 - k) * x[n - 1])
+    return [got[e] for e in entries], [want[e] for e in entries]
+
+
+def ar_commute_sides(ctx: TermContext, entries: range) -> SideLists:
+    """Row-major entries of A*R against R*A."""
+    a, r = a_matrix(ctx.params), r_base_matrix(ctx.params)
+    ar, ra = _entries(a @ r), _entries(r @ a)
+    return [ar[e] for e in entries], [ra[e] for e in entries]
 
 
 # ---------------------------------------------------------------------------

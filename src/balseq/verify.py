@@ -6,7 +6,9 @@ run by one driver: it calls a *_sides function once per domain row (the
 leading indices and a range of the last one), compares the two side lists
 it returns, and builds a report only for a failing element; so each
 identity's and each theorem's arithmetic is written once, in the identities
-and divisibility modules.
+and divisibility modules; this module imports no engine.  CATALOG is one
+list of rows keyed by name, each B/C family declared once for its -b and -c
+rows, and the per-identity counts are named once, in COUNTS.
 
 A gcd row carries its theorem's hypothesis.  When the hypothesis fails at a
 k (gcd(3k, k - 1) = 1, i.e. k % 3 != 1), every check of that k is counted as
@@ -19,7 +21,7 @@ the next.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable
@@ -35,17 +37,18 @@ from .divisibility import (
     residue_hypothesis,
     strong_gcd_sides,
 )
-from .engines import Mat2, a_matrix, matrix_power, r_base_matrix, r_matrix
 from .identities import (
     IdentityReport,
     SideLists,
     TermContext,
     addition_sides,
+    ar_commute_sides,
     c_from_b_sides,
     cassini_sides,
     catalan_sides,
     docagne_sides,
     doubling_sides,
+    matrix_sides,
     power_sum_sides,
     sum_sides,
     vajda1_sides,
@@ -54,6 +57,9 @@ from .identities import (
 from .ring import SequenceParams
 
 Report = IdentityReport | GcdReport
+
+# per-identity counts, in report order; the summary adds total_<count> for each
+COUNTS = ("checked", "held", "failed", "hypothesis_not_met")
 
 
 @dataclass
@@ -69,10 +75,8 @@ class SweepOutcome:
     expected_failures: list[Report] = field(default_factory=list)
 
     def merge(self, other: SweepOutcome) -> None:
-        self.checked += other.checked
-        self.held += other.held
-        self.failed += other.failed
-        self.hypothesis_not_met += other.hypothesis_not_met
+        for key in COUNTS:
+            setattr(self, key, getattr(self, key) + getattr(other, key))
         self.violations.extend(other.violations)
         self.expected_failures.extend(other.expected_failures)
 
@@ -147,89 +151,56 @@ def _triangle(lo: int) -> Callable[[int], Iterable[tuple[int, range]]]:
     return lambda m: ((x, range(x + 1)) for x in range(lo, m + 1))
 
 
-def _entries(p: Mat2) -> tuple[int, int, int, int]:
-    return p.a11, p.a12, p.a21, p.a22
+def _twins(family: str, size: Callable[[int], int], domain: Callable[[int], Iterable[tuple]],
+           sides: Callable[..., SideLists], *fields, **named) -> list[Sides]:
+    """The -b and -c rows of a B/C family: sides(ctx, seq, *row) with seq "B"
+    and "C", other fields as given.  seq is bound as a default argument: a
+    closure would read it after the loop, and both rows would sweep C."""
+    return [Sides(f"{family}-{seq.lower()}", size, domain,
+                  lambda ctx, *row, seq=seq: sides(ctx, seq, *row), *fields, **named)
+            for seq in "BC"]
 
 
-def _matrix_sides(ctx: TermContext, seq: str, n: int, entries: range) -> SideLists:
-    """Row-major entries of A^n (B) or R*A^n (C) against the iterative terms."""
-    x, k = ctx.seq(seq), ctx.params.k
-    power = matrix_power(ctx.params, n) if seq == "B" else r_matrix(ctx.params, n)
-    got = _entries(power)
-    want = (x[n + 1], (1 - k) * x[n], x[n], (1 - k) * x[n - 1])
-    return [got[e] for e in entries], [want[e] for e in entries]
-
-
-def _ar_commute_sides(ctx: TermContext, entries: range) -> SideLists:
-    a, r = a_matrix(ctx.params), r_base_matrix(ctx.params)
-    ar, ra = _entries(a @ r), _entries(r @ a)
-    return [ar[e] for e in entries], [ra[e] for e in entries]
-
-
-CATALOG: dict[str, Sides] = {
-    "catalan-b": Sides("catalan-b", lambda m: 2 * m, _triangle(1),
-                       lambda ctx, n, rs: catalan_sides(ctx, "B", n, rs), ("n", "r")),
-    "catalan-c": Sides("catalan-c", lambda m: 2 * m, _triangle(1),
-                       lambda ctx, n, rs: catalan_sides(ctx, "C", n, rs), ("n", "r")),
-    "cassini-b": Sides("cassini-b", lambda m: m + 1, _row(1),
-                       lambda ctx, ns: cassini_sides(ctx, "B", ns)),
-    "cassini-c": Sides("cassini-c", lambda m: m + 1, _row(1),
-                       lambda ctx, ns: cassini_sides(ctx, "C", ns)),
-    "docagne-b": Sides("docagne-b", lambda m: m + 1, _triangle(0),
-                       lambda ctx, m, ns: docagne_sides(ctx, "B", m, ns), ("m", "n")),
-    "docagne-c": Sides("docagne-c", lambda m: m + 1, _triangle(0),
-                       lambda ctx, m, ns: docagne_sides(ctx, "C", m, ns), ("m", "n")),
-    "vajda-1": Sides("vajda-1", lambda m: 3 * m,
-                     lambda m: product(range(m + 1), range(m + 1), [range(m + 1)]),
-                     vajda1_sides, ("n", "i", "j"), pairs=lambda m: 2 * m),
-    "vajda-2": Sides("vajda-2", lambda m: m,
-                     lambda m: ((n, x, range(x - n)) for x in range(1, m + 1)
-                                for n in range(x)),
-                     vajda2_sides, ("n", "m", "ell")),
-    "sum-b": Sides("sum-b", lambda m: m, _row(1), lambda ctx, ns: sum_sides(ctx, "B", ns)),
-    "sum-c": Sides("sum-c", lambda m: m, _row(1), lambda ctx, ns: sum_sides(ctx, "C", ns)),
-    "addition": Sides("addition", lambda m: 2 * m,
-                      lambda m: product(range(1, m + 1), [range(m + 1)]),
-                      addition_sides, ("m", "n")),
-    "doubling": Sides("doubling", lambda m: 2 * m + 1, _row(1), doubling_sides),
-    "power-sum": Sides("power-sum", lambda m: m + 1, _row(1), power_sum_sides),
-    "c-from-b": Sides("c-from-b", lambda m: m + 1, _row(0), c_from_b_sides),
-    "matrix-b": Sides("matrix-b", lambda m: m + 1,
-                      lambda m: product(range(1, m + 1), [range(4)]),
-                      lambda ctx, n, es: _matrix_sides(ctx, "B", n, es), ("n", "entry")),
-    "matrix-c": Sides("matrix-c", lambda m: m + 1,
-                      lambda m: product(range(1, m + 1), [range(4)]),
-                      lambda ctx, n, es: _matrix_sides(ctx, "C", n, es), ("n", "entry")),
-    "ar-commute": Sides("ar-commute", lambda m: 0, lambda m: [(range(4),)],
-                        _ar_commute_sides, ("entry",)),
-    "index-divisibility": Sides("index-divisibility", lambda m: m,
-                                lambda m: ((d, range(d, m + 1, d)) for d in range(1, m + 1)),
-                                index_divisibility_sides, ("m", "n"), lambda params: True),
-    "coprime-norm-b": Sides("coprime-norm-b", lambda m: m, _row(1),
-                            lambda ctx, ns: coprime_norm_sides(ctx, "B", ns),
-                            hypothesis=residue_hypothesis),
-    "coprime-norm-c": Sides("coprime-norm-c", lambda m: m, _row(1),
-                            lambda ctx, ns: coprime_norm_sides(ctx, "C", ns),
-                            hypothesis=residue_hypothesis),
-    "consecutive-gcd-b": Sides("consecutive-gcd-b", lambda m: m + 1, _row(1),
-                               lambda ctx, ns: consecutive_gcd_sides(ctx, "B", ns),
-                               hypothesis=residue_hypothesis),
-    "consecutive-gcd-c": Sides("consecutive-gcd-c", lambda m: m + 1, _row(1),
-                               lambda ctx, ns: consecutive_gcd_sides(ctx, "C", ns),
-                               hypothesis=residue_hypothesis),
-    "b-c-coprime": Sides("b-c-coprime", lambda m: m, _row(0), b_c_coprime_sides,
-                         hypothesis=residue_hypothesis),
-    "strong-gcd": Sides("strong-gcd", lambda m: m,
-                        lambda m: ((x, range(x, m + 1)) for x in range(1, m + 1)),
-                        strong_gcd_sides, ("m", "n"), residue_hypothesis),
-}
+CATALOG: dict[str, Sides] = {row.name: row for row in [
+    *_twins("catalan", lambda m: 2 * m, _triangle(1), catalan_sides, ("n", "r")),
+    *_twins("cassini", lambda m: m + 1, _row(1), cassini_sides),
+    *_twins("docagne", lambda m: m + 1, _triangle(0), docagne_sides, ("m", "n")),
+    Sides("vajda-1", lambda m: 3 * m,
+          lambda m: product(range(m + 1), range(m + 1), [range(m + 1)]),
+          vajda1_sides, ("n", "i", "j"), pairs=lambda m: 2 * m),
+    Sides("vajda-2", lambda m: m,
+          lambda m: ((n, x, range(x - n)) for x in range(1, m + 1) for n in range(x)),
+          vajda2_sides, ("n", "m", "ell")),
+    *_twins("sum", lambda m: m, _row(1), sum_sides),
+    Sides("addition", lambda m: 2 * m, lambda m: product(range(1, m + 1), [range(m + 1)]),
+          addition_sides, ("m", "n")),
+    Sides("doubling", lambda m: 2 * m + 1, _row(1), doubling_sides),
+    Sides("power-sum", lambda m: m + 1, _row(1), power_sum_sides),
+    Sides("c-from-b", lambda m: m + 1, _row(0), c_from_b_sides),
+    *_twins("matrix", lambda m: m + 1, lambda m: product(range(1, m + 1), [range(4)]),
+            matrix_sides, ("n", "entry")),
+    Sides("ar-commute", lambda m: 0, lambda m: [(range(4),)], ar_commute_sides, ("entry",)),
+    Sides("index-divisibility", lambda m: m,
+          lambda m: ((d, range(d, m + 1, d)) for d in range(1, m + 1)),
+          index_divisibility_sides, ("m", "n"), lambda params: True),
+    *_twins("coprime-norm", lambda m: m, _row(1), coprime_norm_sides,
+            hypothesis=residue_hypothesis),
+    *_twins("consecutive-gcd", lambda m: m + 1, _row(1), consecutive_gcd_sides,
+            hypothesis=residue_hypothesis),
+    Sides("b-c-coprime", lambda m: m, _row(0), b_c_coprime_sides,
+          hypothesis=residue_hypothesis),
+    Sides("strong-gcd", lambda m: m,
+          lambda m: ((x, range(x, m + 1)) for x in range(1, m + 1)),
+          strong_gcd_sides, ("m", "n"), residue_hypothesis),
+]}
 
 
 def resolve_identities(selection: str) -> list[str]:
     """Expand a comma-separated filter into catalog names.
 
-    Each element may be "all", an exact catalog name, or a family prefix
-    ("consecutive-gcd" selects every "consecutive-gcd-*" entry).
+    Each element may be "all", an exact catalog name, or a family prefix,
+    which selects every name that continues it with a "-" (both rows of a
+    B/C family, say).
     """
     names: list[str] = []
     for raw in selection.split(","):
@@ -244,10 +215,7 @@ def resolve_identities(selection: str) -> list[str]:
         if not family:
             raise ValueError(f"unknown identity {token!r}")
         names.extend(family)
-    seen: dict[str, None] = {}
-    for name in names:
-        seen.setdefault(name)
-    return list(seen)
+    return list(dict.fromkeys(names))
 
 
 # ---------------------------------------------------------------------------
@@ -305,31 +273,16 @@ def run_verify(config: VerifyRunConfig) -> VerifyReport:
             outcome.merge(CATALOG[name](SequenceParams(k), config.max_index))
 
     results: list[Report] = []
-    for name, outcome in outcomes.items():
-        results.extend(sorted(outcome.violations, key=_sort_key)[: config.max_listed])
-        results.extend(
-            sorted(outcome.expected_failures, key=_sort_key)[: config.max_listed]
-        )
+    for outcome in outcomes.values():
+        for pool in (outcome.violations, outcome.expected_failures):
+            results.extend(sorted(pool, key=_sort_key)[: config.max_listed])
     results.sort(key=_sort_key)
 
-    per_identity = {
-        name: {
-            "checked": outcome.checked,
-            "held": outcome.held,
-            "failed": outcome.failed,
-            "hypothesis_not_met": outcome.hypothesis_not_met,
-        }
-        for name, outcome in outcomes.items()
-    }
-    summary = {
-        "per_identity": per_identity,
-        "total_checked": sum(o.checked for o in outcomes.values()),
-        "total_held": sum(o.held for o in outcomes.values()),
-        "total_failed": sum(o.failed for o in outcomes.values()),
-        "total_hypothesis_not_met": sum(
-            o.hypothesis_not_met for o in outcomes.values()
-        ),
-    }
+    per_identity = {name: {key: getattr(outcome, key) for key in COUNTS}
+                    for name, outcome in outcomes.items()}
+    summary: dict = {"per_identity": per_identity}
+    for key in COUNTS:
+        summary[f"total_{key}"] = sum(counts[key] for counts in per_identity.values())
     summary["all_held"] = summary["total_failed"] == 0
     return VerifyReport(__version__, config, results, summary)
 
@@ -343,36 +296,27 @@ def exact_to_str(value) -> str:
 
 def report_entry_to_dict(report: Report) -> dict:
     if isinstance(report, IdentityReport):
-        return {
+        entry = {
             "kind": "identity",
             "identity_name": report.identity_name,
-            "inputs": dict(sorted(report.inputs.items())),
             "lhs": exact_to_str(report.lhs),
             "rhs": exact_to_str(report.rhs),
-            "holds": report.holds,
-            "hypothesis_met": report.hypothesis_met,
         }
-    return {
-        "kind": "gcd",
-        "theorem_name": report.theorem_name,
-        "inputs": dict(sorted(report.inputs.items())),
-        "computed_gcd": decimal_str(report.computed_gcd),
-        "expected": decimal_str(report.expected),
-        "holds": report.holds,
-        "hypothesis_met": report.hypothesis_met,
-    }
+    else:
+        entry = {
+            "kind": "gcd",
+            "theorem_name": report.theorem_name,
+            "computed_gcd": decimal_str(report.computed_gcd),
+            "expected": decimal_str(report.expected),
+        }
+    return {**entry, "inputs": dict(sorted(report.inputs.items())),
+            "holds": report.holds, "hypothesis_met": report.hypothesis_met}
 
 
 def report_to_dict(report: VerifyReport) -> dict:
     return {
         "tool_version": report.tool_version,
-        "config": {
-            "k_lo": report.config.k_lo,
-            "k_hi": report.config.k_hi,
-            "max_index": report.config.max_index,
-            "identities": list(report.config.identities),
-            "max_listed": report.config.max_listed,
-        },
+        "config": asdict(report.config),
         "results": [report_entry_to_dict(r) for r in report.results],
         "summary": report.summary,
     }

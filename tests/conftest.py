@@ -3,11 +3,17 @@
 Every numeric expectation in the suite either comes from one of these
 oracles or is a frozen value that was computed with them (or taken from the
 published value table where that table is consistent with the recurrence).
+The planted_b7 fixture plants one wrong term, so tests can watch the
+failure path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import pytest
+
+from balseq import identities
 
 
 def oracle_b(k: int, n_max: int) -> list[int]:
@@ -36,3 +42,17 @@ def oracle_b_negative(k: int, n_max: int) -> dict[int, Fraction]:
     for m in range(1, -n_max, -1):
         values[m - 2] = (values[m] - 3 * k * values[m - 1]) / (1 - k)
     return {-n: values[-n] for n in range(1, n_max + 1)}
+
+
+@pytest.fixture
+def planted_b7(monkeypatch):
+    """B_7 off by one in every term table a TermContext builds."""
+    real_b_table = identities.b_table
+
+    def planted(params, n_max):
+        table = real_b_table(params, n_max)
+        if n_max >= 7:
+            table[7] += 1
+        return table
+
+    monkeypatch.setattr(identities, "b_table", planted)

@@ -180,6 +180,21 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.REPORT_SHA256[fmt]
 
+    # the same for the failure path: B_7 planted wrong, every failing report
+    # listed, exit 1
+    PLANTED_SHA256 = {
+        "json": "b41fcf049c204597583d35ce55e4817a0b4f1875444740cad086ba4d10496854",
+        "csv": "bf40eaa8b38a1de318fbe04f523c68de60850c58d1f8c00f018f26c7efd5a6f7",
+        "plain": "d5e92377115807ea86862ec9eddd4e48462f91e0d351bb0debaff49ec0dcbc5a",
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(PLANTED_SHA256))
+    def test_planted_report_bytes_pinned(self, capsys, planted_b7, fmt):
+        code, out, _ = run_cli(capsys, "verify", "--k", "1..6", "--max-index", "14",
+                               "--max-listed", "100000", "--format", fmt)
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PLANTED_SHA256[fmt]
+
     def test_small_sweep_all_held(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--k", "2..3", "--max-index", "10")
         assert code == 0
@@ -350,6 +365,45 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", "--k", "2", "--n", "9",
                                "--engines", "matrix,doubling", "--reps", "1")
         assert code == 1 and "mismatch" in err
+
+    def test_each_engine_runs_reps_times_per_n(self, capsys, monkeypatch):
+        calls = []
+        real = cli.term_b
+
+        def spy(params, n, engine, **kwargs):
+            calls.append((n, engine))
+            return real(params, n, engine, **kwargs)
+
+        monkeypatch.setattr(cli, "term_b", spy)
+        code, _, _ = run_cli(capsys, "bench", "--k", "2", "--n", "9,10",
+                             "--engines", "matrix,doubling", "--reps", "2")
+        assert code == 0
+        assert len(calls) == 8  # 2 indices x 2 engines x 2 reps
+
+    def test_mismatch_in_a_later_timed_run_aborts_with_exit_1(self, capsys, monkeypatch):
+        # the matrix engine goes wrong on its second run only
+        real = cli.term_b
+        matrix_runs = []
+
+        def flaky(params, n, engine, **kwargs):
+            value = real(params, n, engine, **kwargs)
+            if engine is cli.ENGINES["matrix"]:
+                matrix_runs.append(n)
+                return value + (len(matrix_runs) == 2)
+            return value
+
+        monkeypatch.setattr(cli, "term_b", flaky)
+        code, out, err = run_cli(capsys, "bench", "--k", "2", "--n", "9",
+                                 "--engines", "matrix,doubling", "--reps", "3")
+        assert code == 1 and out == ""
+        assert "mismatch" in err
+
+    def test_all_is_every_engine_in_enum_order(self, capsys):
+        code, out, _ = run_cli(capsys, "bench", "--k", "2", "--n", "5",
+                               "--engines", "all", "--reps", "1", "--format", "csv")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == [
+            "iterative", "matrix", "binet", "doubling"]
 
 
 class TestExitCodeContract:

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balseq import identities
 from balseq.divisibility import (
     check_b_c_coprime,
     check_consecutive_coprime,
@@ -68,20 +67,6 @@ GCD_CHECKS = {
     "b-c-coprime": check_b_c_coprime,
     "strong-gcd": check_strong_gcd,
 }
-
-
-@pytest.fixture
-def planted_b7(monkeypatch):
-    """B_7 off by one in every term table a TermContext builds."""
-    real_b_table = identities.b_table
-
-    def planted(params, n_max):
-        table = real_b_table(params, n_max)
-        if n_max >= 7:
-            table[7] += 1
-        return table
-
-    monkeypatch.setattr(identities, "b_table", planted)
 
 
 class TestCatalan:

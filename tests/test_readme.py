@@ -3,6 +3,7 @@ import shlex
 from pathlib import Path
 
 from balseq.cli import main
+from balseq.verify import CATALOG
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -35,3 +36,10 @@ def test_cli_lines_print_the_values_they_show(capsys):
         assert program == "balseq"
         assert main(argv) == 0, command
         assert capsys.readouterr().out == value.strip() + "\n", command
+
+
+def test_catalog_block_lists_the_catalog_in_order():
+    # the plain block after "The catalog:" names every CATALOG entry, in order
+    section = README.read_text(encoding="utf-8").split("The catalog:", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    assert block.split() == list(CATALOG)
