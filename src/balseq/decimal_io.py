@@ -1,19 +1,25 @@
-"""Exact int -> decimal text at any size, independent of the interpreter limit.
+"""Exact decimal text at any size, independent of the interpreter limit.
 
 Python 3.11's int-to-str conversion is quadratic and, by default, refuses
-values over 4300 digits.  `decimal_str` keeps `str()` for values well under
+values over 4300 digits.  `decimal_str` keeps `str()` for ints well under
 that limit and otherwise converts by divide and conquer (Brent & Zimmermann,
 *Modern Computer Arithmetic*, 2010, section 1.7): split the value at a bit
 position, convert the halves to `decimal.Decimal` and recombine them as
-hi * 2**w + lo, where libmpdec's fast multiplication does the heavy work.  The
-decimal context traps Inexact and Rounded, so a lost digit raises instead of
-printing a wrong value.  It neither reads nor changes the interpreter's digit
-limit.
+hi * 2**w + lo, where libmpdec's fast multiplication does the heavy work.  A
+`decimal.Decimal` that holds an exact integer is printed as it is, in linear
+time, which is why the CLI's logarithmic engines compute in Decimal.
+
+All Decimal arithmetic here, and in the engines when they are handed a
+Decimal one, runs in `exact_context()`: unbounded precision with Inexact
+and Rounded trapped, so a lost digit raises instead of printing a wrong
+value, whatever context the caller has set.  Nothing here reads or changes
+the interpreter's digit limit.
 """
 
 from __future__ import annotations
 
 import decimal
+from typing import ContextManager
 
 # 14,000 bits is about 4,214 digits: under the default 4300-digit str() limit
 _STR_BITS = 14_000
@@ -22,19 +28,41 @@ _STR_BITS = 14_000
 _LEAF_BITS = 2048
 
 
-def decimal_str(n: int) -> str:
-    """str(n) for an int of any size, whatever the interpreter's digit limit."""
+def exact_context() -> ContextManager[decimal.Context]:
+    """A local decimal context in which integer + - * never round.
+
+    Precision and exponent range are at their limits, and Inexact and
+    Rounded are trapped besides the default traps, so a result that would
+    lose a digit raises `decimal.Inexact` or `decimal.Rounded`.  Do not
+    divide in it: a quotient that does not terminate raises MemoryError at
+    this precision.
+    """
+    return decimal.localcontext(decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
+               decimal.Inexact, decimal.Rounded],
+    ))
+
+
+def decimal_str(n: int | decimal.Decimal) -> str:
+    """str(n) for an int of any size, or a Decimal holding an exact integer.
+
+    The Decimal must have exponent 0 and must not be a negative zero, so
+    that its text is plain digits; any other Decimal raises ValueError.
+    """
+    if isinstance(n, decimal.Decimal):
+        # same_quantum compares exponents without unpacking the digits
+        if not n.same_quantum(1) or (n.is_zero() and n.is_signed()):
+            raise ValueError(f"not an exact integer Decimal: {n!r}")
+        return str(n)
     if n.bit_length() < _STR_BITS:
         try:
             return str(n)
         except ValueError:  # a lowered limit; convert below instead
             pass
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = True
-        ctx.traps[decimal.Rounded] = True
+    with exact_context():
         value = _to_decimal(abs(n), n.bit_length(), {})
         return str(-value if n < 0 else value)
 

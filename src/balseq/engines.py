@@ -17,16 +17,28 @@ The doubling pair state is (B_n, B_{n+1}) rather than the (B_{n-1}, B_n,
 B_{n+1}) window, so no division by (1-k) is ever needed and k = 1 works
 uniformly.  C reduces to B via C_n = B_{n+1} + 3(1-k)*B_n everywhere except
 the matrix engine, which exercises the R*A^n representation directly.
+
+Every engine is generic over the number type: its loop uses only + - * with
+small int constants, and its seeds are built from the `one` that `term_b`
+and `term_c` take, so the terms come back as the type of `one`.  The
+default is int.  With `one=Decimal(1)` the multiplications run in libmpdec
+(number-theoretic transforms for big operands, where CPython's int uses
+Karatsuba) and the result prints in linear time; the engines then compute
+inside `decimal_io.exact_context()`, so the caller's decimal context can
+never round a term.
 """
 
 from __future__ import annotations
 
 import enum
+from contextlib import nullcontext
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator
 
+from .decimal_io import exact_context
 from .ring import SequenceParams, alpha_power_components
 
 ITERATIVE_CAP_DEFAULT = 100_000
@@ -45,7 +57,11 @@ class Engine(enum.Enum):
 
 @dataclass(frozen=True)
 class Mat2:
-    """2x2 matrix over the exact integers."""
+    """2x2 matrix over an exact number type: int, or Decimal holding integers.
+
+    The product and the square use only + - *, so they keep the entries'
+    type; a Decimal matrix must be multiplied in `exact_context()`.
+    """
 
     a11: int
     a12: int
@@ -53,8 +69,8 @@ class Mat2:
     a22: int
 
     @classmethod
-    def identity(cls) -> Mat2:
-        return cls(1, 0, 0, 1)
+    def identity(cls, one=1) -> Mat2:
+        return cls(one, 0 * one, 0 * one, one)
 
     def __matmul__(self, other: Mat2) -> Mat2:
         return Mat2(
@@ -82,7 +98,7 @@ def mat_pow(m: Mat2, n: int) -> Mat2:
     if n < 0:
         raise ValueError("exponent must be >= 0")
     if n == 0:
-        return Mat2.identity()
+        return Mat2.identity(type(m.a11)(1))  # the unit of the entries' type
     result = m
     for shift in range(n.bit_length() - 2, -1, -1):
         result = _mat_square(result)
@@ -91,9 +107,10 @@ def mat_pow(m: Mat2, n: int) -> Mat2:
     return result
 
 
-def a_matrix(params: SequenceParams) -> Mat2:
+def a_matrix(params: SequenceParams, one=1) -> Mat2:
+    """A = [[3k, 1-k], [1, 0]] with entries of the type of `one`."""
     k = params.k
-    return Mat2(3 * k, 1 - k, 1, 0)
+    return Mat2(3 * k * one, (1 - k) * one, one, 0 * one)
 
 
 def r_base_matrix(params: SequenceParams) -> Mat2:
@@ -137,9 +154,9 @@ def c_table(params: SequenceParams, n_max: int) -> list[int]:
     return list(islice(_recurrence(params.k, 1, 3), n_max + 1))
 
 
-def _doubling_pair(k: int, n: int) -> tuple[int, int]:
-    """(B_n, B_{n+1}) by processing the bits of n from the top."""
-    a, b = 0, 1
+def _doubling_pair(k: int, n: int, one=1) -> tuple[int, int]:
+    """(B_n, B_{n+1}), of the type of `one`, by processing the bits of n from the top."""
+    a, b = 0 * one, one
     for shift in range(n.bit_length() - 1, -1, -1):
         sq = a * a
         even = 2 * a * b - 3 * k * sq
@@ -151,25 +168,33 @@ def _doubling_pair(k: int, n: int) -> tuple[int, int]:
     return a, b
 
 
+def _arithmetic(one):
+    """The context the engines compute in: exact for Decimal, none for int."""
+    return exact_context() if isinstance(one, Decimal) else nullcontext()
+
+
 def term_b(
     params: SequenceParams,
     n: int,
     engine: Engine = Engine.FAST_DOUBLING,
     iterative_cap: int = ITERATIVE_CAP_DEFAULT,
+    *,
+    one=1,
 ) -> int:
-    """Exact B_{k,n} for n >= 0 via the chosen engine."""
+    """Exact B_{k,n} for n >= 0 via the chosen engine, of the type of `one`."""
     check_iterative_cap(iterative_cap)
     _check_n(n)
-    if engine is Engine.ITERATIVE:
-        if n > iterative_cap:
-            raise IterativeCapError(f"n={n} exceeds iterative cap {iterative_cap}")
-        return next(islice(_recurrence(params.k, 0, 1), n, None))
-    if engine is Engine.MATRIX:
-        return mat_pow(a_matrix(params), n).a21
-    if engine is Engine.BINET:
-        return alpha_power_components(params, n)[1]
-    if engine is Engine.FAST_DOUBLING:
-        return _doubling_pair(params.k, n)[0]
+    if engine is Engine.ITERATIVE and n > iterative_cap:
+        raise IterativeCapError(f"n={n} exceeds iterative cap {iterative_cap}")
+    with _arithmetic(one):
+        if engine is Engine.ITERATIVE:
+            return next(islice(_recurrence(params.k, 0 * one, one), n, None))
+        if engine is Engine.MATRIX:
+            return mat_pow(a_matrix(params, one), n).a21
+        if engine is Engine.BINET:
+            return alpha_power_components(params, n, one)[1]
+        if engine is Engine.FAST_DOUBLING:
+            return _doubling_pair(params.k, n, one)[0]
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -178,24 +203,27 @@ def term_c(
     n: int,
     engine: Engine = Engine.FAST_DOUBLING,
     iterative_cap: int = ITERATIVE_CAP_DEFAULT,
+    *,
+    one=1,
 ) -> int:
-    """Exact C_{k,n} for n >= 0 via the chosen engine."""
+    """Exact C_{k,n} for n >= 0 via the chosen engine, of the type of `one`."""
     check_iterative_cap(iterative_cap)
     _check_n(n)
+    if engine is Engine.ITERATIVE and n > iterative_cap:
+        raise IterativeCapError(f"n={n} exceeds iterative cap {iterative_cap}")
     k = params.k
-    if engine is Engine.ITERATIVE:
-        if n > iterative_cap:
-            raise IterativeCapError(f"n={n} exceeds iterative cap {iterative_cap}")
-        return next(islice(_recurrence(k, 1, 3), n, None))
-    if engine is Engine.MATRIX:
-        return (r_base_matrix(params) @ mat_pow(a_matrix(params), n)).a21
-    if engine is Engine.BINET:
-        # u + 3v = B_{n+1} + 3(1-k)*B_n via the recurrence
-        u, v = alpha_power_components(params, n)
-        return u + 3 * v
-    if engine is Engine.FAST_DOUBLING:
-        b_n, b_next = _doubling_pair(k, n)
-        return b_next + 3 * (1 - k) * b_n
+    with _arithmetic(one):
+        if engine is Engine.ITERATIVE:
+            return next(islice(_recurrence(k, one, 3 * one), n, None))
+        if engine is Engine.MATRIX:
+            return (r_base_matrix(params) @ mat_pow(a_matrix(params, one), n)).a21
+        if engine is Engine.BINET:
+            # u + 3v = B_{n+1} + 3(1-k)*B_n via the recurrence
+            u, v = alpha_power_components(params, n, one)
+            return u + 3 * v
+        if engine is Engine.FAST_DOUBLING:
+            b_n, b_next = _doubling_pair(k, n, one)
+            return b_next + 3 * (1 - k) * b_n
     raise ValueError(f"unknown engine {engine!r}")
 
 

@@ -1,11 +1,17 @@
 """Exact arithmetic in the quadratic ring Z[alpha], alpha^2 = 3k*alpha - (k-1).
 
-Elements are integer coordinate pairs (u, v) standing for u + v*alpha, where
+Elements are coordinate pairs (u, v) standing for u + v*alpha, where
 alpha is the dominant root of x^2 - 3kx + (k-1).  The root itself is never
 evaluated as a radical or a float: powers of alpha are computed by reducing
 alpha^2 back into the {1, alpha} basis, which keeps every value exact at any
 size and makes the closed-form route a genuinely independent engine.  The
 coordinates of alpha^n recover the sequence directly: v = B_{k,n}.
+
+The coordinates are exact integers of one number type, int by default.
+Multiplication uses only + - * with small int constants, so it keeps that
+type; `alpha_power_components(..., one=Decimal(1))` computes in Decimal,
+which must then run in `decimal_io.exact_context()` (as `term_b` and
+`term_c` arrange).
 """
 
 from __future__ import annotations
@@ -36,19 +42,19 @@ class SequenceParams:
 
 @dataclass(frozen=True)
 class RingElement:
-    """u + v*alpha with exact integer coordinates."""
+    """u + v*alpha with exact integer coordinates, int or integral Decimal."""
 
     u: int
     v: int
     params: SequenceParams
 
     @classmethod
-    def one(cls, params: SequenceParams) -> RingElement:
-        return cls(1, 0, params)
+    def one(cls, params: SequenceParams, one=1) -> RingElement:
+        return cls(one, 0 * one, params)
 
     @classmethod
-    def alpha(cls, params: SequenceParams) -> RingElement:
-        return cls(0, 1, params)
+    def alpha(cls, params: SequenceParams, one=1) -> RingElement:
+        return cls(0 * one, one, params)
 
     def __mul__(self, other: RingElement) -> RingElement:
         if not isinstance(other, RingElement):
@@ -91,7 +97,7 @@ def ring_pow_counted(a: RingElement, n: int) -> tuple[RingElement, int]:
     if n < 0:
         raise ValueError("exponent must be >= 0")
     if n == 0:
-        return RingElement.one(a.params), 0
+        return RingElement.one(a.params, type(a.u)(1)), 0  # the coordinates' unit
     result = a
     count = 0
     for shift in range(n.bit_length() - 2, -1, -1):
@@ -109,13 +115,13 @@ def ring_pow(a: RingElement, n: int) -> RingElement:
     return result
 
 
-def alpha_power_components(params: SequenceParams, n: int) -> tuple[int, int]:
-    """Coordinates (u, v) of alpha^n in the basis {1, alpha}.
+def alpha_power_components(params: SequenceParams, n: int, one=1) -> tuple[int, int]:
+    """Coordinates (u, v) of alpha^n in the basis {1, alpha}, of the type of `one`.
 
     v is B_{k,n}; u is (1-k)*B_{k,n-1} for n >= 1; and alpha^n + beta^n
     equals 2u + 3k*v because the conjugate power is u + v*beta.
     """
     if n < 0:
         raise ValueError("exponent must be >= 0")
-    power = ring_pow(RingElement.alpha(params), n)
+    power = ring_pow(RingElement.alpha(params, one), n)
     return power.u, power.v

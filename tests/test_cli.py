@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import json
 import subprocess
@@ -57,6 +58,68 @@ class TestTerm:
                                "--format", "csv")
         assert code == 0
         assert out == "k,n,seq,engine,value\n3,2,C,doubling,25\n"
+
+    # sha256 of `term` stdout per (seq, k, n, engine, format), taken from the
+    # int-only code before the logarithmic engines computed in Decimal; the
+    # number type the CLI computes in must not show in a single byte
+    TERM_SHA256 = {
+        ("B", 5, 30000, "iterative", "plain"):
+            "8ba15f7119f4b7946ada7e27c3927b45d0531b3e5f9e19e51b7bf755487ec40c",
+        ("B", 5, 30000, "iterative", "csv"):
+            "03ca60cbd0951684af5dd5e078aa98f35c059293447ceb1f0fa091fa0832b765",
+        ("B", 5, 30000, "iterative", "json"):
+            "16adeff813bc769ccc9cad77f6e9b56d31ca5e39d07aa0327e074311bc7bd143",
+        ("B", 5, 30000, "matrix", "plain"):
+            "8ba15f7119f4b7946ada7e27c3927b45d0531b3e5f9e19e51b7bf755487ec40c",
+        ("B", 5, 30000, "matrix", "csv"):
+            "7bf64aaf8e958f3d25c241c305952a2bd2e43085136840953dd8b59634e32631",
+        ("B", 5, 30000, "matrix", "json"):
+            "b63cf6104ba6e477aa63d2cba6c40c18a12ca9bcec32f3dbab4d64103c47b30a",
+        ("B", 5, 30000, "binet", "plain"):
+            "8ba15f7119f4b7946ada7e27c3927b45d0531b3e5f9e19e51b7bf755487ec40c",
+        ("B", 5, 30000, "binet", "csv"):
+            "f3a0a75664a06eb7cebd468ca0446b4de3ce6e6ee9b7be6a50fd92ea1664d7d6",
+        ("B", 5, 30000, "binet", "json"):
+            "76a8a3cba861e397529cc5fbcb1993e4d87c23ae12ef1b99de17126f3ccc8eb0",
+        ("B", 5, 30000, "doubling", "plain"):
+            "8ba15f7119f4b7946ada7e27c3927b45d0531b3e5f9e19e51b7bf755487ec40c",
+        ("B", 5, 30000, "doubling", "csv"):
+            "9702e510f11a6b90e6359dec85999ece994e0f4a42ec32cc01c5991cce6de279",
+        ("B", 5, 30000, "doubling", "json"):
+            "1cb63edcc4971ea7c262c01c152eaa84f76a998625d775c52897398bee213321",
+        ("C", 12, 20000, "iterative", "plain"):
+            "1bdfec7c7e4034b1a95bc97abe1f850ef4fe241f91b495c1c818deac05e88b70",
+        ("C", 12, 20000, "iterative", "csv"):
+            "3902939a9cbdf62925eacaf73995da278e61a13191fbf564ba9715fb0032532e",
+        ("C", 12, 20000, "iterative", "json"):
+            "6fd8242e8ed8b43590efbbcc5284e4cd78680ea3d4b6909e28e30dd2274c87f9",
+        ("C", 12, 20000, "matrix", "plain"):
+            "1bdfec7c7e4034b1a95bc97abe1f850ef4fe241f91b495c1c818deac05e88b70",
+        ("C", 12, 20000, "matrix", "csv"):
+            "591c6f9f9bc5ed0d872ae6980f78485b73e25a07ab9932952bd8223793fc3f6f",
+        ("C", 12, 20000, "matrix", "json"):
+            "f120b0c08167ab957c02a726ecc4ff675c340d7b952967f5cf5e848501107714",
+        ("C", 12, 20000, "binet", "plain"):
+            "1bdfec7c7e4034b1a95bc97abe1f850ef4fe241f91b495c1c818deac05e88b70",
+        ("C", 12, 20000, "binet", "csv"):
+            "48fb2f0e733263bf4f47b48d3fca5ba9a663b74ffcc00f64ad349ca98a3590c2",
+        ("C", 12, 20000, "binet", "json"):
+            "4234e2617a2157822225a2f85cc6cf8efd0bf86cba0d7669db573d740af2fc63",
+        ("C", 12, 20000, "doubling", "plain"):
+            "1bdfec7c7e4034b1a95bc97abe1f850ef4fe241f91b495c1c818deac05e88b70",
+        ("C", 12, 20000, "doubling", "csv"):
+            "94669a14bd9761084ecdce9b0d6a242ddf58db8b33a82d1654db8ae5a4c3f044",
+        ("C", 12, 20000, "doubling", "json"):
+            "502c10a5c1e9391b00c8ec9ff96fb9f49bb793b72e3006fca6a9d2da31b8e409",
+    }
+
+    @pytest.mark.parametrize("key", sorted(TERM_SHA256))
+    def test_term_bytes_pinned(self, capsys, key):
+        seq, k, n, engine, fmt = key
+        code, out, _ = run_cli(capsys, "term", "--seq", seq, "--k", str(k), "--n", str(n),
+                               "--engine", engine, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.TERM_SHA256[key]
 
 
 class TestTable:
@@ -441,10 +504,35 @@ class TestExitCodeContract:
             sys.set_int_max_str_digits(old)
         assert code == 0 and len(out.strip()) > 5000
 
+    @pytest.mark.parametrize("engine", ["doubling", "matrix", "binet"])
+    def test_main_leaves_decimal_context_unchanged(self, capsys, engine):
+        def state():
+            ctx = decimal.getcontext()
+            return (ctx.prec, ctx.Emax, ctx.Emin, ctx.rounding, dict(ctx.traps),
+                    dict(ctx.flags))
+
+        before = state()
+        code, out, _ = run_cli(capsys, "term", "--seq", "B", "--k", "12", "--n", "20000",
+                               "--engine", engine)
+        assert state() == before
+        assert code == 0 and len(out.strip()) > 5000
+
     def test_lowered_digit_limit_prints_exact_value(self):
         proc = subprocess.run(
             [sys.executable, "-X", "int_max_str_digits=640", "-m", "balseq.cli", "term",
              "--seq", "C", "--k", "12", "--n", "20000", "--format", "json"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        value = json.loads(proc.stdout)["value"]
+        assert value == decimal_str(term_c(SequenceParams(12), 20000))
+
+    @pytest.mark.parametrize("engine", ["matrix", "binet"])
+    def test_lowered_digit_limit_prints_exact_value_on(self, engine):
+        proc = subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=640", "-m", "balseq.cli", "term",
+             "--seq", "C", "--k", "12", "--n", "20000", "--engine", engine,
+             "--format", "json"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr

@@ -1,8 +1,10 @@
+import decimal
 import sys
+from decimal import Decimal
 
 import pytest
 
-from balseq.decimal_io import decimal_str
+from balseq.decimal_io import decimal_str, exact_context
 from balseq.engines import term_b, term_c
 from balseq.ring import SequenceParams
 
@@ -64,3 +66,33 @@ class TestDecimalStr:
         finally:
             sys.set_int_max_str_digits(old)
 
+
+class TestDecimalInput:
+    @pytest.mark.parametrize("text", ["0", "7", "-7", "123456789012345678901234567890"])
+    def test_exact_integer_printed_as_is(self, text):
+        assert decimal_str(Decimal(text)) == text
+
+    def test_big_exact_integer(self):
+        n = term_b(SequenceParams(5), 30_000)
+        with exact_context():
+            value = Decimal(n)
+        assert decimal_str(value) == reference_str(n)
+
+    @pytest.mark.parametrize("text", ["1E+5", "-0", "1.0", "0.5", "1E-3", "NaN", "Infinity"])
+    def test_non_integer_text_rejected(self, text):
+        with pytest.raises(ValueError, match="not an exact integer"):
+            decimal_str(Decimal(text))
+
+
+class TestExactContext:
+    def test_traps_a_lost_digit(self):
+        with exact_context():
+            with pytest.raises(decimal.Inexact):
+                Decimal("1.5").to_integral_exact()
+
+    def test_leaves_the_callers_context(self):
+        with decimal.localcontext(decimal.Context(prec=28)) as ctx:
+            with exact_context() as exact:
+                assert exact.prec == decimal.MAX_PREC
+                assert Decimal(10**40) * 3 == 3 * 10**40
+            assert decimal.getcontext() is ctx and ctx.prec == 28

@@ -1,10 +1,13 @@
+import decimal
 import math
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from balseq.decimal_io import decimal_str
 from balseq.engines import (
     Engine,
     ITERATIVE_CAP_DEFAULT,
@@ -27,6 +30,7 @@ from balseq.ring import SequenceParams, alpha_power_components
 from conftest import oracle_b, oracle_b_negative, oracle_c
 
 ALL_ENGINES = list(Engine)
+LOG_ENGINES = [Engine.FAST_DOUBLING, Engine.MATRIX, Engine.BINET]
 
 
 def power_sum(params: SequenceParams, n: int) -> int:
@@ -157,6 +161,43 @@ class TestEngineAgreement:
             target = 8 * b * b + 1
             root = math.isqrt(target)
             assert root * root == target, n
+
+
+class TestDecimalEngines:
+    """`one=Decimal(1)` gives the int path's terms, as exact Decimals."""
+
+    @pytest.mark.parametrize("engine", LOG_ENGINES)
+    @pytest.mark.parametrize("fn", [term_b, term_c])
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_text_equals_int_path(self, engine, fn, k):
+        params = SequenceParams(k)
+        for n in [*range(65), 4_000, 30_000]:
+            value = fn(params, n, engine, one=Decimal(1))
+            assert decimal_str(value) == decimal_str(fn(params, n, engine)), n
+
+    @pytest.mark.parametrize("fn", [term_b, term_c])
+    @pytest.mark.parametrize("k", [1, 12])
+    def test_text_equals_int_path_at_300k(self, fn, k):
+        params = SequenceParams(k)
+        value = fn(params, 300_000, Engine.FAST_DOUBLING, one=Decimal(1))
+        assert decimal_str(value) == decimal_str(fn(params, 300_000))
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    @pytest.mark.parametrize("fn", [term_b, term_c])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_type_follows_one(self, engine, fn, n):
+        params = SequenceParams(3)
+        assert type(fn(params, n, engine)) is int
+        assert type(fn(params, n, engine, one=Decimal(1))) is Decimal
+
+    @pytest.mark.parametrize("engine", LOG_ENGINES)
+    def test_exact_inside_a_28_digit_context(self, engine):
+        params = SequenceParams(7)
+        expected = decimal_str(term_b(params, 5000, engine))  # 6,580 digits
+        with decimal.localcontext(decimal.Context(prec=28)) as ctx:
+            value = term_b(params, 5000, engine, one=Decimal(1))
+            assert ctx.prec == 28 and not any(ctx.flags.values())
+        assert decimal_str(value) == expected
 
 
 class TestSeedIdentity:
