@@ -8,17 +8,18 @@ arithmetic.  Every printed value goes through `decimal_str`, which is
 subquadratic on large values and ignores the interpreter's int-to-str digit
 limit, so the CLI neither reads nor changes that process-wide setting.
 
-`term` computes on the three logarithmic engines in exact
-`decimal.Decimal` (the engines' `one=Decimal(1)` form), which multiplies
-big terms faster than int and prints them in linear time; `iterative`,
-`table`, `series` and `bench` compute in int.  The caller's decimal context
-is left as it was.
+`term` on the three logarithmic engines, `table` and `series` compute in
+exact `decimal.Decimal` (the library's `one=Decimal(1)` form), which
+multiplies big terms faster than int and prints them in linear time;
+`term --engine iterative` and `bench` compute in int.  The caller's decimal
+context is left as it was.  `table` computes and holds one k's terms at a
+time, for the n window asked only, and CSV lines are joined directly: no
+field the CLI writes ever needs quoting.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -111,8 +112,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _csv_writer(stream):
-    return csv.writer(stream, lineterminator="\n")
+def _csv_line(fields) -> str:
+    """One CSV line, as csv.writer with lineterminator="\n" writes it.
+
+    The fields are ints, decimal digits with an optional sign, and names
+    of letters, digits and hyphens, which the default minimal quoting never
+    quotes, so joining them gives the same bytes in linear time.
+    """
+    return ",".join(map(str, fields)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +138,8 @@ def cmd_term(args) -> int:
     if args.format == "plain":
         print(value)
     elif args.format == "csv":
-        writer = _csv_writer(sys.stdout)
-        writer.writerow(["k", "n", "seq", "engine", "value"])
-        writer.writerow([args.k, args.n, args.seq, args.engine, value])
+        sys.stdout.write(_csv_line(["k", "n", "seq", "engine", "value"]))
+        sys.stdout.write(_csv_line([args.k, args.n, args.seq, args.engine, value]))
     else:
         print(json.dumps(
             {"k": args.k, "n": args.n, "seq": args.seq, "engine": args.engine,
@@ -151,18 +157,8 @@ def cmd_table(args) -> int:
     if n_lo < 0:
         raise ValueError("n must be >= 0")
     seqs = ("B", "C") if args.seq == "BC" else (args.seq,)
-    rows = []
-    for k in range(k_lo, k_hi + 1):
-        params = SequenceParams(k)
-        tables = {}
-        if n_lo <= n_hi:
-            if "B" in seqs:
-                tables["B"] = b_table(params, n_hi)
-            if "C" in seqs:
-                tables["C"] = c_table(params, n_hi)
-        for n in range(n_lo, n_hi + 1):
-            rows.append([k, n] + [tables[s][n] for s in seqs])
-    header = ["k", "n"] + list(seqs)
+    header = ["k", "n", *seqs]
+    rows = _table_rows(args.k, args.n, seqs)
     # converted row by row as it is written: a list of every row's strings
     # would raise peak memory
     texts = ([decimal_str(x) for x in row] for row in rows)
@@ -171,9 +167,9 @@ def cmd_table(args) -> int:
         for text in texts:
             print(" ".join(text))
     elif args.format == "csv":
-        writer = _csv_writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(texts)
+        sys.stdout.write(_csv_line(header))
+        for text in texts:
+            sys.stdout.write(_csv_line(text))
     else:
         print(json.dumps(
             [{key.lower(): (value if key in ("k", "n") else decimal_str(value))
@@ -183,6 +179,22 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+def _table_rows(k_range, n_range, seqs):
+    """Rows [k, n, *terms], the terms in Decimal; one k's terms are held at a time."""
+    (k_lo, k_hi), (n_lo, n_hi) = k_range, n_range
+    if n_lo > n_hi:
+        return
+    one = Decimal(1)
+    for k in range(k_lo, k_hi + 1):
+        params = SequenceParams(k)
+        tables = ((b_table if seq == "B" else c_table)(params, n_hi, start=n_lo, one=one)
+                  for seq in seqs)
+        # only the loop holds this k's terms, so they are freed before the
+        # next k's are computed
+        for n, terms in enumerate(zip(*tables), n_lo):
+            yield [k, n, *terms]
+
+
 def cmd_series(args) -> int:
     if args.N < 0:
         raise ValueError(f"--N must be >= 0, got {args.N}")
@@ -190,9 +202,9 @@ def cmd_series(args) -> int:
         raise ValueError("--variant printed applies to --seq C only")
     params = SequenceParams(args.k)
     if args.seq == "B":
-        series = b_series(params, args.N)
+        series = b_series(params, args.N, one=Decimal(1))
     else:
-        series = c_series(params, args.N, variant=args.variant)
+        series = c_series(params, args.N, variant=args.variant, one=Decimal(1))
         if args.variant == "printed":
             print(
                 "warning: the printed 1+3x(1+k) numerator does not generate C;"
@@ -203,10 +215,9 @@ def cmd_series(args) -> int:
     if args.format == "plain":
         print(" ".join(decimal_str(c) for c in coeffs))
     elif args.format == "csv":
-        writer = _csv_writer(sys.stdout)
-        writer.writerow(["n", "coefficient"])
+        sys.stdout.write(_csv_line(["n", "coefficient"]))
         for n, c in enumerate(coeffs):
-            writer.writerow([n, decimal_str(c)])
+            sys.stdout.write(_csv_line([n, decimal_str(c)]))
     else:
         print(json.dumps(
             {"seq": args.seq, "k": args.k, "variant": args.variant,
@@ -238,11 +249,10 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         print(report_to_json(report))
     elif args.format == "csv":
-        writer = _csv_writer(sys.stdout)
-        writer.writerow(["identity", *COUNTS])
+        sys.stdout.write(_csv_line(["identity", *COUNTS]))
         for name in sorted(summary["per_identity"]):
             counts = summary["per_identity"][name]
-            writer.writerow([name, *(counts[key] for key in COUNTS)])
+            sys.stdout.write(_csv_line([name, *(counts[key] for key in COUNTS)]))
     else:
         if not args.quiet:
             for name in sorted(summary["per_identity"]):
@@ -314,10 +324,10 @@ def cmd_bench(args) -> int:
             sort_keys=True,
         ))
     elif args.format == "csv":
-        writer = _csv_writer(sys.stdout)
-        writer.writerow(["engine", "n", "repetitions", "seconds"])
+        sys.stdout.write(_csv_line(["engine", "n", "repetitions", "seconds"]))
         for name, n, seconds in rows:
-            writer.writerow([name, n, args.reps, "skipped" if seconds is None else f"{seconds:.6f}"])
+            sys.stdout.write(_csv_line(
+                [name, n, args.reps, "skipped" if seconds is None else f"{seconds:.6f}"]))
     else:
         for name, n, seconds in rows:
             if seconds is None:

@@ -9,16 +9,18 @@ hi * 2**w + lo, where libmpdec's fast multiplication does the heavy work.  A
 `decimal.Decimal` that holds an exact integer is printed as it is, in linear
 time, which is why the CLI's logarithmic engines compute in Decimal.
 
-All Decimal arithmetic here, and in the engines when they are handed a
-Decimal one, runs in `exact_context()`: unbounded precision with Inexact
-and Rounded trapped, so a lost digit raises instead of printing a wrong
-value, whatever context the caller has set.  Nothing here reads or changes
-the interpreter's digit limit.
+All Decimal arithmetic here, and in the engines and the series expansion
+when they are handed a Decimal one, runs in `exact_context()`: unbounded
+precision with Inexact and Rounded trapped, so a lost digit raises instead
+of printing a wrong value, whatever context the caller has set.
+`arithmetic_context(one)` picks that context for a Decimal one and none for
+an int.  Nothing here reads or changes the interpreter's digit limit.
 """
 
 from __future__ import annotations
 
 import decimal
+from contextlib import nullcontext
 from typing import ContextManager
 
 # 14,000 bits is about 4,214 digits: under the default 4300-digit str() limit
@@ -44,6 +46,15 @@ def exact_context() -> ContextManager[decimal.Context]:
         traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
                decimal.Inexact, decimal.Rounded],
     ))
+
+
+def arithmetic_context(one) -> ContextManager:
+    """The context to compute in with numbers of the type of `one`.
+
+    `exact_context()` for a Decimal one, and no context for an int, whose
+    arithmetic is exact already.
+    """
+    return exact_context() if isinstance(one, decimal.Decimal) else nullcontext()
 
 
 def decimal_str(n: int | decimal.Decimal) -> str:

@@ -19,26 +19,28 @@ uniformly.  C reduces to B via C_n = B_{n+1} + 3(1-k)*B_n everywhere except
 the matrix engine, which exercises the R*A^n representation directly.
 
 Every engine is generic over the number type: its loop uses only + - * with
-small int constants, and its seeds are built from the `one` that `term_b`
-and `term_c` take, so the terms come back as the type of `one`.  The
-default is int.  With `one=Decimal(1)` the multiplications run in libmpdec
-(number-theoretic transforms for big operands, where CPython's int uses
-Karatsuba) and the result prints in linear time; the engines then compute
-inside `decimal_io.exact_context()`, so the caller's decimal context can
-never round a term.
+small int constants, and its seeds are built from the `one` that `term_b`,
+`term_c`, `b_table` and `c_table` take, so the terms come back as the type
+of `one`.  The default is int.  With `one=Decimal(1)` the multiplications
+run in libmpdec (number-theoretic transforms for big operands, where
+CPython's int uses Karatsuba) and the result prints in linear time; the
+engines then compute inside `decimal_io.exact_context()`, so the caller's
+decimal context can never round a term.
+
+`b_table` and `c_table` also take a keyword-only `start`: a window
+start..n_max is seeded from the doubling pair at `start`, so the terms
+below it are neither computed nor held.
 """
 
 from __future__ import annotations
 
 import enum
-from contextlib import nullcontext
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator
 
-from .decimal_io import exact_context
+from .decimal_io import arithmetic_context
 from .ring import SequenceParams, alpha_power_components
 
 ITERATIVE_CAP_DEFAULT = 100_000
@@ -136,22 +138,50 @@ def _recurrence(k: int, x0: int, x1: int) -> Iterator[int]:
     memory for two values, not for n + 1.
     """
     prev, cur = x0, x1
-    trace, minus_norm = 3 * k, 1 - k
+    # the constants in the seeds' type: a Decimal step then converts no int
+    trace, minus_norm = type(x1)(3 * k), type(x1)(1 - k)
     while True:
         yield prev
         prev, cur = cur, trace * cur + minus_norm * prev
 
 
-def b_table(params: SequenceParams, n_max: int) -> list[int]:
-    """B_{k,0..n_max} by the defining recurrence (the iterative engine in bulk)."""
+def _check_window(start: int, n_max: int) -> None:
     _check_n(n_max)
-    return list(islice(_recurrence(params.k, 0, 1), n_max + 1))
+    if not 0 <= start <= n_max:
+        raise ValueError(f"start must be in 0..n_max, got {start} for n_max {n_max}")
 
 
-def c_table(params: SequenceParams, n_max: int) -> list[int]:
-    """C_{k,0..n_max} by the defining recurrence."""
-    _check_n(n_max)
-    return list(islice(_recurrence(params.k, 1, 3), n_max + 1))
+def b_table(params: SequenceParams, n_max: int, *, start: int = 0, one=1) -> list[int]:
+    """B_{k,start..n_max} by the defining recurrence (the iterative engine in bulk).
+
+    The terms are of the type of `one`.  At start 0 the recurrence runs
+    from the seeds B_0, B_1; a later window starts from the doubling pair
+    (B_start, B_start+1).
+    """
+    _check_window(start, n_max)
+    k = params.k
+    # the generator is drained inside the context, where its terms are made
+    with arithmetic_context(one):
+        seeds = _doubling_pair(k, start, one) if start else (0 * one, one)
+        return list(islice(_recurrence(k, *seeds), n_max - start + 1))
+
+
+def c_table(params: SequenceParams, n_max: int, *, start: int = 0, one=1) -> list[int]:
+    """C_{k,start..n_max} by the defining recurrence, of the type of `one`.
+
+    A window after start 0 is seeded with C_n = B_{n+1} + 3(1-k)*B_n at
+    n = start and start + 1, from the doubling pair at `start`.
+    """
+    _check_window(start, n_max)
+    k = params.k
+    with arithmetic_context(one):
+        if start:
+            b_n, b_next = _doubling_pair(k, start, one)
+            b_after = 3 * k * b_next + (1 - k) * b_n
+            seeds = (b_next + 3 * (1 - k) * b_n, b_after + 3 * (1 - k) * b_next)
+        else:
+            seeds = (one, 3 * one)
+        return list(islice(_recurrence(k, *seeds), n_max - start + 1))
 
 
 def _doubling_pair(k: int, n: int, one=1) -> tuple[int, int]:
@@ -168,11 +198,6 @@ def _doubling_pair(k: int, n: int, one=1) -> tuple[int, int]:
     return a, b
 
 
-def _arithmetic(one):
-    """The context the engines compute in: exact for Decimal, none for int."""
-    return exact_context() if isinstance(one, Decimal) else nullcontext()
-
-
 def term_b(
     params: SequenceParams,
     n: int,
@@ -186,7 +211,7 @@ def term_b(
     _check_n(n)
     if engine is Engine.ITERATIVE and n > iterative_cap:
         raise IterativeCapError(f"n={n} exceeds iterative cap {iterative_cap}")
-    with _arithmetic(one):
+    with arithmetic_context(one):
         if engine is Engine.ITERATIVE:
             return next(islice(_recurrence(params.k, 0 * one, one), n, None))
         if engine is Engine.MATRIX:
@@ -212,7 +237,7 @@ def term_c(
     if engine is Engine.ITERATIVE and n > iterative_cap:
         raise IterativeCapError(f"n={n} exceeds iterative cap {iterative_cap}")
     k = params.k
-    with _arithmetic(one):
+    with arithmetic_context(one):
         if engine is Engine.ITERATIVE:
             return next(islice(_recurrence(k, one, 3 * one), n, None))
         if engine is Engine.MATRIX:

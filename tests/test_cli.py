@@ -1,18 +1,21 @@
+import csv
 import decimal
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import balseq.cli as cli
 from balseq.cli import main
 from balseq.decimal_io import decimal_str
-from balseq.engines import term_c
+from balseq.engines import term_b, term_c
 from balseq.ring import SequenceParams
 
-from conftest import oracle_c
+from conftest import oracle_b, oracle_c
 
 
 def run_cli(capsys, *argv):
@@ -172,6 +175,55 @@ class TestTable:
         assert exc.value.code == 2
         assert "invalid range '1..x', expected 'lo..hi' or an integer" in capsys.readouterr().err
 
+    # sha256 of `table` stdout per (argv, format), taken from the code that
+    # computed the whole table in int and wrote CSV through csv.writer
+    TABLE_SHA256 = {
+        (("--k", "1..12", "--n", "0..300"), "plain"):
+            "da721e4312efaccd9458789ba167223b8bf9e58b6d92a59cb350ba57117e9d00",
+        (("--k", "1..12", "--n", "0..300"), "csv"):
+            "9cc738f907281d6d57986ea5934a1920603c6d2912b863266f7f4edd439008f0",
+        (("--k", "1..12", "--n", "0..300"), "json"):
+            "cab580b9910f1359824d63d81e87ed3c9d28bf29729b0060941ba645ae45f1d9",
+        (("--k", "5", "--n", "2990..3000", "--seq", "C"), "plain"):
+            "a5fe36955bce2aca499410eca95eedf2d7a8355515df8568091dc32d0baf0f84",
+        (("--k", "5", "--n", "2990..3000", "--seq", "C"), "csv"):
+            "a5ebab94d15b9828599554338d7d6cea4812be78a15636b8806a6f05730a5151",
+        (("--k", "5", "--n", "2990..3000", "--seq", "C"), "json"):
+            "f9c251aef7289fd2240505b83aed9cb533d26277ad2f4b0e840bcebae8df7b38",
+    }
+
+    @pytest.mark.parametrize("key", sorted(TABLE_SHA256))
+    def test_table_bytes_pinned(self, capsys, key):
+        argv, fmt = key
+        code, out, _ = run_cli(capsys, "table", *argv, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.TABLE_SHA256[key]
+
+    def test_n_window_holds_only_its_terms(self, capsys):
+        # B and C at k 5, n 0..20000 take about 97 MB; the window holds one n
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "table", "--k", "5", "--n", "20000..20000",
+                                   "--format", "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 8 << 20
+        params = SequenceParams(5)
+        assert out == (f"k,n,B,C\n5,20000,{decimal_str(term_b(params, 20000))},"
+                       f"{decimal_str(term_c(params, 20000))}\n")
+
+    def test_lowered_digit_limit_prints_exact_values(self):
+        proc = subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=640", "-m", "balseq.cli", "table",
+             "--k", "12", "--n", "4990..5000", "--format", "csv"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        b, c = oracle_b(12, 5000), oracle_c(12, 5000)
+        assert proc.stdout.splitlines() == ["k,n,B,C"] + [
+            f"12,{n},{decimal_str(b[n])},{decimal_str(c[n])}" for n in range(4990, 5001)]
+
 
 class TestSeries:
     def test_b_series_plain(self, capsys):
@@ -224,6 +276,58 @@ class TestSeries:
                                "--format", "csv")
         assert code == 0
         assert out.splitlines() == ["n,coefficient", "0,0", "1,1", "2,6"]
+
+    # sha256 of `series --k 12 --N 400` stdout per (argv, format), taken from
+    # the code that expanded in int and wrote CSV through csv.writer
+    SERIES_SHA256 = {
+        (("--seq", "B"), "plain"):
+            "8df25e9f5a737bd39d055ae87bc90071e6fcc6aba4b3f47d95db19d13990a851",
+        (("--seq", "B"), "csv"):
+            "3cd51525909f95cc3016c901f2f176af147780e4d045119203851d73d653141a",
+        (("--seq", "B"), "json"):
+            "12955a2544d1969852f3b3fff74d7373e5e8f9a1f6108b47eb2bc5004794cc26",
+        (("--seq", "C"), "plain"):
+            "8f6185e55667920fc1d69ad6dc6eb3b6431d25e0cefa90598f98d3f6b73f4476",
+        (("--seq", "C"), "csv"):
+            "d02b08a525094a3dc3d8ca479d73fca392b839f8983d6c98607d5555b4e38dfa",
+        (("--seq", "C"), "json"):
+            "a3d001902ecae8cce021cca062eb97456a8b6ccdc7ab44031210f388406fbaea",
+        (("--seq", "C", "--variant", "printed"), "plain"):
+            "4e503078a155ae58d90a02364114279bc6e0fd4bf4db4373115d951ac7d05ec2",
+        (("--seq", "C", "--variant", "printed"), "csv"):
+            "f26233cbcd6a07d27dddc347eee7a8475fd7fa0b9248f4b13edefb9ab6237167",
+        (("--seq", "C", "--variant", "printed"), "json"):
+            "8d6716dc9a9d43dc78358832aad439a699133338f95e3b9846e594b5a4b147d0",
+    }
+
+    @pytest.mark.parametrize("key", sorted(SERIES_SHA256))
+    def test_series_bytes_pinned(self, capsys, key):
+        argv, fmt = key
+        code, out, _ = run_cli(capsys, "series", *argv, "--k", "12", "--N", "400",
+                               "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SERIES_SHA256[key]
+
+
+class TestCsvLine:
+    @pytest.mark.parametrize("fields", [
+        ["k", "n", "B", "C"],
+        [12, 4000, "1234567890" * 30, "-98765"],
+        ["n", "coefficient"],
+        [0, "-1"],
+        ["identity", "checked", "held", "failed", "hypothesis_not_met"],
+        ["index-divisibility", 1140, 1140, 0, 0],
+        ["consecutive-gcd-b", 40, 27, 0, 13],
+        ["k", "n", "seq", "engine", "value"],
+        [5, 30000, "C", "iterative", "-0"],
+        ["engine", "n", "repetitions", "seconds"],
+        ["binet", 1000, 3, "0.000123"],
+        ["iterative", 200000, 3, "skipped"],
+    ])
+    def test_matches_csv_writer(self, fields):
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow(fields)
+        assert cli._csv_line(fields) == buffer.getvalue()
 
 
 class TestVerify:
@@ -504,16 +608,27 @@ class TestExitCodeContract:
             sys.set_int_max_str_digits(old)
         assert code == 0 and len(out.strip()) > 5000
 
-    @pytest.mark.parametrize("engine", ["doubling", "matrix", "binet"])
-    def test_main_leaves_decimal_context_unchanged(self, capsys, engine):
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("term", "--seq", "B", "--k", "12", "--n", "20000", "--engine", engine),
+                     id=engine)
+        for engine in ("doubling", "matrix", "binet")
+    ] + [
+        pytest.param(("table", "--k", "12", "--n", "0..4000", "--format", "csv"),
+                     id="table"),
+        pytest.param(("table", "--k", "12", "--n", "3990..4000", "--seq", "C"),
+                     id="table-window"),
+        pytest.param(("series", "--seq", "B", "--k", "12", "--N", "4000"), id="series"),
+        pytest.param(("series", "--seq", "C", "--k", "12", "--N", "4000",
+                      "--variant", "printed"), id="series-printed"),
+    ])
+    def test_main_leaves_decimal_context_unchanged(self, capsys, argv):
         def state():
             ctx = decimal.getcontext()
             return (ctx.prec, ctx.Emax, ctx.Emin, ctx.rounding, dict(ctx.traps),
                     dict(ctx.flags))
 
         before = state()
-        code, out, _ = run_cli(capsys, "term", "--seq", "B", "--k", "12", "--n", "20000",
-                               "--engine", engine)
+        code, out, _ = run_cli(capsys, *argv)
         assert state() == before
         assert code == 0 and len(out.strip()) > 5000
 

@@ -326,3 +326,49 @@ class TestTables:
     def test_c_table_prefixes(self):
         assert c_table(SequenceParams(3), 3) == [1, 3, 25, 219]
         assert c_table(SequenceParams(3), 0) == [1]
+
+    @pytest.mark.parametrize("fn", [b_table, c_table])
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_decimal_text_equals_int_path(self, fn, k):
+        params = SequenceParams(k)
+        want = fn(params, 3000)
+        got = fn(params, 3000, one=Decimal(1))
+        assert [decimal_str(x) for x in got] == [decimal_str(x) for x in want]
+
+    @pytest.mark.parametrize("fn", [b_table, c_table])
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_windows_are_slices_of_the_full_table(self, fn, k):
+        params = SequenceParams(k)
+        full = fn(params, 3004)
+        for start in (1, 2, 17, 2999):
+            assert fn(params, 3000, start=start) == full[start:3001], start
+            assert fn(params, start + 5, start=start) == full[start:start + 6], start
+            assert fn(params, start, start=start) == [full[start]], start
+        window = fn(params, 3000, start=2999, one=Decimal(1))
+        assert [decimal_str(x) for x in window] == [decimal_str(x) for x in full[2999:3001]]
+
+    @pytest.mark.parametrize("fn", [b_table, c_table])
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_type_follows_one(self, fn, start):
+        params = SequenceParams(3)
+        for n_max in (start, 1):
+            assert {type(x) for x in fn(params, n_max, start=start)} == {int}
+            decimals = fn(params, n_max, start=start, one=Decimal(1))
+            assert {type(x) for x in decimals} == {Decimal}
+
+    @pytest.mark.parametrize("fn", [b_table, c_table])
+    def test_window_outside_the_table_rejected(self, fn):
+        with pytest.raises(ValueError, match="start"):
+            fn(SequenceParams(2), 5, start=6)
+        with pytest.raises(ValueError, match="start"):
+            fn(SequenceParams(2), 5, start=-1)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            fn(SequenceParams(2), -1)
+
+    def test_start_zero_makes_no_doubling_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the doubling pair was computed")
+
+        monkeypatch.setattr("balseq.engines._doubling_pair", refuse)
+        assert b_table(SequenceParams(4), 3) == oracle_b(4, 3)
+        assert c_table(SequenceParams(4), 3) == oracle_c(4, 3)

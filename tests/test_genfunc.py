@@ -1,5 +1,9 @@
+import decimal
+from decimal import Decimal
+
 import pytest
 
+from balseq.decimal_io import decimal_str
 from balseq.genfunc import (
     b_series,
     c_series,
@@ -97,3 +101,42 @@ class TestPrintedNumeratorProbe:
     def test_probe_requires_at_least_two_coefficients(self):
         with pytest.raises(ValueError):
             erratum_probe_c_numerator(SequenceParams(2), 0)
+
+
+class TestDecimalSeries:
+    """`one=Decimal(1)` gives the int expansion's coefficients, as exact Decimals."""
+
+    SERIES = {
+        "B": b_series,
+        "C": c_series,
+        "C printed": lambda params, n, **kw: c_series(params, n, "printed", **kw),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SERIES))
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_text_equals_int_path(self, name, k):
+        series = self.SERIES[name]
+        params = SequenceParams(k)
+        want = series(params, 3000).expansion
+        got = series(params, 3000, one=Decimal(1)).expansion
+        assert [decimal_str(x) for x in got] == [decimal_str(x) for x in want]
+
+    @pytest.mark.parametrize("name", sorted(SERIES))
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_type_follows_one(self, name, n):
+        series = self.SERIES[name]
+        params = SequenceParams(3)
+        assert {type(x) for x in series(params, n).expansion} == {int}
+        assert {type(x) for x in series(params, n, one=Decimal(1)).expansion} == {Decimal}
+
+    def test_negated_zero_prints(self):
+        # a -1 constant term negates every coefficient, zeros included
+        coeffs = expand([-2, 1], [-1], 3, one=Decimal(1))
+        assert [decimal_str(x) for x in coeffs] == ["2", "-1", "0", "0"]
+
+    def test_exact_inside_a_28_digit_context(self):
+        expected = [decimal_str(x) for x in b_series(SequenceParams(7), 200).expansion]
+        with decimal.localcontext(decimal.Context(prec=28)) as ctx:
+            got = b_series(SequenceParams(7), 200, one=Decimal(1)).expansion
+            assert ctx.prec == 28 and not any(ctx.flags.values())
+        assert [decimal_str(x) for x in got] == expected
