@@ -11,10 +11,11 @@ limit, so the CLI neither reads nor changes that process-wide setting.
 `term` on the three logarithmic engines, `table` and `series` compute in
 exact `decimal.Decimal` (the library's `one=Decimal(1)` form), which
 multiplies big terms faster than int and prints them in linear time;
-`term --engine iterative` and `bench` compute in int.  The caller's decimal
-context is left as it was.  `table` computes and holds one k's terms at a
-time, for the n window asked only, and CSV lines are joined directly: no
-field the CLI writes ever needs quoting.
+`term --engine iterative` computes in int, and `bench` times each engine in
+the number type `term` computes in on it.  The caller's decimal context is
+left as it was.  `table` computes and holds one k's terms at a time, for the
+n window asked only, and writes every format a row at a time; CSV lines are
+joined directly: no field the CLI writes ever needs quoting.
 """
 
 from __future__ import annotations
@@ -125,16 +126,22 @@ def _csv_line(fields) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _one(engine: Engine) -> int | Decimal:
+    """The `one` that `term` and `bench` compute with on an engine.
+
+    Iterative stays on int: its n small-by-big multiply-adds are cheaper in
+    int. At k 5, n = 10^5 the recurrence took 3.3-3.7 s on int against
+    6.4-7.6 s on Decimal (2-core x86-64, Python 3.11).
+    """
+    return 1 if engine is Engine.ITERATIVE else Decimal(1)
+
+
 def cmd_term(args) -> int:
     params = SequenceParams(args.k)
     engine = ENGINES[args.engine]
     fn = term_b if args.seq == "B" else term_c
-    # iterative stays on int: its n small-by-big multiply-adds are cheaper in
-    # int. At k 5, n = 10^5 the recurrence took 3.3-3.7 s on int against
-    # 6.4-7.6 s on Decimal (2-core x86-64, Python 3.11)
-    one = 1 if engine is Engine.ITERATIVE else Decimal(1)
     value = decimal_str(fn(params, args.n, engine, iterative_cap=args.iterative_cap,
-                           one=one))
+                           one=_one(engine)))
     if args.format == "plain":
         print(value)
     elif args.format == "csv":
@@ -171,11 +178,14 @@ def cmd_table(args) -> int:
         for text in texts:
             sys.stdout.write(_csv_line(text))
     else:
-        print(json.dumps(
-            [{key.lower(): (value if key in ("k", "n") else decimal_str(value))
-              for key, value in zip(header, row)} for row in rows],
-            sort_keys=True,
-        ))
+        # a row at a time, with json.dumps's default separators: the bytes
+        # of one dump of the whole list, which would hold every row at once
+        keys = [key.lower() for key in header]
+        sys.stdout.write("[")
+        for index, (k, n, *terms) in enumerate(rows):
+            entry = dict(zip(keys, [k, n, *map(decimal_str, terms)]))
+            sys.stdout.write((", " if index else "") + json.dumps(entry, sort_keys=True))
+        sys.stdout.write("]\n")
     return EXIT_OK
 
 
@@ -307,7 +317,8 @@ def cmd_bench(args) -> int:
             print(f"engine value mismatch at k={args.k}, n={n}:", file=sys.stderr)
             for name, seen in values.items():
                 for value in seen:
-                    digits = len(decimal_str(abs(value)))
+                    # abs() would round a Decimal to the caller's context
+                    digits = len(decimal_str(value).lstrip("-"))
                     print(f"  {name}: {digits} digits", file=sys.stderr)
             return EXIT_FAILED
 
@@ -337,9 +348,10 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _timed(fn, params, n, engine, iterative_cap) -> tuple[float, int]:
+def _timed(fn, params, n, engine, iterative_cap) -> tuple[float, int | Decimal]:
+    """One timed term, computed as `term` computes it on the engine."""
     start = time.perf_counter()
-    value = fn(params, n, engine, iterative_cap=iterative_cap)
+    value = fn(params, n, engine, iterative_cap=iterative_cap, one=_one(engine))
     return time.perf_counter() - start, value
 
 

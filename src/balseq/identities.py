@@ -15,15 +15,19 @@ evaluator builds its own TermContext for its one point.  A caller that
 evaluates many tuples for the same k (the verify sweeps, the errata
 demonstrations) builds one TermContext and calls the *_sides functions on
 it, a whole row of the last index at a time.  The vajda-1 sweep also shares
-a table of pairwise products of B terms on its context; a single-shot
-evaluator builds none.
+a table of products of B terms on its context, stored by diagonal
+(diagonals[d][a] = B_a*B_{a+d}), so that both products of a row over n are
+runs of two diagonals and a check costs one subtraction and one
+multiplication by k - 1; a single-shot evaluator builds no table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice, repeat
+from operator import mul, sub
+from typing import Iterable
 
 from .engines import (
     Mat2,
@@ -54,16 +58,16 @@ class TermContext:
     """Iterative-engine term tables for one k, grown on demand.
 
     b[i] = B_{k,i}, c[i] = C_{k,i}, pk[i] = (k-1)^i.  A sweep that reads the
-    same products of B terms many times may also share pairs[a][c] =
-    b[a]*b[c], built by share_pairs for rows a <= hi over the full width of
-    b; growing b drops it.
+    same products of B terms many times may also share diagonals[d][a] =
+    b[a]*b[a+d], built by share_diagonals to the width each diagonal d is
+    read at; growing b drops it.
     """
 
     params: SequenceParams
     b: list[int] = field(default_factory=list)
     c: list[int] = field(default_factory=list)
     pk: list[int] = field(default_factory=list)
-    pairs: list[list[int]] = field(default_factory=list)
+    diagonals: list[list[int]] = field(default_factory=list)
 
     def ensure(self, hi: int) -> TermContext:
         if hi >= len(self.b):
@@ -74,23 +78,23 @@ class TermContext:
             for _ in range(hi):
                 pk.append(pk[-1] * norm)
             self.pk = pk
-            self.pairs = []
+            self.diagonals = []
         return self
 
-    def share_pairs(self, hi: int) -> None:
-        """Build the pair table rows 0..hi (at most the length of b)."""
+    def share_diagonals(self, widths: Iterable[int]) -> None:
+        """Build diagonal d of the product table for a < widths[d] (and
+        a + d within b)."""
         b = self.b
-        self.pairs = [[x * y for y in b] for x in b[: hi + 1]]
+        self.diagonals = [list(map(mul, b[:w], b[d:d + w])) for d, w in enumerate(widths)]
 
-    def products(self, a: int, lo: int, hi: int) -> list[int]:
-        """b[a]*b[c] for lo <= c < hi: a slice of the pair table where it
-        covers them, computed otherwise (never a shorter list)."""
-        pairs = self.pairs
-        if a < len(pairs) and hi <= len(pairs[a]):
-            return pairs[a][lo:hi]
+    def diagonal(self, d: int, lo: int, hi: int) -> list[int]:
+        """b[a]*b[a+d] for lo <= a < hi: a slice of the diagonal table where
+        it covers them, computed otherwise (never a shorter list)."""
+        diagonals = self.diagonals
+        if d < len(diagonals) and hi <= len(diagonals[d]):
+            return diagonals[d][lo:hi]
         b = self.b
-        ba = b[a]
-        return [ba * b[c] for c in range(lo, hi)]
+        return [b[a] * b[a + d] for a in range(lo, hi)]
 
     def seq(self, name: str) -> list[int]:
         if name == "B":
@@ -143,15 +147,16 @@ def docagne_sides(ctx: TermContext, seq: str, m: int, ns: range) -> SideLists:
     return lhs, rhs
 
 
-def vajda1_sides(ctx: TermContext, n: int, i: int, js: range) -> SideLists:
-    """B_{n+i}*B_{n+j} - B_n*B_{n+i+j} against (k-1)^n * B_i*B_j, js a step-1
-    range; every product of two B terms comes from ctx.products."""
-    lo, hi = js.start, js.stop
-    first = ctx.products(n + i, n + lo, n + hi)
-    second = ctx.products(n, n + i + lo, n + i + hi)
-    pkn = ctx.pk[n]
-    lhs = list(map(int.__sub__, first, second))
-    rhs = [pkn * p for p in ctx.products(i, lo, hi)]
+def vajda1_sides(ctx: TermContext, i: int, j: int, ns: range) -> SideLists:
+    """B_{n+i}*B_{n+j} - B_n*B_{n+i+j} against (k-1)^n * B_i*B_j, ns a step-1
+    range.  The two lhs products are runs of diagonals |j - i| and i + j of
+    ctx.diagonal, and each rhs is the one before it times k - 1."""
+    lo, hi = ns.start, ns.stop
+    a, b = min(i, j), ctx.b
+    lhs = list(map(sub, ctx.diagonal(abs(j - i), a + lo, a + hi),
+                   ctx.diagonal(i + j, lo, hi)))
+    first = ctx.pk[lo] * b[i] * b[j]
+    rhs = list(islice(accumulate(repeat(ctx.params.norm), mul, initial=first), hi - lo))
     return lhs, rhs
 
 
@@ -296,7 +301,7 @@ def vajda(
         if n < 0 or i < 0 or j < 0:
             raise ValueError("form 1 requires n, i, j >= 0")
         ctx = TermContext(params).ensure(n + i + j)
-        (lhs,), (rhs,) = vajda1_sides(ctx, n, i, range(j, j + 1))
+        (lhs,), (rhs,) = vajda1_sides(ctx, i, j, range(n, n + 1))
         return _report("vajda-1", {"k": params.k, "n": n, "i": i, "j": j}, lhs, rhs)
     if form == 2:
         if m is None or ell is None:

@@ -91,9 +91,9 @@ class Sides:
     size and domain are functions of the max index: the index the term
     tables are built up to, and the rows, each the leading indices and a
     range of the last one; the sides come back as one list per side over
-    that range.  pairs, if set, gives the last row of the shared table of
-    B-term products the sides read.  A gcd row carries its theorem's
-    hypothesis, and an identity row none.
+    that range.  diagonals, if set, gives the width of each diagonal of the
+    shared table of B-term products the sides read.  A gcd row carries its
+    theorem's hypothesis, and an identity row none.
     """
 
     name: str
@@ -102,13 +102,13 @@ class Sides:
     sides: Callable[..., SideLists]
     keys: tuple[str, ...] = ("n",)  # input names of an index tuple
     hypothesis: Callable[[SequenceParams], bool] | None = None
-    pairs: Callable[[int], int] | None = None
+    diagonals: Callable[[int], Iterable[int]] | None = None
 
     def context(self, params: SequenceParams, max_index: int) -> TermContext:
-        """The term tables (and pair table, if any) the sweep reads."""
+        """The term tables (and product table, if any) the sweep reads."""
         ctx = TermContext(params).ensure(self.size(max_index))
-        if self.pairs is not None:
-            ctx.share_pairs(self.pairs(max_index))
+        if self.diagonals is not None:
+            ctx.share_diagonals(self.diagonals(max_index))
         return ctx
 
     def __call__(self, params: SequenceParams, max_index: int) -> SweepOutcome:
@@ -167,7 +167,10 @@ CATALOG: dict[str, Sides] = {row.name: row for row in [
     *_twins("docagne", lambda m: m + 1, _triangle(0), docagne_sides, ("m", "n")),
     Sides("vajda-1", lambda m: 3 * m,
           lambda m: product(range(m + 1), range(m + 1), [range(m + 1)]),
-          vajda1_sides, ("n", "i", "j"), pairs=lambda m: 2 * m),
+          vajda1_sides, ("i", "j", "n"),
+          # row (i, j) reads diagonal |j - i| <= m at a <= 2m - |j - i|, and
+          # diagonal i + j <= 2m at a <= m
+          diagonals=lambda m: [2 * m + 1 - d if d <= m else m + 1 for d in range(2 * m + 1)]),
     Sides("vajda-2", lambda m: m,
           lambda m: ((n, x, range(x - n)) for x in range(1, m + 1) for n in range(x)),
           vajda2_sides, ("n", "m", "ell")),

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import decimal
 import hashlib
@@ -145,6 +146,9 @@ class TestTable:
                                "--format", "csv")
         assert code == 0
         assert out.splitlines() == ["k,n,B,C"]
+        code, out, _ = run_cli(capsys, "table", "--k", "1..3", "--n", "5..4",
+                               "--format", "json")
+        assert code == 0 and out == json.dumps([]) + "\n"
 
     def test_rows_sorted_by_k_then_n(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--k", "2..3", "--n", "1..2",
@@ -212,6 +216,30 @@ class TestTable:
         params = SequenceParams(5)
         assert out == (f"k,n,B,C\n5,20000,{decimal_str(term_b(params, 20000))},"
                        f"{decimal_str(term_c(params, 20000))}\n")
+
+    def test_json_is_written_a_row_at_a_time(self):
+        # the whole document is 1.4 MiB of JSON, and building it first peaked
+        # at 7.7 MiB; written a row at a time into a sink that keeps only a
+        # hash, the peak is one k's terms and one row's text
+        class Sink:
+            def __init__(self):
+                self.hash = hashlib.sha256()
+
+            def write(self, text):
+                self.hash.update(text.encode())
+                return len(text)
+
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["table", "--k", "1..12", "--n", "0..300", "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 1 << 20
+        assert sink.hash.hexdigest() == self.TABLE_SHA256[
+            (("--k", "1..12", "--n", "0..300"), "json")]
 
     def test_lowered_digit_limit_prints_exact_values(self):
         proc = subprocess.run(
@@ -564,6 +592,44 @@ class TestBench:
                                  "--engines", "matrix,doubling", "--reps", "3")
         assert code == 1 and out == ""
         assert "mismatch" in err
+
+    def test_times_the_number_type_term_computes_in(self, capsys, monkeypatch):
+        # bench hands each engine the `one` that term hands it: int on
+        # iterative, exact Decimal on the three log engines
+        ones = {"term": {}, "bench": {}}
+        real = cli.term_b
+
+        def spy(params, n, engine, **kwargs):
+            ones[command][engine.value] = type(kwargs["one"])
+            return real(params, n, engine, **kwargs)
+
+        monkeypatch.setattr(cli, "term_b", spy)
+        command = "term"
+        for engine in cli.ENGINES:
+            assert run_cli(capsys, "term", "--seq", "B", "--k", "3", "--n", "40",
+                           "--engine", engine)[0] == 0
+        command = "bench"
+        assert run_cli(capsys, "bench", "--k", "3", "--n", "40", "--reps", "1")[0] == 0
+        assert ones["bench"] == ones["term"] == {
+            "iterative": int, "matrix": decimal.Decimal, "binet": decimal.Decimal,
+            "doubling": decimal.Decimal}
+
+    def test_mismatch_lists_digit_counts_of_big_values(self, capsys, monkeypatch):
+        # B_{2,100} has 76 digits, past the 28 of the default decimal
+        # context; the count is of its exact text, sign left out
+        real = cli.term_b
+
+        def negated(params, n, engine, **kwargs):
+            value = real(params, n, engine, **kwargs)
+            return -int(value) if engine is cli.ENGINES["matrix"] else value
+
+        monkeypatch.setattr(cli, "term_b", negated)
+        code, out, err = run_cli(capsys, "bench", "--k", "2", "--n", "100",
+                                 "--engines", "matrix,doubling", "--reps", "1")
+        digits = len(str(oracle_b(2, 100)[100]))
+        assert code == 1 and out == ""
+        assert err.splitlines()[1:] == [f"  matrix: {digits} digits",
+                                        f"  doubling: {digits} digits"]
 
     def test_all_is_every_engine_in_enum_order(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--k", "2", "--n", "5",

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,8 @@ from balseq.identities import (
 )
 from balseq.ring import SequenceParams
 from balseq.verify import CATALOG
+
+from conftest import oracle_b
 
 IDENTITY_NAMES = [
     "catalan-b", "catalan-c", "cassini-b", "cassini-c", "docagne-b", "docagne-c",
@@ -386,64 +389,109 @@ class TestFullSweep:
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(data=st.data(), k=st.integers(1, 12), max_index=st.integers(1, 30))
-    def test_vajda1_rows_on_the_pair_table_match_the_evaluator(self, data, k, max_index):
-        # a vajda-1 row read off the context the sweep builds, pair table
-        # included, gives at each j the sides of the single-shot evaluator,
+    def test_vajda1_rows_on_the_diagonal_table_match_the_evaluator(self, data, k, max_index):
+        # a vajda-1 row read off the context the sweep builds, diagonal table
+        # included, gives at each n the sides of the single-shot evaluator,
         # which builds no table
         sweep, params = CATALOG["vajda-1"], SequenceParams(k)
         ctx = sweep.context(params, max_index)
-        assert len(ctx.pairs) == 2 * max_index + 1
-        n, i, js = data.draw(st.sampled_from(list(sweep.domain(max_index))))
-        lhs, rhs = sweep.sides(ctx, n, i, js)
-        got = [(r.lhs, r.rhs) for r in (vajda(1, params, n, i=i, j=j) for j in js)]
+        assert len(ctx.diagonals) == 2 * max_index + 1
+        i, j, ns = data.draw(st.sampled_from(list(sweep.domain(max_index))))
+        lhs, rhs = sweep.sides(ctx, i, j, ns)
+        got = [(r.lhs, r.rhs) for r in (vajda(1, params, n, i=i, j=j) for n in ns)]
         assert got == list(zip(lhs, rhs))
 
-    def test_single_shot_vajda_builds_no_pair_table(self, monkeypatch):
-        # one point reads three products, each computed from b; a table for
-        # n = 3000 would hold about 9 million of them
-        def refuse(ctx, hi):
-            raise AssertionError("pair table built")
+    def test_single_shot_vajda_builds_no_diagonal_table(self, monkeypatch):
+        # one point reads two products, each computed from b; a table for
+        # n = 3000 would hold about 22 million of them
+        def refuse(ctx, widths):
+            raise AssertionError("diagonal table built")
 
         reads = []
-        products = TermContext.products
+        diagonal = TermContext.diagonal
 
-        def spy(ctx, a, lo, hi):
-            reads.append((len(ctx.pairs), hi - lo))
-            return products(ctx, a, lo, hi)
+        def spy(ctx, d, lo, hi):
+            reads.append((len(ctx.diagonals), hi - lo))
+            return diagonal(ctx, d, lo, hi)
 
-        monkeypatch.setattr(TermContext, "share_pairs", refuse)
-        monkeypatch.setattr(TermContext, "products", spy)
+        monkeypatch.setattr(TermContext, "share_diagonals", refuse)
+        monkeypatch.setattr(TermContext, "diagonal", spy)
         assert vajda(1, SequenceParams(12), 3000, i=3, j=4).holds
-        assert reads == [(0, 1)] * 3
+        assert reads == [(0, 1)] * 2
 
-    def test_reads_beyond_the_pair_table_compute(self):
+    def test_reads_beyond_the_diagonal_table_compute(self):
         # a read the table does not cover computes its products: never a
         # short slice, which would lower the sweep's checked count
         params = SequenceParams(5)
-        ctx = CATALOG["vajda-1"].context(params, 4)   # b[0..12], rows 0..8
+        ctx = CATALOG["vajda-1"].context(params, 4)   # b[0..12], diagonals 0..8
         b = ctx.b
-        assert len(ctx.pairs) == 9 and {len(row) for row in ctx.pairs} == {13}
+        assert [len(diagonal) for diagonal in ctx.diagonals] == [9, 8, 7, 6, 5, 5, 5, 5, 5]
 
-        def computed(a, lo, hi):
-            return [b[a] * b[c] for c in range(lo, hi)]
+        def computed(d, lo, hi):
+            return [b[a] * b[a + d] for a in range(lo, hi)]
 
-        # past the height: row 10 of a table with rows 0..8
-        assert ctx.products(10, 2, 13) == computed(10, 2, 13)
-        lhs, rhs = vajda1_sides(ctx, 2, 8, range(3))
-        assert list(zip(lhs, rhs)) == [(r.lhs, r.rhs) for r in
-                                       (vajda(1, params, 2, i=8, j=j) for j in range(3))]
-        # past the width: rows cut to columns 0..5 under a longer b
-        narrow = TermContext(params, b=b, pairs=[row[:6] for row in ctx.pairs])
-        assert narrow.products(3, 2, 10) == computed(3, 2, 10)
-        assert narrow.products(3, 2, 6) == computed(3, 2, 6)
-        # growing b drops the table, so no row is narrower than b
+        def evaluated(i, j, ns):
+            return [(r.lhs, r.rhs) for r in (vajda(1, params, n, i=i, j=j) for n in ns)]
+
+        # past the height: diagonal 10 of a table with diagonals 0..8
+        assert ctx.diagonal(10, 0, 3) == computed(10, 0, 3)
+        lhs, rhs = vajda1_sides(ctx, 0, 10, range(3))
+        assert list(zip(lhs, rhs)) == evaluated(0, 10, range(3))
+        # past the width: diagonals 2 and 4 end at a = 6 and a = 4
+        assert ctx.diagonal(2, 6, 10) == computed(2, 6, 10)
+        lhs, rhs = vajda1_sides(ctx, 1, 3, range(5, 9))
+        assert list(zip(lhs, rhs)) == evaluated(1, 3, range(5, 9))
+        # past the width of a table cut to a = 0..2 under a longer b
+        narrow = TermContext(params, b=b, diagonals=[row[:3] for row in ctx.diagonals])
+        assert narrow.diagonal(3, 1, 8) == computed(3, 1, 8)
+        assert narrow.diagonal(3, 1, 3) == computed(3, 1, 3)
+        # growing b drops the table, so no diagonal is narrower than it reads
         ctx.ensure(30)
-        assert ctx.pairs == [] and len(ctx.b) == 31
+        assert ctx.diagonals == [] and len(ctx.b) == 31
         with pytest.raises(IndexError):   # past b itself: no short list either
-            ctx.products(3, 20, 32)
+            ctx.diagonal(3, 20, 29)
         lhs, rhs = vajda1_sides(ctx, 8, 8, range(15))
         assert len(lhs) == len(rhs) == 15 and lhs == rhs == [
-            vajda(1, params, 8, i=8, j=j).lhs for j in range(15)]
+            vajda(1, params, n, i=8, j=8).lhs for n in range(15)]
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 12), max_index=st.integers(1, 12))
+    def test_vajda1_rows_match_oracle_products(self, data, k, max_index):
+        # each side against products of conftest's recurrence terms, on the
+        # context the sweep builds, at n windows that start above 0 and may
+        # run past the table's width or height (b reaches 3 * max_index)
+        top = 3 * max_index
+        ctx = CATALOG["vajda-1"].context(SequenceParams(k), max_index)
+        bo = oracle_b(k, top)
+        i = data.draw(st.integers(0, top - 1))
+        j = data.draw(st.integers(0, top - 1 - i))
+        lo = data.draw(st.integers(1, top - i - j))
+        ns = range(lo, data.draw(st.integers(lo, top - i - j + 1)))
+        lhs, rhs = vajda1_sides(ctx, i, j, ns)
+        assert lhs == [bo[n + i] * bo[n + j] - bo[n] * bo[n + i + j] for n in ns]
+        assert rhs == [(k - 1) ** n * bo[i] * bo[j] for n in ns]
+        assert vajda1_sides(ctx, i, j, range(lo, lo)) == ([], [])
+
+    def test_vajda1_at_k1_takes_zero_to_the_zero_as_one(self):
+        # beta = 0 at k = 1: the rhs is B_i*B_j at n = 0 and 0 after it
+        ctx = CATALOG["vajda-1"].context(SequenceParams(1), 6)
+        bo = oracle_b(1, 18)
+        for i, j in ((0, 0), (2, 5), (6, 6)):
+            lhs, rhs = vajda1_sides(ctx, i, j, range(7))
+            assert rhs == [bo[i] * bo[j]] + [0] * 6
+            assert lhs == [bo[n + i] * bo[n + j] - bo[n] * bo[n + i + j] for n in range(7)]
+
+    def test_vajda1_sweep_peak_memory(self):
+        # the diagonal table holds about 2.5 M^2 products; the rectangular
+        # pair table it replaced, 6 M^2, peaked at 12.1 MiB here
+        tracemalloc.start()
+        try:
+            outcome = CATALOG["vajda-1"](SequenceParams(12), 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.held == outcome.checked == 101 ** 3
+        assert peak < 8 << 20
 
     def test_sweeps_agree_with_evaluators(self):
         # sweeps call each *_sides function a row at a time, evaluators one
