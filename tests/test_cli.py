@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import decimal
@@ -11,10 +12,13 @@ import tracemalloc
 import pytest
 
 import balseq.cli as cli
+from balseq import __version__
 from balseq.cli import main
 from balseq.decimal_io import decimal_str
 from balseq.engines import term_b, term_c
+from balseq.genfunc import b_series
 from balseq.ring import SequenceParams
+from balseq.verify import CATALOG
 
 from conftest import oracle_b, oracle_c
 
@@ -23,6 +27,40 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_caught(capsys, *argv):
+    """run_cli, with an argparse exit read as its exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class HashSink:
+    """A stdout stand-in that keeps only the sha256 of what is written."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode())
+        return len(text)
+
+
+def traced_into_sink(argv):
+    """main(argv) with stdout hashed: (exit code, sink, tracemalloc peak)."""
+    sink = HashSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, sink, peak
 
 
 class TestTerm:
@@ -221,22 +259,8 @@ class TestTable:
         # the whole document is 1.4 MiB of JSON, and building it first peaked
         # at 7.7 MiB; written a row at a time into a sink that keeps only a
         # hash, the peak is one k's terms and one row's text
-        class Sink:
-            def __init__(self):
-                self.hash = hashlib.sha256()
-
-            def write(self, text):
-                self.hash.update(text.encode())
-                return len(text)
-
-        sink = Sink()
-        tracemalloc.start()
-        try:
-            with contextlib.redirect_stdout(sink):
-                code = main(["table", "--k", "1..12", "--n", "0..300", "--format", "json"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, sink, peak = traced_into_sink(
+            ["table", "--k", "1..12", "--n", "0..300", "--format", "json"])
         assert code == 0 and peak < 1 << 20
         assert sink.hash.hexdigest() == self.TABLE_SHA256[
             (("--k", "1..12", "--n", "0..300"), "json")]
@@ -335,6 +359,22 @@ class TestSeries:
                                "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.SERIES_SHA256[key]
+
+    @pytest.mark.parametrize("fmt", ["json", "plain"])
+    def test_written_a_coefficient_at_a_time(self, fmt):
+        # 6.7 MiB of output; building the whole document first peaked at
+        # 23.7 MiB (json) and 16.7 MiB (plain), against 3.2 MiB for csv,
+        # which holds only the coefficients themselves
+        code, sink, peak = traced_into_sink(
+            ["series", "--seq", "B", "--k", "12", "--N", "3000", "--format", fmt])
+        assert code == 0 and peak < 6 << 20
+        texts = [decimal_str(c) for c in b_series(SequenceParams(12), 3000).expansion]
+        if fmt == "plain":
+            document = " ".join(texts)
+        else:
+            document = json.dumps({"seq": "B", "k": 12, "variant": "corrected",
+                                   "coefficients": texts}, sort_keys=True)
+        assert sink.hash.hexdigest() == hashlib.sha256((document + "\n").encode()).hexdigest()
 
 
 class TestCsvLine:
@@ -637,6 +677,91 @@ class TestBench:
         assert code == 0
         assert [line.split(",")[0] for line in out.splitlines()[1:]] == [
             "iterative", "matrix", "binet", "doubling"]
+
+
+class TestSharedParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_main_constructs_no_parser_after_the_first_call(self, capsys, monkeypatch):
+        run_cli(capsys, "term", "--seq", "B", "--k", "2", "--n", "5")
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        for index in range(10):
+            code, _, _ = run_cli(capsys, *(
+                ("term", "--seq", "C", "--k", str(index + 1), "--n", "7") if index % 2 else
+                ("verify", "--k", "1..2", "--max-index", "3", "--quiet")))
+            assert code == 0
+        assert built == []
+
+    def test_identity_and_quiet_do_not_carry_over(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--identity", "vajda-1", "--quiet",
+                               "--k", "1..2", "--max-index", "3")
+        assert code == 0 and out.count("\n") == 1
+        code, out, _ = run_cli(capsys, "verify", "--k", "1..2", "--max-index", "3")
+        # k = 1 lists its expected gcd failures after the per-identity lines
+        lines = out.splitlines()
+        per_identity = [line.split(": ")[0] for line in lines if " checked=" in line]
+        assert code == 0 and per_identity == sorted(CATALOG)
+        assert lines[-1].startswith("verify: all held")
+
+    def test_seq_does_not_carry_over(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--seq", "B", "--k", "2", "--n", "0..2")
+        assert code == 0 and out.splitlines()[0] == "k n B"
+        code, out, _ = run_cli(capsys, "table", "--k", "2", "--n", "0..2")
+        assert code == 0 and out.splitlines()[0] == "k n B C"
+
+    def test_usage_error_leaves_the_next_request_as_it_was(self, capsys):
+        argv = ("verify", "--k", "1..3", "--max-index", "5", "--format", "json")
+        before = run_caught(capsys, *argv)
+        code, out, err = run_caught(capsys, "verify", "--threads", "0")
+        assert code == 2 and out == "" and "thread count" in err
+        assert run_caught(capsys, *argv) == before and before[0] == 0
+
+    def test_version_prints_after_a_request(self, capsys):
+        run_cli(capsys, "term", "--seq", "B", "--k", "2", "--n", "5")
+        assert run_caught(capsys, "--version") == (0, f"balseq {__version__}\n", "")
+
+    def test_action_defaults_are_immutable(self):
+        # a list, dict or set default would be shared by every parse, and
+        # a parse that mutated it would change the next one; hash() raises
+        # on them, and on a tuple that holds one
+        parsers = [cli.build_parser()]
+        for parser in parsers:
+            for action in parser._actions:
+                hash(action.default)
+                hash(action.const)
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+            for value in parser._defaults.values():
+                hash(value)
+        assert len(parsers) == 1 + 5
+
+    # term, table, series, a usage error, then verify twice with other flags
+    MIXED = [
+        ("term", "--seq", "C", "--k", "4", "--n", "30", "--format", "json"),
+        ("table", "--k", "1..3", "--n", "0..6", "--seq", "B", "--format", "csv"),
+        ("series", "--seq", "C", "--k", "5", "--N", "12", "--variant", "printed"),
+        ("verify", "--k", "2..3", "--threads", "0"),
+        ("verify", "--k", "1..4", "--max-index", "6", "--identity", "catalan,strong-gcd",
+         "--format", "json"),
+        ("verify", "--k", "3..4", "--max-index", "5", "--quiet"),
+    ]
+
+    def test_one_process_prints_what_fresh_interpreters_print(self, capsys):
+        for argv in self.MIXED:
+            code, out, err = run_caught(capsys, *argv)
+            proc = subprocess.run([sys.executable, "-m", "balseq.cli", *argv],
+                                  capture_output=True, text=True)
+            assert (code, out) == (proc.returncode, proc.stdout), argv
+            # usage lines wrap at the terminal's width; the last line is the reason
+            assert err.splitlines()[-1:] == proc.stderr.splitlines()[-1:], argv
 
 
 class TestExitCodeContract:
