@@ -14,14 +14,12 @@ balseq.divisibility, balseq.verify, ...).
 __version__ = "0.1.0"
 
 from .engines import Engine, term_b, term_b_negative
-from .identities import catalan
 from .ring import SequenceParams
 
 __all__ = [
     "__version__",
     "Engine",
     "SequenceParams",
-    "catalan",
     "term_b",
     "term_b_negative",
 ]

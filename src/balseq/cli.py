@@ -51,6 +51,7 @@ from .verify import (
     COUNTS,
     VerifyRunConfig,
     exact_to_str,
+    report_name,
     report_to_json,
     resolve_identities,
     run_verify,
@@ -283,7 +284,7 @@ def cmd_verify(args) -> int:
                 counts = summary["per_identity"][name]
                 print(f"{name}: " + " ".join(f"{key}={counts[key]}" for key in COUNTS))
             for entry in report.results:
-                name = getattr(entry, "identity_name", None) or entry.theorem_name
+                name = report_name(entry)
                 tag = "VIOLATION" if entry.hypothesis_met else "expected failure"
                 inputs = ", ".join(f"{k}={v}" for k, v in sorted(entry.inputs.items()))
                 if hasattr(entry, "lhs"):

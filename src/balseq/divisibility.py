@@ -14,8 +14,8 @@ themselves.
 Each theorem is written once, as a *_sides function that takes its last
 index as a range and returns the computed gcds and the expected values over
 it.  The verify sweeps call it a row at a time, with the theorem's hypothesis
-on the catalog row; each check_* function builds its own TermContext for
-its one point, passes a one-element range and builds a GcdReport.
+on the catalog row, and verify.Sides.at calls it on a one-element range to
+answer one point with a GcdReport.
 
 gcd is always taken on magnitudes with gcd(0, x) = |x|, since 1 - k is
 negative for k >= 2.
@@ -51,34 +51,34 @@ def residue_hypothesis(params: SequenceParams) -> bool:
     return math.gcd(params.trace, params.norm) == 1
 
 
-def _report(
-    name: str, inputs: dict[str, int], sides: SideLists, hyp: bool
-) -> GcdReport:
-    (computed,), (expected,) = sides
-    return GcdReport(name, inputs, computed, expected, hyp, computed == expected)
-
-
 # ---------------------------------------------------------------------------
-# gcd computations, shared between the check_* theorems and sweeps
+# gcd computations, shared between sweeps and single points
 
 def index_divisibility_sides(ctx: TermContext, m: int, ns: range) -> SideLists:
+    """B_m | B_n whenever m | n, for m, n >= 1; no residue condition.
+
+    Stated gcd-style: gcd(B_m, B_n) against B_m, which is equivalent since
+    B_m > 0 for m >= 1.
+    """
     b = ctx.b
     bm = b[m]
     return [math.gcd(bm, b[n]) for n in ns], [bm] * len(ns)
 
 
 def coprime_norm_sides(ctx: TermContext, seq: str, ns: range) -> SideLists:
+    """gcd(|1-k|, X_n) against 1, for n >= 1, under k % 3 != 1."""
     x, norm = ctx.seq(seq), ctx.params.k - 1
     return [math.gcd(norm, x[n]) for n in ns], [1] * len(ns)
 
 
 def consecutive_gcd_sides(ctx: TermContext, seq: str, ns: range) -> SideLists:
+    """gcd(X_n, X_{n+1}) against 1, for n >= 1, under k % 3 != 1."""
     x = ctx.seq(seq)
     return [math.gcd(x[n], x[n + 1]) for n in ns], [1] * len(ns)
 
 
 def b_c_coprime_sides(ctx: TermContext, ns: range) -> SideLists:
-    """gcd(B_n, C_n) against 1.
+    """gcd(B_n, C_n) against 1, for n >= 0, under k % 3 != 1.
 
     C_n = B_{n+1} + 3(1-k)B_n, so gcd(B_n, C_n) = gcd(B_n, B_{n+1}): this row
     restates consecutive-gcd-b on the same n.
@@ -88,59 +88,42 @@ def b_c_coprime_sides(ctx: TermContext, ns: range) -> SideLists:
 
 
 def strong_gcd_sides(ctx: TermContext, m: int, ns: range) -> SideLists:
+    """gcd(B_m, B_n) against B_{gcd(m,n)}, for 1 <= m <= n, under k % 3 != 1.
+
+    gcd is symmetric, so the domain takes m <= n.
+    """
     b = ctx.b
     bm = b[m]
     return [math.gcd(bm, b[n]) for n in ns], [b[math.gcd(m, n)] for n in ns]
 
 
 # ---------------------------------------------------------------------------
-# single-shot theorems
+# single points of the theorems, by their historical names
+#
+# Each is CATALOG[name].at; the benchmark's tracer (perfbench/tracing.py)
+# wraps these names, so they stay until it changes.  verify imports this
+# module, hence the deferred imports.
 
 def check_index_divisibility(params: SequenceParams, m: int, n: int) -> GcdReport:
-    """B_m | B_n whenever m | n; no residue condition.
-
-    Stated gcd-style: gcd(B_m, B_n) = B_m, which is equivalent since B_m > 0
-    for m >= 1.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("indices must be >= 1")
-    if n % m != 0:
-        raise ValueError(f"m={m} does not divide n={n}")
-    sides = index_divisibility_sides(TermContext(params).ensure(n), m, range(n, n + 1))
-    return _report("index-divisibility", {"k": params.k, "m": m, "n": n}, sides, True)
+    from .verify import CATALOG
+    return CATALOG["index-divisibility"].at(params, m=m, n=n)
 
 
 def check_coprime_norm(seq: str, params: SequenceParams, n: int) -> GcdReport:
-    """gcd(|1-k|, X_n) = 1 for n >= 1, under k % 3 != 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    sides = coprime_norm_sides(TermContext(params).ensure(n), seq, range(n, n + 1))
-    return _report(f"coprime-norm-{seq.lower()}", {"k": params.k, "n": n}, sides,
-                   residue_hypothesis(params))
+    from .verify import CATALOG
+    return CATALOG[f"coprime-norm-{seq.lower()}"].at(params, n=n)
 
 
 def check_consecutive_coprime(seq: str, params: SequenceParams, n: int) -> GcdReport:
-    """gcd(X_n, X_{n+1}) = 1 for n >= 1, under k % 3 != 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    sides = consecutive_gcd_sides(TermContext(params).ensure(n + 1), seq, range(n, n + 1))
-    return _report(f"consecutive-gcd-{seq.lower()}", {"k": params.k, "n": n}, sides,
-                   residue_hypothesis(params))
+    from .verify import CATALOG
+    return CATALOG[f"consecutive-gcd-{seq.lower()}"].at(params, n=n)
 
 
 def check_b_c_coprime(params: SequenceParams, n: int) -> GcdReport:
-    """gcd(B_n, C_n) = 1 for n >= 0, under k % 3 != 1."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    sides = b_c_coprime_sides(TermContext(params).ensure(n), range(n, n + 1))
-    return _report("b-c-coprime", {"k": params.k, "n": n}, sides,
-                   residue_hypothesis(params))
+    from .verify import CATALOG
+    return CATALOG["b-c-coprime"].at(params, n=n)
 
 
 def check_strong_gcd(params: SequenceParams, m: int, n: int) -> GcdReport:
-    """gcd(B_m, B_n) = B_{gcd(m,n)} for m, n >= 1, under k % 3 != 1."""
-    if m < 1 or n < 1:
-        raise ValueError("indices must be >= 1")
-    sides = strong_gcd_sides(TermContext(params).ensure(max(m, n)), m, range(n, n + 1))
-    return _report("strong-gcd", {"k": params.k, "m": m, "n": n}, sides,
-                   residue_hypothesis(params))
+    from .verify import CATALOG
+    return CATALOG["strong-gcd"].at(params, m=m, n=n)

@@ -1,7 +1,7 @@
 """Exact two-sided evaluation of the closed-form identities.
 
-Every evaluator computes both sides of its identity as exact integers (or
-exact rationals where a closed form divides) and reports whether they agree.
+Every *_sides function computes both sides of its identity as exact integers
+(or exact rationals where a closed form divides), for its caller to compare.
 There is deliberately no tolerance anywhere: the domain is exact arithmetic,
 and an inexact comparison would mask the very transcription errors this
 package pins down.
@@ -10,15 +10,15 @@ Terms are always recomputed from the iterative recurrence, never from the
 engine a caller might be trying to validate, so identity checks and engine
 checks fail independently.  Only the matrix rows (matrix_sides,
 ar_commute_sides) read an engine: the matrices whose representation they
-check.  Every verify identity row's arithmetic lives here.  Each single-shot
-evaluator builds its own TermContext for its one point.  A caller that
-evaluates many tuples for the same k (the verify sweeps, the errata
-demonstrations) builds one TermContext and calls the *_sides functions on
-it, a whole row of the last index at a time.  The vajda-1 sweep also shares
-a table of products of B terms on its context, stored by diagonal
-(diagonals[d][a] = B_a*B_{a+d}), so that both products of a row over n are
-runs of two diagonals and a check costs one subtraction and one
-multiplication by k - 1; a single-shot evaluator builds no table.
+check.  Every verify identity row's arithmetic lives here.  A caller builds
+one TermContext for a k and calls the *_sides functions on it, a whole row
+of the last index at a time: the verify sweeps, the errata demonstrations,
+and verify.Sides.at, which answers one point of a catalog row with a
+one-element range.  The vajda-1 sweep also shares a table of products of B
+terms on its context, stored by diagonal (diagonals[d][a] = B_a*B_{a+d}), so
+that both products of a row over n are runs of two diagonals and a check
+costs one subtraction and one multiplication by k - 1; a single point builds
+no table.
 """
 
 from __future__ import annotations
@@ -104,21 +104,19 @@ class TermContext:
         raise ValueError(f"seq must be 'B' or 'C', got {name!r}")
 
 
-def _report(name: str, inputs: dict[str, int], lhs: Exact, rhs: Exact) -> IdentityReport:
-    return IdentityReport(name, inputs, lhs, rhs, lhs == rhs)
-
-
 # ---------------------------------------------------------------------------
-# side computations, shared between single-shot evaluators and sweeps
+# side computations, shared between sweeps and single points
 #
 # Each takes its last index as a range and returns the (lhs, rhs) lists over
-# it, so a sweep evaluates a whole row per call and a single-shot evaluator
-# passes a one-element range.
+# it, so a sweep evaluates a whole row per call and a single point
+# (verify.Sides.at) is a one-element range.
 
 SideLists = tuple[list[int], list[Exact]]
 
 
 def catalan_sides(ctx: TermContext, seq: str, n: int, rs: range) -> SideLists:
+    """X_{n+r}*X_{n-r} - X_n^2 against -(k-1)^{n-r}*B_r^2 (B) or
+    8(k-1)^{n-r+1}*B_r^2 (C), for n >= 1 and 0 <= r <= n."""
     x, b, pk = ctx.seq(seq), ctx.b, ctx.pk
     xn2 = x[n] * x[n]
     lhs = [x[n + r] * x[n - r] - xn2 for r in rs]
@@ -130,6 +128,8 @@ def catalan_sides(ctx: TermContext, seq: str, n: int, rs: range) -> SideLists:
 
 
 def cassini_sides(ctx: TermContext, seq: str, ns: range) -> SideLists:
+    """X_n^2 - X_{n-1}*X_{n+1} against (k-1)^{n-1} (B) or -8(k-1)^n (C), for
+    n >= 1."""
     x, pk = ctx.seq(seq), ctx.pk
     lhs = [x[n] * x[n] - x[n - 1] * x[n + 1] for n in ns]
     rhs = [pk[n - 1] for n in ns] if seq == "B" else [-8 * pk[n] for n in ns]
@@ -137,6 +137,8 @@ def cassini_sides(ctx: TermContext, seq: str, ns: range) -> SideLists:
 
 
 def docagne_sides(ctx: TermContext, seq: str, m: int, ns: range) -> SideLists:
+    """X_m*X_{n+1} - X_n*X_{m+1} against (k-1)^n*B_{m-n} (B) or
+    -8(k-1)^{n+1}*B_{m-n} (C), for m >= n >= 0."""
     x, b, pk = ctx.seq(seq), ctx.b, ctx.pk
     xm, xm1 = x[m], x[m + 1]
     lhs = [xm * x[n + 1] - x[n] * xm1 for n in ns]
@@ -148,9 +150,15 @@ def docagne_sides(ctx: TermContext, seq: str, m: int, ns: range) -> SideLists:
 
 
 def vajda1_sides(ctx: TermContext, i: int, j: int, ns: range) -> SideLists:
-    """B_{n+i}*B_{n+j} - B_n*B_{n+i+j} against (k-1)^n * B_i*B_j, ns a step-1
-    range.  The two lhs products are runs of diagonals |j - i| and i + j of
-    ctx.diagonal, and each rhs is the one before it times k - 1."""
+    """Vajda, first form: B_{n+i}*B_{n+j} - B_n*B_{n+i+j} against
+    (k-1)^n * B_i*B_j, for n, i, j >= 0, ns a step-1 range.
+
+    The free indices are named n, i, j (and m, ell in the second form); the
+    sequence parameter k is a separate quantity (statements of this identity
+    sometimes reuse the letter k for an index).  The two lhs products are
+    runs of diagonals |j - i| and i + j of ctx.diagonal, and each rhs is the
+    one before it times k - 1.
+    """
     lo, hi = ns.start, ns.stop
     a, b = min(i, j), ctx.b
     lhs = list(map(sub, ctx.diagonal(abs(j - i), a + lo, a + hi),
@@ -161,6 +169,9 @@ def vajda1_sides(ctx: TermContext, i: int, j: int, ns: range) -> SideLists:
 
 
 def vajda2_sides(ctx: TermContext, n: int, m: int, ells: range) -> SideLists:
+    """Vajda, second form: B_{n+ell}*B_{m-ell} - B_n*B_m against
+    (k-1)^n * B_{m-n-ell}*B_ell, for n, ell >= 0 and m > n + ell; k is the
+    sequence parameter, as in the first form."""
     b = ctx.b
     bn_bm, pkn = b[n] * b[m], ctx.pk[n]
     lhs = [b[n + ell] * b[m - ell] - bn_bm for ell in ells]
@@ -173,7 +184,9 @@ def _exact(value: Fraction) -> Exact:
 
 
 def sum_sides(ctx: TermContext, seq: str, ns: range) -> SideLists:
-    """Direct summation against the closed form.
+    """X_0 + ... + X_n summed directly against the closed form
+    (-(2k+1)*X_n + (k-1)*X_{n-1} + c) / -2k, c = 1 (B) or 4 - 3k (C), an
+    exact division, for n >= 1.
 
     The C closed form uses additive constant 4 - 3k (the variant that is
     exactly integral; see the errata module for the failing printed form).
@@ -189,6 +202,7 @@ def sum_sides(ctx: TermContext, seq: str, ns: range) -> SideLists:
 
 
 def addition_sides(ctx: TermContext, m: int, ns: range) -> SideLists:
+    """B_{m+n} against B_m*B_{n+1} + (1-k)*B_{m-1}*B_n, for m >= 1, n >= 0."""
     b = ctx.b
     bm, bm1 = b[m], (1 - ctx.params.k) * b[m - 1]
     lhs = [b[m + n] for n in ns]
@@ -197,7 +211,7 @@ def addition_sides(ctx: TermContext, m: int, ns: range) -> SideLists:
 
 
 def doubling_sides(ctx: TermContext, ns: range) -> SideLists:
-    """Both index-doubling identities, one pair of sides per n.
+    """Both index-doubling identities, one pair of sides per n >= 1.
 
     B_{2n} = B_n*(B_{n+1} + (1-k)*B_{n-1}) and B_{2n-1} = B_n^2 + (1-k)*B_{n-1}^2
     hold at n together exactly when the pair given for n is equal: it is
@@ -211,6 +225,8 @@ def doubling_sides(ctx: TermContext, ns: range) -> SideLists:
 
 
 def power_sum_sides(ctx: TermContext, ns: range) -> SideLists:
+    """alpha^n + beta^n (ring route) against B_{n+1} - (k-1)*B_{n-1}, for
+    n >= 1."""
     params, b = ctx.params, ctx.b
     lhs = [2 * u + params.trace * v
            for u, v in (alpha_power_components(params, n) for n in ns)]
@@ -219,6 +235,7 @@ def power_sum_sides(ctx: TermContext, ns: range) -> SideLists:
 
 
 def c_from_b_sides(ctx: TermContext, ns: range) -> SideLists:
+    """C_n against B_{n+1} + 3(1-k)*B_n, for n >= 0."""
     b, c = ctx.b, 3 * (1 - ctx.params.k)
     lhs = [ctx.c[n] for n in ns]
     rhs = [b[n + 1] + c * b[n] for n in ns]
@@ -243,121 +260,3 @@ def ar_commute_sides(ctx: TermContext, entries: range) -> SideLists:
     a, r = a_matrix(ctx.params), r_base_matrix(ctx.params)
     ar, ra = _entries(a @ r), _entries(r @ a)
     return [ar[e] for e in entries], [ra[e] for e in entries]
-
-
-# ---------------------------------------------------------------------------
-# single-shot evaluators
-
-def catalan(seq: str, params: SequenceParams, n: int, r: int) -> IdentityReport:
-    """X_{n+r}*X_{n-r} - X_n^2 against its closed form, 0 <= r <= n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if r < 0 or r > n:
-        raise ValueError("r must satisfy 0 <= r <= n")
-    # sized to n + 1 at least: the C side reads (k-1)^(n-r+1)
-    ctx = TermContext(params).ensure(n + max(r, 1))
-    (lhs,), (rhs,) = catalan_sides(ctx, seq, n, range(r, r + 1))
-    return _report(f"catalan-{seq.lower()}", {"k": params.k, "n": n, "r": r}, lhs, rhs)
-
-
-def cassini(seq: str, params: SequenceParams, n: int) -> IdentityReport:
-    """X_n^2 - X_{n-1}*X_{n+1} against (k-1)^{n-1} (B) or -8(k-1)^n (C)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    ctx = TermContext(params).ensure(n + 1)
-    (lhs,), (rhs,) = cassini_sides(ctx, seq, range(n, n + 1))
-    return _report(f"cassini-{seq.lower()}", {"k": params.k, "n": n}, lhs, rhs)
-
-
-def docagne(seq: str, params: SequenceParams, m: int, n: int) -> IdentityReport:
-    """X_m*X_{n+1} - X_n*X_{m+1} against its closed form, m >= n >= 0."""
-    if n < 0 or m < n:
-        raise ValueError("indices must satisfy m >= n >= 0")
-    ctx = TermContext(params).ensure(m + 1)
-    (lhs,), (rhs,) = docagne_sides(ctx, seq, m, range(n, n + 1))
-    return _report(f"docagne-{seq.lower()}", {"k": params.k, "m": m, "n": n}, lhs, rhs)
-
-
-def vajda(
-    form: int,
-    params: SequenceParams,
-    n: int,
-    i: int | None = None,
-    j: int | None = None,
-    m: int | None = None,
-    ell: int | None = None,
-) -> IdentityReport:
-    """Both Vajda formulations, rhs base (k-1)^n in each.
-
-    Form 1: B_{n+i}*B_{n+j} - B_n*B_{n+i+j} = (k-1)^n * B_i * B_j.
-    Form 2: B_{n+l}*B_{m-l} - B_n*B_m = (k-1)^n * B_{m-n-l} * B_l for
-    m > n + l.  The free indices are named n, i, j, m, l here; the sequence
-    parameter k is a separate quantity (statements of this identity sometimes
-    reuse the letter k for an index).
-    """
-    if form == 1:
-        if i is None or j is None:
-            raise ValueError("form 1 takes n, i, j")
-        if n < 0 or i < 0 or j < 0:
-            raise ValueError("form 1 requires n, i, j >= 0")
-        ctx = TermContext(params).ensure(n + i + j)
-        (lhs,), (rhs,) = vajda1_sides(ctx, i, j, range(n, n + 1))
-        return _report("vajda-1", {"k": params.k, "n": n, "i": i, "j": j}, lhs, rhs)
-    if form == 2:
-        if m is None or ell is None:
-            raise ValueError("form 2 takes n, m, ell")
-        if n < 0 or ell < 0 or m <= n + ell:
-            raise ValueError("form 2 requires n, ell >= 0 and m > n + ell")
-        ctx = TermContext(params).ensure(max(m, n + ell))
-        (lhs,), (rhs,) = vajda2_sides(ctx, n, m, range(ell, ell + 1))
-        return _report("vajda-2", {"k": params.k, "n": n, "m": m, "ell": ell}, lhs, rhs)
-    raise ValueError("form must be 1 or 2")
-
-
-def sum_closed_form(seq: str, params: SequenceParams, n: int) -> IdentityReport:
-    """First n+1 terms summed directly against the closed form (exact division)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    ctx = TermContext(params).ensure(n)
-    (lhs,), (rhs,) = sum_sides(ctx, seq, range(n, n + 1))
-    return _report(f"sum-{seq.lower()}", {"k": params.k, "n": n}, lhs, rhs)
-
-
-def addition_formula(params: SequenceParams, m: int, n: int) -> IdentityReport:
-    """B_{m+n} = B_m*B_{n+1} + (1-k)*B_{m-1}*B_n for m >= 1, n >= 0."""
-    if m < 1 or n < 0:
-        raise ValueError("indices must satisfy m >= 1, n >= 0")
-    ctx = TermContext(params).ensure(m + n)
-    (lhs,), (rhs,) = addition_sides(ctx, m, range(n, n + 1))
-    return _report("addition", {"k": params.k, "m": m, "n": n}, lhs, rhs)
-
-
-def doubling_formulas(params: SequenceParams, n: int) -> IdentityReport:
-    """Both doubling identities at n; holds only when both hold.
-
-    The reported sides are the even-index pair, or the first failing pair
-    when one fails.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    ctx = TermContext(params).ensure(2 * n + 1)
-    (lhs,), (rhs,) = doubling_sides(ctx, range(n, n + 1))
-    return _report("doubling", {"k": params.k, "n": n}, lhs, rhs)
-
-
-def power_sum_identity(params: SequenceParams, n: int) -> IdentityReport:
-    """alpha^n + beta^n (ring route) against B_{n+1} - (k-1)*B_{n-1}."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    ctx = TermContext(params).ensure(n + 1)
-    (lhs,), (rhs,) = power_sum_sides(ctx, range(n, n + 1))
-    return _report("power-sum", {"k": params.k, "n": n}, lhs, rhs)
-
-
-def c_from_b(params: SequenceParams, n: int) -> IdentityReport:
-    """C_n = B_{n+1} + 3(1-k)*B_n for n >= 0."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    ctx = TermContext(params).ensure(n + 1)
-    (lhs,), (rhs,) = c_from_b_sides(ctx, range(n, n + 1))
-    return _report("c-from-b", {"k": params.k, "n": n}, lhs, rhs)

@@ -8,7 +8,10 @@ it returns, and builds a report only for a failing element; so each
 identity's and each theorem's arithmetic is written once, in the identities
 and divisibility modules; this module imports no engine.  CATALOG is one
 list of rows keyed by name, each B/C family declared once for its -b and -c
-rows, and the per-identity counts are named once, in COUNTS.
+rows, and the per-identity counts are named once, in COUNTS.  Each row also
+states, per point, whether the point is in its domain and the largest term
+index its sides read there, so that the same row answers a single point
+(Sides.at) as well as a sweep.
 
 A gcd row carries its theorem's hypothesis.  When the hypothesis fails at a
 k (gcd(3k, k - 1) = 1, i.e. k % 3 != 1), every check of that k is counted as
@@ -88,17 +91,22 @@ class SweepOutcome:
 class Sides:
     """One catalog row: compares sides(ctx, *row) -> (lhs list, rhs list).
 
-    size and domain are functions of the max index: the index the term
-    tables are built up to, and the rows, each the leading indices and a
-    range of the last one; the sides come back as one list per side over
-    that range.  diagonals, if set, gives the width of each diagonal of the
+    A point gives one value to each of keys, in that order.  where(*point)
+    says whether it is in the domain, where every key must also be >= 0, and
+    reach(*point) is the largest term index the sides read at it.
+    domain(max_index) lists the domain's points with every index at most
+    max_index as rows, each the leading indices and a range of the last one;
+    the sides come back as one list per side over that range.  A sweep builds
+    its term tables to reach at the corner point whose every key is
+    max_index.  diagonals, if set, gives the width of each diagonal of the
     shared table of B-term products the sides read.  A gcd row carries its
     theorem's hypothesis, and an identity row none.
     """
 
     name: str
-    size: Callable[[int], int]
+    reach: Callable[..., int]
     domain: Callable[[int], Iterable[tuple]]
+    where: Callable[..., bool]
     sides: Callable[..., SideLists]
     keys: tuple[str, ...] = ("n",)  # input names of an index tuple
     hypothesis: Callable[[SequenceParams], bool] | None = None
@@ -106,10 +114,33 @@ class Sides:
 
     def context(self, params: SequenceParams, max_index: int) -> TermContext:
         """The term tables (and product table, if any) the sweep reads."""
-        ctx = TermContext(params).ensure(self.size(max_index))
+        ctx = TermContext(params).ensure(self.reach(*[max_index] * len(self.keys)))
         if self.diagonals is not None:
             ctx.share_diagonals(self.diagonals(max_index))
         return ctx
+
+    def _report(self, params: SequenceParams, point: tuple, lhs, rhs, met: bool) -> Report:
+        """The report of the sides at one point; met is the hypothesis at k."""
+        inputs = {"k": params.k, **dict(zip(self.keys, point))}
+        if self.hypothesis is None:
+            return IdentityReport(self.name, inputs, lhs, rhs, lhs == rhs)
+        return GcdReport(self.name, inputs, lhs, rhs, met, lhs == rhs)
+
+    def at(self, params: SequenceParams, **inputs: int) -> Report:
+        """The report at one point of the domain, named by keys, e.g.
+        CATALOG["catalan-b"].at(params, n=3, r=1), on term tables built to
+        the point's reach (and no product table)."""
+        given = ", ".join(f"{key}={value}" for key, value in inputs.items())
+        if inputs.keys() != set(self.keys):
+            raise ValueError(f"{self.name}({given}) takes {', '.join(self.keys)}")
+        point = tuple(inputs[key] for key in self.keys)
+        if min(point) < 0 or not self.where(*point):
+            raise ValueError(f"{self.name}({given}) is outside the domain")
+        *lead, last = point
+        ctx = TermContext(params).ensure(self.reach(*point))
+        (lhs,), (rhs,) = self.sides(ctx, *lead, range(last, last + 1))
+        return self._report(params, point, lhs, rhs,
+                           self.hypothesis is None or self.hypothesis(params))
 
     def __call__(self, params: SequenceParams, max_index: int) -> SweepOutcome:
         out = SweepOutcome(self.name)
@@ -128,11 +159,7 @@ class Sides:
                 if left == right:
                     held += 1
                     continue
-                inputs = {"k": params.k, **dict(zip(self.keys, (*lead, index)))}
-                if self.hypothesis is None:
-                    failures.append(IdentityReport(self.name, inputs, left, right, False))
-                else:
-                    failures.append(GcdReport(self.name, inputs, left, right, met, False))
+                failures.append(self._report(params, (*lead, index), left, right, met))
         out.checked = checked
         if met:
             out.held, out.failed = held, len(out.violations)
@@ -141,60 +168,68 @@ class Sides:
         return out
 
 
-def _row(lo: int) -> Callable[[int], Iterable[tuple[range]]]:
-    """The domain of one index n with lo <= n <= max index, as a single row."""
-    return lambda m: [(range(lo, m + 1),)]
+def _row(lo: int) -> tuple[Callable[[int], Iterable[tuple[range]]], Callable[[int], bool]]:
+    """The domain of one index n >= lo, and its rows up to a max index as
+    one row."""
+    return lambda m: [(range(lo, m + 1),)], lambda n: n >= lo
 
 
-def _triangle(lo: int) -> Callable[[int], Iterable[tuple[int, range]]]:
-    """Rows (x, range(x + 1)) for lo <= x <= max index."""
-    return lambda m: ((x, range(x + 1)) for x in range(lo, m + 1))
+def _triangle(lo: int) -> tuple[Callable[[int], Iterable[tuple[int, range]]],
+                                Callable[[int, int], bool]]:
+    """The domain of points (x, y) with x >= lo and y <= x, and its rows
+    (x, range(x + 1)) for lo <= x <= max index."""
+    return (lambda m: ((x, range(x + 1)) for x in range(lo, m + 1)),
+            lambda x, y: x >= lo and y <= x)
 
 
-def _twins(family: str, size: Callable[[int], int], domain: Callable[[int], Iterable[tuple]],
-           sides: Callable[..., SideLists], *fields, **named) -> list[Sides]:
+def _twins(family: str, reach: Callable[..., int], domain: Callable[[int], Iterable[tuple]],
+           where: Callable[..., bool], sides: Callable[..., SideLists],
+           *fields, **named) -> list[Sides]:
     """The -b and -c rows of a B/C family: sides(ctx, seq, *row) with seq "B"
     and "C", other fields as given.  seq is bound as a default argument: a
     closure would read it after the loop, and both rows would sweep C."""
-    return [Sides(f"{family}-{seq.lower()}", size, domain,
+    return [Sides(f"{family}-{seq.lower()}", reach, domain, where,
                   lambda ctx, *row, seq=seq: sides(ctx, seq, *row), *fields, **named)
             for seq in "BC"]
 
 
 CATALOG: dict[str, Sides] = {row.name: row for row in [
-    *_twins("catalan", lambda m: 2 * m, _triangle(1), catalan_sides, ("n", "r")),
-    *_twins("cassini", lambda m: m + 1, _row(1), cassini_sides),
-    *_twins("docagne", lambda m: m + 1, _triangle(0), docagne_sides, ("m", "n")),
-    Sides("vajda-1", lambda m: 3 * m,
+    # catalan-c reads (k-1)^(n-r+1), so its tables reach n + 1 at r = 0
+    *_twins("catalan", lambda n, r: n + max(r, 1), *_triangle(1), catalan_sides, ("n", "r")),
+    *_twins("cassini", lambda n: n + 1, *_row(1), cassini_sides),
+    *_twins("docagne", lambda m, n: m + 1, *_triangle(0), docagne_sides, ("m", "n")),
+    Sides("vajda-1", lambda i, j, n: n + i + j,
           lambda m: product(range(m + 1), range(m + 1), [range(m + 1)]),
-          vajda1_sides, ("i", "j", "n"),
+          lambda i, j, n: True, vajda1_sides, ("i", "j", "n"),
           # row (i, j) reads diagonal |j - i| <= m at a <= 2m - |j - i|, and
           # diagonal i + j <= 2m at a <= m
           diagonals=lambda m: [2 * m + 1 - d if d <= m else m + 1 for d in range(2 * m + 1)]),
-    Sides("vajda-2", lambda m: m,
+    Sides("vajda-2", lambda n, m, ell: m,
           lambda m: ((n, x, range(x - n)) for x in range(1, m + 1) for n in range(x)),
-          vajda2_sides, ("n", "m", "ell")),
-    *_twins("sum", lambda m: m, _row(1), sum_sides),
-    Sides("addition", lambda m: 2 * m, lambda m: product(range(1, m + 1), [range(m + 1)]),
-          addition_sides, ("m", "n")),
-    Sides("doubling", lambda m: 2 * m + 1, _row(1), doubling_sides),
-    Sides("power-sum", lambda m: m + 1, _row(1), power_sum_sides),
-    Sides("c-from-b", lambda m: m + 1, _row(0), c_from_b_sides),
-    *_twins("matrix", lambda m: m + 1, lambda m: product(range(1, m + 1), [range(4)]),
-            matrix_sides, ("n", "entry")),
-    Sides("ar-commute", lambda m: 0, lambda m: [(range(4),)], ar_commute_sides, ("entry",)),
-    Sides("index-divisibility", lambda m: m,
+          lambda n, m, ell: m > n + ell, vajda2_sides, ("n", "m", "ell")),
+    *_twins("sum", lambda n: n, *_row(1), sum_sides),
+    Sides("addition", lambda m, n: m + n, lambda m: product(range(1, m + 1), [range(m + 1)]),
+          lambda m, n: m >= 1, addition_sides, ("m", "n")),
+    Sides("doubling", lambda n: 2 * n + 1, *_row(1), doubling_sides),
+    Sides("power-sum", lambda n: n + 1, *_row(1), power_sum_sides),
+    Sides("c-from-b", lambda n: n + 1, *_row(0), c_from_b_sides),
+    *_twins("matrix", lambda n, entry: n + 1, lambda m: product(range(1, m + 1), [range(4)]),
+            lambda n, entry: n >= 1 and entry < 4, matrix_sides, ("n", "entry")),
+    Sides("ar-commute", lambda entry: 0, lambda m: [(range(4),)], lambda entry: entry < 4,
+          ar_commute_sides, ("entry",)),
+    Sides("index-divisibility", lambda m, n: n,
           lambda m: ((d, range(d, m + 1, d)) for d in range(1, m + 1)),
+          lambda m, n: m >= 1 and n >= 1 and n % m == 0,
           index_divisibility_sides, ("m", "n"), lambda params: True),
-    *_twins("coprime-norm", lambda m: m, _row(1), coprime_norm_sides,
+    *_twins("coprime-norm", lambda n: n, *_row(1), coprime_norm_sides,
             hypothesis=residue_hypothesis),
-    *_twins("consecutive-gcd", lambda m: m + 1, _row(1), consecutive_gcd_sides,
+    *_twins("consecutive-gcd", lambda n: n + 1, *_row(1), consecutive_gcd_sides,
             hypothesis=residue_hypothesis),
-    Sides("b-c-coprime", lambda m: m, _row(0), b_c_coprime_sides,
+    Sides("b-c-coprime", lambda n: n, *_row(0), b_c_coprime_sides,
           hypothesis=residue_hypothesis),
-    Sides("strong-gcd", lambda m: m,
+    Sides("strong-gcd", lambda m, n: max(m, n),
           lambda m: ((x, range(x, m + 1)) for x in range(1, m + 1)),
-          strong_gcd_sides, ("m", "n"), residue_hypothesis),
+          lambda m, n: 1 <= m <= n, strong_gcd_sides, ("m", "n"), residue_hypothesis),
 ]}
 
 
@@ -258,9 +293,13 @@ class VerifyReport:
         return 0 if self.summary["total_failed"] == 0 else 1
 
 
+def report_name(report: Report) -> str:
+    """The catalog name of an identity or a gcd report."""
+    return getattr(report, "identity_name", None) or report.theorem_name
+
+
 def _sort_key(report: Report):
-    name = getattr(report, "identity_name", None) or report.theorem_name
-    return name, sorted(report.inputs.items())
+    return report_name(report), sorted(report.inputs.items())
 
 
 def run_verify(config: VerifyRunConfig) -> VerifyReport:

@@ -9,7 +9,6 @@ import math
 import time
 
 from balseq.cli import main
-from balseq.divisibility import check_strong_gcd
 from balseq.engines import Engine, b_table, c_table, term_b, term_b_negative, term_c
 from balseq.genfunc import b_series, c_series, erratum_probe_c_numerator
 from balseq.ring import RingElement, SequenceParams, ring_pow_counted
@@ -136,7 +135,7 @@ def test_criterion_04_divisibility_sweep():
 def test_criterion_05_strong_gcd_spot_check():
     b = oracle_b(3, 6)
     assert math.gcd(b[4], b[6]) == 9 == b[2]
-    report = check_strong_gcd(SequenceParams(3), 4, 6)
+    report = CATALOG["strong-gcd"].at(SequenceParams(3), m=4, n=6)
     assert report.computed_gcd == 9 == report.expected and report.holds
     _passed(5, "gcd(B_(3,4), B_(3,6)) = 9 = B_(3,2)")
 

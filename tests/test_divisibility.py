@@ -2,14 +2,8 @@ import math
 
 import pytest
 
-from balseq.divisibility import (
-    check_b_c_coprime,
-    check_consecutive_coprime,
-    check_coprime_norm,
-    check_index_divisibility,
-    check_strong_gcd,
-    residue_hypothesis,
-)
+from balseq import divisibility
+from balseq.divisibility import residue_hypothesis
 from balseq.ring import SequenceParams
 from balseq.verify import CATALOG
 
@@ -25,22 +19,22 @@ BAD_K = [4, 7, 10]
 
 class TestIndexDivisibility:
     def test_example_k3(self):
-        report = check_index_divisibility(SequenceParams(3), 2, 4)
+        report = CATALOG["index-divisibility"].at(SequenceParams(3), m=2, n=4)
         assert report.computed_gcd == 9 == report.expected
         assert report.holds and report.hypothesis_met
 
     def test_m_one_divides_everything(self):
         for n in (1, 5, 17):
-            assert check_index_divisibility(SequenceParams(6), 1, n).holds
+            assert CATALOG["index-divisibility"].at(SequenceParams(6), m=1, n=n).holds
 
     def test_k4_needs_no_residue_condition(self):
         # 12 | 1656 even though 4 % 3 == 1
-        report = check_index_divisibility(SequenceParams(4), 2, 4)
+        report = CATALOG["index-divisibility"].at(SequenceParams(4), m=2, n=4)
         assert report.holds and report.hypothesis_met
 
     def test_nondivisor_rejected(self):
-        with pytest.raises(ValueError, match="does not divide"):
-            check_index_divisibility(SequenceParams(3), 2, 5)
+        with pytest.raises(ValueError, match=r"index-divisibility\(m=2, n=5\) is outside"):
+            CATALOG["index-divisibility"].at(SequenceParams(3), m=2, n=5)
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_holds_for_all_k_to_60(self, k):
@@ -49,73 +43,92 @@ class TestIndexDivisibility:
         for m in range(1, 61):
             for n in range(m, 61, m):
                 assert b[n] % b[m] == 0, (k, m, n)
-                assert check_index_divisibility(SequenceParams(k), m, n).holds
+                assert CATALOG["index-divisibility"].at(SequenceParams(k), m=m, n=n).holds
 
 
 class TestCoprimeNorm:
     def test_example_b(self):
-        report = check_coprime_norm("B", SequenceParams(3), 4)
+        report = CATALOG["coprime-norm-b"].at(SequenceParams(3), n=4)
         assert report.computed_gcd == 1 and report.holds and report.hypothesis_met
 
     def test_hypothesis_violation_k4(self):
-        report = check_coprime_norm("B", SequenceParams(4), 2)
+        report = CATALOG["coprime-norm-b"].at(SequenceParams(4), n=2)
         assert report.computed_gcd == 3
         assert not report.hypothesis_met and not report.holds
 
     def test_k1_gcd_with_zero(self):
         # gcd(0, B_n) = B_n; k=1 is in the expected-failure pool (1 % 3 == 1)
-        report = check_coprime_norm("B", SequenceParams(1), 4)
+        report = CATALOG["coprime-norm-b"].at(SequenceParams(1), n=4)
         assert report.computed_gcd == oracle_b(1, 4)[4] == 27
         assert not report.hypothesis_met
 
 
 class TestConsecutiveCoprime:
     def test_example_b(self):
-        report = check_consecutive_coprime("B", SequenceParams(3), 3)
+        report = CATALOG["consecutive-gcd-b"].at(SequenceParams(3), n=3)
         assert report.computed_gcd == math.gcd(79, 693) == 1 and report.holds
 
     def test_example_c(self):
-        report = check_consecutive_coprime("C", SequenceParams(2), 4)
+        report = CATALOG["consecutive-gcd-c"].at(SequenceParams(2), n=4)
         assert report.computed_gcd == math.gcd(577, 3363) == 1 and report.holds
 
     def test_counterexample_k4(self):
-        report = check_consecutive_coprime("B", SequenceParams(4), 2)
+        report = CATALOG["consecutive-gcd-b"].at(SequenceParams(4), n=2)
         assert report.computed_gcd == math.gcd(12, 141) == 3
         assert not report.hypothesis_met and not report.holds
 
 
 class TestBCCoprime:
     def test_n0(self):
-        report = check_b_c_coprime(SequenceParams(5), 0)
+        report = CATALOG["b-c-coprime"].at(SequenceParams(5), n=0)
         assert report.computed_gcd == 1 and report.holds
 
     def test_examples(self):
-        assert check_b_c_coprime(SequenceParams(3), 3).computed_gcd == 1
-        assert check_b_c_coprime(SequenceParams(2), 4).computed_gcd == 1
+        assert CATALOG["b-c-coprime"].at(SequenceParams(3), n=3).computed_gcd == 1
+        assert CATALOG["b-c-coprime"].at(SequenceParams(2), n=4).computed_gcd == 1
 
 
 class TestStrongGcd:
     def test_example_k3(self):
-        report = check_strong_gcd(SequenceParams(3), 4, 6)
+        report = CATALOG["strong-gcd"].at(SequenceParams(3), m=4, n=6)
         assert report.computed_gcd == 9 == report.expected and report.holds
 
     def test_diagonal(self):
-        report = check_strong_gcd(SequenceParams(5), 7, 7)
+        report = CATALOG["strong-gcd"].at(SequenceParams(5), m=7, n=7)
         assert report.computed_gcd == report.expected and report.holds
 
     def test_coprime_indices(self):
-        report = check_strong_gcd(SequenceParams(2), 3, 4)
+        report = CATALOG["strong-gcd"].at(SequenceParams(2), m=3, n=4)
         assert report.computed_gcd == 1 == report.expected and report.holds
+
+    def test_m_above_n_rejected(self):
+        # gcd is symmetric, so the domain is the sweep's 1 <= m <= n
+        with pytest.raises(ValueError, match=r"strong-gcd\(m=6, n=4\) is outside the domain"):
+            CATALOG["strong-gcd"].at(SequenceParams(3), m=6, n=4)
 
     @pytest.mark.parametrize("k", GOOD_K)
     def test_consistency_with_consecutive(self, k):
         # gcd(m, m+1) = 1 and B_1 = 1, so the strong form subsumes consecutive
         params = SequenceParams(k)
         for m in range(1, 25):
-            strong = check_strong_gcd(params, m, m + 1)
-            consecutive = check_consecutive_coprime("B", params, m)
+            strong = CATALOG["strong-gcd"].at(params, m=m, n=m + 1)
+            consecutive = CATALOG["consecutive-gcd-b"].at(params, n=m)
             assert strong.expected == 1
             assert strong.computed_gcd == consecutive.computed_gcd
+
+
+def test_check_functions_are_catalog_points():
+    # the five check_* names answer through their catalog rows
+    params = SequenceParams(5)
+    assert divisibility.check_index_divisibility(params, 2, 6) == CATALOG[
+        "index-divisibility"].at(params, m=2, n=6)
+    assert divisibility.check_coprime_norm("C", params, 4) == CATALOG[
+        "coprime-norm-c"].at(params, n=4)
+    assert divisibility.check_consecutive_coprime("B", params, 4) == CATALOG[
+        "consecutive-gcd-b"].at(params, n=4)
+    assert divisibility.check_b_c_coprime(params, 0) == CATALOG["b-c-coprime"].at(params, n=0)
+    assert divisibility.check_strong_gcd(params, 4, 6) == CATALOG["strong-gcd"].at(
+        params, m=4, n=6)
 
 
 class TestResidueSweeps:

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from balseq.errata import ERRATA, render_document
-from balseq.identities import TermContext, sum_closed_form
+from balseq.identities import TermContext
 from balseq.ring import SequenceParams
+from balseq.verify import CATALOG
 
 from conftest import oracle_b, oracle_b_negative, oracle_c
 
@@ -77,7 +78,7 @@ def test_erratum_sum_c_constant():
     printed = Fraction(-(2 * k + 1) * c[3] + (k - 1) * c[2] + 4 * (1 - k), -2 * k)
     assert printed == Fraction(241, 2)      # not even an integer
     assert sum(c) == 120
-    assert sum_closed_form("C", SequenceParams(k), 3).rhs == 120
+    assert CATALOG["sum-c"].at(SequenceParams(k), n=3).rhs == 120
 
 
 def test_erratum_gcd_product_rule():

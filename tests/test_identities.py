@@ -5,29 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balseq.divisibility import (
-    check_b_c_coprime,
-    check_consecutive_coprime,
-    check_coprime_norm,
-    check_index_divisibility,
-    check_strong_gcd,
-    residue_hypothesis,
-)
+from balseq.divisibility import residue_hypothesis
 from balseq.identities import (
+    IdentityReport,
     TermContext,
-    addition_formula,
     addition_sides,
-    c_from_b,
-    cassini,
     cassini_sides,
-    catalan,
     catalan_sides,
-    docagne,
-    doubling_formulas,
     doubling_sides,
-    power_sum_identity,
-    sum_closed_form,
-    vajda,
     vajda1_sides,
 )
 from balseq.ring import SequenceParams
@@ -41,45 +26,18 @@ IDENTITY_NAMES = [
     "c-from-b", "matrix-b", "matrix-c", "ar-commute",
 ]
 
-# The single-shot evaluator of each identity row, called with the row's
-# index names; the matrix rows have none.
-EVALUATORS = {
-    "catalan-b": lambda p, n, r: catalan("B", p, n, r),
-    "catalan-c": lambda p, n, r: catalan("C", p, n, r),
-    "cassini-b": lambda p, n: cassini("B", p, n),
-    "cassini-c": lambda p, n: cassini("C", p, n),
-    "docagne-b": lambda p, m, n: docagne("B", p, m, n),
-    "docagne-c": lambda p, m, n: docagne("C", p, m, n),
-    "vajda-1": lambda p, n, i, j: vajda(1, p, n, i=i, j=j),
-    "vajda-2": lambda p, n, m, ell: vajda(2, p, n, m=m, ell=ell),
-    "sum-b": lambda p, n: sum_closed_form("B", p, n),
-    "sum-c": lambda p, n: sum_closed_form("C", p, n),
-    "addition": addition_formula,
-    "doubling": doubling_formulas,
-    "power-sum": power_sum_identity,
-    "c-from-b": c_from_b,
-}
-
-# The check_* theorem of each gcd row, called the same way.
-GCD_CHECKS = {
-    "index-divisibility": check_index_divisibility,
-    "coprime-norm-b": lambda p, n: check_coprime_norm("B", p, n),
-    "coprime-norm-c": lambda p, n: check_coprime_norm("C", p, n),
-    "consecutive-gcd-b": lambda p, n: check_consecutive_coprime("B", p, n),
-    "consecutive-gcd-c": lambda p, n: check_consecutive_coprime("C", p, n),
-    "b-c-coprime": check_b_c_coprime,
-    "strong-gcd": check_strong_gcd,
-}
+# the gcd theorem rows, each with a hypothesis
+GCD_NAMES = [name for name in CATALOG if name not in IDENTITY_NAMES]
 
 
 class TestCatalan:
     def test_b_example(self):
         # k=3, n=3, r=1: 693*9 - 79^2 = -4 = -(k-1)^2 * B_1^2
-        report = catalan("B", SequenceParams(3), 3, 1)
+        report = CATALOG["catalan-b"].at(SequenceParams(3), n=3, r=1)
         assert (report.lhs, report.rhs, report.holds) == (-4, -4, True)
 
     def test_r_zero_degenerate(self):
-        report = catalan("B", SequenceParams(7), 5, 0)
+        report = CATALOG["catalan-b"].at(SequenceParams(7), n=5, r=0)
         assert report.lhs == report.rhs == 0 and report.holds
 
     @pytest.mark.parametrize("seq", ["B", "C"])
@@ -87,20 +45,20 @@ class TestCatalan:
     def test_r_zero_in_domain(self, seq, k):
         # both sides vanish at r = 0; the C side reads (k-1)^(n+1), one past n + r
         for n in range(1, 6):
-            report = catalan(seq, SequenceParams(k), n, 0)
+            report = CATALOG[f"catalan-{seq.lower()}"].at(SequenceParams(k), n=n, r=0)
             assert report.lhs == report.rhs == 0 and report.holds, n
 
     def test_c_example(self):
         # k=2, n=2, r=1: 99*3 - 17^2 = 8 = 8*(k-1)^2*B_1^2
-        report = catalan("C", SequenceParams(2), 2, 1)
+        report = CATALOG["catalan-c"].at(SequenceParams(2), n=2, r=1)
         assert (report.lhs, report.rhs, report.holds) == (8, 8, True)
 
     def test_r_beyond_n_rejected(self):
-        with pytest.raises(ValueError, match="0 <= r <= n"):
-            catalan("B", SequenceParams(2), 3, 4)
+        with pytest.raises(ValueError, match=r"catalan-b\(n=3, r=4\) is outside the domain"):
+            CATALOG["catalan-b"].at(SequenceParams(2), n=3, r=4)
 
     def test_inputs_recorded(self):
-        report = catalan("B", SequenceParams(3), 3, 1)
+        report = CATALOG["catalan-b"].at(SequenceParams(3), n=3, r=1)
         assert report.identity_name == "catalan-b"
         assert report.inputs == {"k": 3, "n": 3, "r": 1}
         assert report.hypothesis_met
@@ -108,83 +66,85 @@ class TestCatalan:
 
 class TestCassini:
     def test_b_example(self):
-        report = cassini("B", SequenceParams(3), 3)
+        report = CATALOG["cassini-b"].at(SequenceParams(3), n=3)
         assert (report.lhs, report.rhs, report.holds) == (4, 4, True)
 
     def test_b_degenerate_k1(self):
         # (k-1)^{n-1} = 0 for n >= 2 at k=1
-        report = cassini("B", SequenceParams(1), 5)
+        report = CATALOG["cassini-b"].at(SequenceParams(1), n=5)
         assert report.lhs == report.rhs == 0 and report.holds
 
     def test_c_example(self):
-        report = cassini("C", SequenceParams(2), 1)
+        report = CATALOG["cassini-c"].at(SequenceParams(2), n=1)
         assert (report.lhs, report.rhs, report.holds) == (-8, -8, True)
 
     def test_cross_derivation_with_catalan(self):
         # Cassini at n is the r=1 Catalan case with the sign flipped
         for k in (2, 3, 5, 8):
             for n in range(1, 30):
-                cas = cassini("B", SequenceParams(k), n)
-                cat = catalan("B", SequenceParams(k), n, 1)
+                cas = CATALOG["cassini-b"].at(SequenceParams(k), n=n)
+                cat = CATALOG["catalan-b"].at(SequenceParams(k), n=n, r=1)
                 assert cas.lhs == -cat.lhs
 
 
 class TestDocagne:
     def test_b_example(self):
         # k=2, m=3, n=2: 35*35 - 6*204 = 1 = B_1
-        report = docagne("B", SequenceParams(2), 3, 2)
+        report = CATALOG["docagne-b"].at(SequenceParams(2), m=3, n=2)
         assert (report.lhs, report.rhs, report.holds) == (1, 1, True)
 
     def test_m_equal_n(self):
-        report = docagne("B", SequenceParams(9), 4, 4)
+        report = CATALOG["docagne-b"].at(SequenceParams(9), m=4, n=4)
         assert report.lhs == report.rhs == 0 and report.holds
 
     def test_c_example(self):
         # k=3, m=2, n=1: 25*25 - 3*219 = -32 = -8*(k-1)^2*B_1
-        report = docagne("C", SequenceParams(3), 2, 1)
+        report = CATALOG["docagne-c"].at(SequenceParams(3), m=2, n=1)
         assert (report.lhs, report.rhs, report.holds) == (-32, -32, True)
 
     def test_m_below_n_rejected(self):
-        with pytest.raises(ValueError, match="m >= n >= 0"):
-            docagne("B", SequenceParams(2), 2, 3)
+        with pytest.raises(ValueError, match=r"docagne-b\(m=2, n=3\) is outside the domain"):
+            CATALOG["docagne-b"].at(SequenceParams(2), m=2, n=3)
 
 
 class TestVajda:
     def test_form1_example(self):
         # k=3, n=1, i=1, j=2: 9*79 - 693 = 18 = (k-1)*B_1*B_2
-        report = vajda(1, SequenceParams(3), 1, i=1, j=2)
+        report = CATALOG["vajda-1"].at(SequenceParams(3), n=1, i=1, j=2)
         assert (report.lhs, report.rhs, report.holds) == (18, 18, True)
 
     def test_form1_i_zero(self):
-        report = vajda(1, SequenceParams(5), 3, i=0, j=4)
+        report = CATALOG["vajda-1"].at(SequenceParams(5), n=3, i=0, j=4)
         assert report.lhs == report.rhs == 0 and report.holds
 
     def test_form2_example(self):
         # k=3, n=1, m=4, l=1: B_2*B_3 - B_1*B_4 = 18 = (k-1)*B_2*B_1
-        report = vajda(2, SequenceParams(3), 1, m=4, ell=1)
+        report = CATALOG["vajda-2"].at(SequenceParams(3), n=1, m=4, ell=1)
         assert (report.lhs, report.rhs, report.holds) == (18, 18, True)
 
     def test_form2_domain_violation_rejected(self):
-        with pytest.raises(ValueError, match="m > n"):
-            vajda(2, SequenceParams(3), 2, m=3, ell=1)
+        with pytest.raises(ValueError, match=r"vajda-2\(n=2, m=3, ell=1\) is outside the domain"):
+            CATALOG["vajda-2"].at(SequenceParams(3), n=2, m=3, ell=1)
 
-    def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError, match="form"):
-            vajda(3, SequenceParams(3), 1, i=1, j=1)
+    def test_missing_and_unknown_keys_rejected(self):
+        with pytest.raises(ValueError, match=r"vajda-1\(n=1, i=1\) takes i, j, n"):
+            CATALOG["vajda-1"].at(SequenceParams(3), n=1, i=1)
+        with pytest.raises(ValueError, match=r"vajda-2\(n=1, i=1, j=1\) takes n, m, ell"):
+            CATALOG["vajda-2"].at(SequenceParams(3), n=1, i=1, j=1)
 
 
 class TestSumClosedForm:
     def test_b_example(self):
-        report = sum_closed_form("B", SequenceParams(2), 3)
+        report = CATALOG["sum-b"].at(SequenceParams(2), n=3)
         assert (report.lhs, report.rhs, report.holds) == (42, 42, True)
 
     def test_b_degenerate_k1(self):
-        report = sum_closed_form("B", SequenceParams(1), 4)
+        report = CATALOG["sum-b"].at(SequenceParams(1), n=4)
         assert (report.lhs, report.rhs, report.holds) == (40, 40, True)
 
     def test_c_example_with_corrected_constant(self):
         # 1+3+17+99 = 120 = (-5*99 + 17 + (4-6)) / -4
-        report = sum_closed_form("C", SequenceParams(2), 3)
+        report = CATALOG["sum-c"].at(SequenceParams(2), n=3)
         assert (report.lhs, report.rhs, report.holds) == (120, 120, True)
 
     @pytest.mark.parametrize("k", range(1, 13))
@@ -192,67 +152,67 @@ class TestSumClosedForm:
     def test_closed_form_is_integral_on_domain(self, seq, k):
         # the division by -2k must always be exact
         for n in range(1, 61):
-            report = sum_closed_form(seq, SequenceParams(k), n)
+            report = CATALOG[f"sum-{seq.lower()}"].at(SequenceParams(k), n=n)
             assert not isinstance(report.rhs, Fraction)
             assert report.holds
 
 
 class TestAdditionAndDoubling:
     def test_addition_example(self):
-        report = addition_formula(SequenceParams(2), 3, 2)
+        report = CATALOG["addition"].at(SequenceParams(2), m=3, n=2)
         assert (report.lhs, report.rhs, report.holds) == (1189, 1189, True)
 
     def test_addition_n_zero(self):
-        report = addition_formula(SequenceParams(6), 9, 0)
+        report = CATALOG["addition"].at(SequenceParams(6), m=9, n=0)
         assert report.holds
 
     def test_addition_k3(self):
-        report = addition_formula(SequenceParams(3), 2, 2)
+        report = CATALOG["addition"].at(SequenceParams(3), m=2, n=2)
         assert report.lhs == 693 and report.holds
 
     def test_addition_bad_m(self):
         with pytest.raises(ValueError):
-            addition_formula(SequenceParams(2), 0, 3)
+            CATALOG["addition"].at(SequenceParams(2), m=0, n=3)
 
     def test_doubling_example(self):
-        report = doubling_formulas(SequenceParams(2), 2)
+        report = CATALOG["doubling"].at(SequenceParams(2), n=2)
         assert (report.lhs, report.rhs, report.holds) == (204, 204, True)
 
     def test_doubling_k1(self):
-        report = doubling_formulas(SequenceParams(1), 3)
+        report = CATALOG["doubling"].at(SequenceParams(1), n=3)
         assert report.lhs == 243 and report.holds
 
     def test_doubling_n1(self):
-        report = doubling_formulas(SequenceParams(8), 1)
+        report = CATALOG["doubling"].at(SequenceParams(8), n=1)
         assert report.holds
 
     def test_doubling_bad_n(self):
         with pytest.raises(ValueError):
-            doubling_formulas(SequenceParams(2), 0)
+            CATALOG["doubling"].at(SequenceParams(2), n=0)
 
 
 class TestPowerSumAndCFromB:
     def test_power_sum_example(self):
-        report = power_sum_identity(SequenceParams(2), 2)
+        report = CATALOG["power-sum"].at(SequenceParams(2), n=2)
         assert (report.lhs, report.rhs, report.holds) == (34, 34, True)
 
     def test_power_sum_n1(self):
-        report = power_sum_identity(SequenceParams(7), 1)
+        report = CATALOG["power-sum"].at(SequenceParams(7), n=1)
         assert report.lhs == 21 and report.holds
 
     def test_power_sum_k3_n3(self):
         # alpha^3 + beta^3 = (3k)^3 - 3(k-1)(3k) = 675 = B_4 - 2*B_2
-        report = power_sum_identity(SequenceParams(3), 3)
+        report = CATALOG["power-sum"].at(SequenceParams(3), n=3)
         assert (report.lhs, report.rhs, report.holds) == (675, 675, True)
 
     def test_c_from_b_n0(self):
-        report = c_from_b(SequenceParams(11), 0)
+        report = CATALOG["c-from-b"].at(SequenceParams(11), n=0)
         assert report.lhs == 1 and report.holds
 
     def test_c_from_b_examples(self):
-        assert c_from_b(SequenceParams(2), 3).lhs == 99
-        assert c_from_b(SequenceParams(3), 2).lhs == 25
-        assert c_from_b(SequenceParams(3), 2).holds
+        assert CATALOG["c-from-b"].at(SequenceParams(2), n=3).lhs == 99
+        assert CATALOG["c-from-b"].at(SequenceParams(3), n=2).lhs == 25
+        assert CATALOG["c-from-b"].at(SequenceParams(3), n=2).holds
 
 
 class TestFullSweep:
@@ -301,26 +261,19 @@ class TestFullSweep:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_planted_error_reported_as_by_evaluators(self, planted_b7, k):
         # B_7 off by one in every term table: each identity row's sweep must
-        # fail exactly where the evaluators fail, each on term tables of its
-        # own (for the matrix rows, where a one-element row fails), with the
-        # same sides; k = 1 has beta = 0, so (k-1)^n = 0^n on the rhs
+        # fail exactly where its single points fail, each on term tables of
+        # its own, with the same sides; k = 1 has beta = 0, so (k-1)^n = 0^n
+        # on the rhs
         params = SequenceParams(k)
         clean = set()
         for name in IDENTITY_NAMES:
             sweep = CATALOG[name]
-            ctx = sweep.context(params, 12)
             expected = []
             for *lead, last in sweep.domain(12):
                 for x in last:
-                    point = dict(zip(sweep.keys, (*lead, x)))
-                    if name in EVALUATORS:
-                        report = EVALUATORS[name](params, **point)
-                        if not report.holds:
-                            expected.append((report.inputs, report.lhs, report.rhs))
-                    else:
-                        (lhs,), (rhs,) = sweep.sides(ctx, *lead, range(x, x + 1))
-                        if lhs != rhs:
-                            expected.append(({"k": k, **point}, lhs, rhs))
+                    report = sweep.at(params, **dict(zip(sweep.keys, (*lead, x))))
+                    if not report.holds:
+                        expected.append((report.inputs, report.lhs, report.rhs))
             outcome = sweep(params, 12)
             assert outcome.failed == len(expected), name
             assert outcome.held == outcome.checked - len(expected), name
@@ -334,19 +287,19 @@ class TestFullSweep:
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_planted_error_in_gcd_rows_reported_as_by_checks(self, planted_b7, k):
-        # each gcd row must fail exactly where its check_* theorem fails per
-        # point, with equal reports; at k = 4 the residue hypothesis fails,
+        # each gcd row must fail exactly where its single points fail, with
+        # equal reports; at k = 4 the residue hypothesis fails,
         # so every check counts as hypothesis_not_met and every failure goes
         # to the expected-failure pool; max index 14 puts (m, n) = (7, 14) in
         # the index-divisibility box
         params = SequenceParams(k)
         failing = set()
-        for name, check in GCD_CHECKS.items():
+        for name in GCD_NAMES:
             sweep = CATALOG[name]
             expected = []
             for *lead, last in sweep.domain(14):
                 for x in last:
-                    report = check(params, **dict(zip(sweep.keys, (*lead, x))))
+                    report = sweep.at(params, **dict(zip(sweep.keys, (*lead, x))))
                     if not report.holds:
                         expected.append(report)
             outcome = sweep(params, 14)
@@ -363,27 +316,25 @@ class TestFullSweep:
             if expected:
                 failing.add(name)
         # at k = 2, gcd(1 - k, x) = 1 for every x, and the C rows never read B
-        assert failing == (set(GCD_CHECKS) if k == 4 else
+        assert failing == (set(GCD_NAMES) if k == 4 else
                            {"index-divisibility", "consecutive-gcd-b", "b-c-coprime",
                             "strong-gcd"})
 
     @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(data=st.data(), name=st.sampled_from(sorted({**EVALUATORS, **GCD_CHECKS})),
+    @given(data=st.data(), name=st.sampled_from(sorted(CATALOG)),
            k=st.integers(1, 12), max_index=st.integers(1, 30))
     def test_rows_match_evaluators_at_random(self, data, name, k, max_index):
-        # a sweep row and the single-shot evaluator at one in-domain point of
-        # it give the same two sides
+        # a sweep row and the row's single point (at) at one in-domain point
+        # of it give the same two sides
         sweep, params = CATALOG[name], SequenceParams(k)
-        ctx = TermContext(params).ensure(sweep.size(max_index))
+        ctx = sweep.context(params, max_index)
         *lead, last = data.draw(st.sampled_from(list(sweep.domain(max_index))))
         x = data.draw(st.sampled_from(last))
         lhs, rhs = sweep.sides(ctx, *lead, last)
-        point = dict(zip(sweep.keys, (*lead, x)))
-        if name in EVALUATORS:
-            report = EVALUATORS[name](params, **point)
+        report = sweep.at(params, **dict(zip(sweep.keys, (*lead, x))))
+        if isinstance(report, IdentityReport):
             got = report.lhs, report.rhs
         else:
-            report = GCD_CHECKS[name](params, **point)
             got = report.computed_gcd, report.expected
         assert got == (lhs[last.index(x)], rhs[last.index(x)])
 
@@ -391,14 +342,14 @@ class TestFullSweep:
     @given(data=st.data(), k=st.integers(1, 12), max_index=st.integers(1, 30))
     def test_vajda1_rows_on_the_diagonal_table_match_the_evaluator(self, data, k, max_index):
         # a vajda-1 row read off the context the sweep builds, diagonal table
-        # included, gives at each n the sides of the single-shot evaluator,
+        # included, gives at each n the sides of the row's single point,
         # which builds no table
         sweep, params = CATALOG["vajda-1"], SequenceParams(k)
         ctx = sweep.context(params, max_index)
         assert len(ctx.diagonals) == 2 * max_index + 1
         i, j, ns = data.draw(st.sampled_from(list(sweep.domain(max_index))))
         lhs, rhs = sweep.sides(ctx, i, j, ns)
-        got = [(r.lhs, r.rhs) for r in (vajda(1, params, n, i=i, j=j) for n in ns)]
+        got = [(r.lhs, r.rhs) for r in (sweep.at(params, n=n, i=i, j=j) for n in ns)]
         assert got == list(zip(lhs, rhs))
 
     def test_single_shot_vajda_builds_no_diagonal_table(self, monkeypatch):
@@ -416,7 +367,7 @@ class TestFullSweep:
 
         monkeypatch.setattr(TermContext, "share_diagonals", refuse)
         monkeypatch.setattr(TermContext, "diagonal", spy)
-        assert vajda(1, SequenceParams(12), 3000, i=3, j=4).holds
+        assert CATALOG["vajda-1"].at(SequenceParams(12), n=3000, i=3, j=4).holds
         assert reads == [(0, 1)] * 2
 
     def test_reads_beyond_the_diagonal_table_compute(self):
@@ -431,7 +382,8 @@ class TestFullSweep:
             return [b[a] * b[a + d] for a in range(lo, hi)]
 
         def evaluated(i, j, ns):
-            return [(r.lhs, r.rhs) for r in (vajda(1, params, n, i=i, j=j) for n in ns)]
+            vajda1 = CATALOG["vajda-1"]
+            return [(r.lhs, r.rhs) for r in (vajda1.at(params, n=n, i=i, j=j) for n in ns)]
 
         # past the height: diagonal 10 of a table with diagonals 0..8
         assert ctx.diagonal(10, 0, 3) == computed(10, 0, 3)
@@ -452,7 +404,7 @@ class TestFullSweep:
             ctx.diagonal(3, 20, 29)
         lhs, rhs = vajda1_sides(ctx, 8, 8, range(15))
         assert len(lhs) == len(rhs) == 15 and lhs == rhs == [
-            vajda(1, params, n, i=8, j=8).lhs for n in range(15)]
+            CATALOG["vajda-1"].at(params, n=n, i=8, j=8).lhs for n in range(15)]
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(data=st.data(), k=st.integers(1, 12), max_index=st.integers(1, 12))
@@ -494,23 +446,23 @@ class TestFullSweep:
         assert peak < 8 << 20
 
     def test_sweeps_agree_with_evaluators(self):
-        # sweeps call each *_sides function a row at a time, evaluators one
-        # point at a time; pin the one-point path at random in-domain tuples
+        # sweeps call each *_sides function a row at a time, at one point at
+        # a time; pin the one-point path at random in-domain tuples
         params = SequenceParams(4)
         rng = random.Random(99)
         for _ in range(200):
             n, i, j = (rng.randint(0, 25) for _ in range(3))
-            assert vajda(1, params, n, i=i, j=j).holds
+            assert CATALOG["vajda-1"].at(params, n=n, i=i, j=j).holds
             m = rng.randint(1, 25)
             nn = rng.randint(0, m - 1)
             ell = rng.randint(0, m - nn - 1)
-            assert vajda(2, params, nn, m=m, ell=ell).holds
+            assert CATALOG["vajda-2"].at(params, n=nn, m=m, ell=ell).holds
             r = rng.randint(0, n) if n >= 1 else 0
             if n >= 1:
-                assert catalan("B", params, n, r).holds
-                assert catalan("C", params, n, r).holds
-                assert docagne("C", params, m, nn).holds
-                assert addition_formula(params, m, nn).holds
+                assert CATALOG["catalan-b"].at(params, n=n, r=r).holds
+                assert CATALOG["catalan-c"].at(params, n=n, r=r).holds
+                assert CATALOG["docagne-c"].at(params, m=m, n=nn).holds
+                assert CATALOG["addition"].at(params, m=m, n=nn).holds
 
 
 class TestDeepSweep:

@@ -5,9 +5,11 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from balseq import identities
 from balseq.divisibility import GcdReport
 from balseq.identities import IdentityReport
 from balseq.verify import (
@@ -18,6 +20,7 @@ from balseq.verify import (
     resolve_identities,
     run_verify,
 )
+from balseq.ring import SequenceParams
 
 
 def exact_from_str(text: str) -> int | Fraction:
@@ -68,6 +71,42 @@ class TestResolveIdentities:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError, match="no-such-name"):
             resolve_identities("no-such-name")
+
+
+class TestDeclarations:
+    """Each row's where and reach against its domain and its sweep's tables."""
+
+    @pytest.mark.parametrize("name", list(CATALOG))
+    def test_where_and_reach_agree_with_the_domain(self, name):
+        row, params = CATALOG[name], SequenceParams(2)
+        for m in range(1, 9):
+            # every index key over 0..M, and entry past its four values
+            box = product(*(range(8) if key == "entry" else range(m + 1) for key in row.keys))
+            points = [(*lead, x) for *lead, last in row.domain(m) for x in last]
+            assert sorted(points) == [p for p in box if row.where(*p)], (name, m)
+            size = len(row.context(params, m).b) - 1
+            assert max(row.reach(*p) for p in points) <= size, (name, m)
+            assert row.reach(*[m] * len(row.keys)) == size, (name, m)
+            for key in row.keys:
+                point = {**dict(zip(row.keys, points[-1])), key: -1}
+                with pytest.raises(ValueError, match=rf"^{name}\(.*\) is outside the domain$"):
+                    row.at(params, **point)
+
+    def test_single_points_build_tables_to_their_reach(self, monkeypatch):
+        # each to the largest term index the point reads, where a sweep's
+        # tables at the point's largest index would reach 1000 and 100
+        built = []
+        b_table = identities.b_table
+
+        def spy(params, n_max, **kwargs):
+            built.append(n_max)
+            return b_table(params, n_max, **kwargs)
+
+        monkeypatch.setattr(identities, "b_table", spy)
+        params = SequenceParams(3)
+        assert CATALOG["catalan-b"].at(params, n=500, r=0).holds
+        assert CATALOG["vajda-2"].at(params, n=1, m=50, ell=2).holds
+        assert built == [501, 50]
 
 
 class TestConfigValidation:
