@@ -49,9 +49,9 @@ from .genfunc import b_series, c_series
 from .ring import SequenceParams
 from .verify import (
     COUNTS,
+    KIND_KEYS,
     VerifyRunConfig,
     exact_to_str,
-    report_name,
     report_to_json,
     resolve_identities,
     run_verify,
@@ -284,15 +284,11 @@ def cmd_verify(args) -> int:
                 counts = summary["per_identity"][name]
                 print(f"{name}: " + " ".join(f"{key}={counts[key]}" for key in COUNTS))
             for entry in report.results:
-                name = report_name(entry)
                 tag = "VIOLATION" if entry.hypothesis_met else "expected failure"
                 inputs = ", ".join(f"{k}={v}" for k, v in sorted(entry.inputs.items()))
-                if hasattr(entry, "lhs"):
-                    detail = f"lhs={exact_to_str(entry.lhs)} rhs={exact_to_str(entry.rhs)}"
-                else:
-                    detail = (f"gcd={decimal_str(entry.computed_gcd)}"
-                              f" expected={decimal_str(entry.expected)}")
-                print(f"  [{tag}] {name} ({inputs}): {detail}")
+                *_, lhs_label, rhs_label = KIND_KEYS[entry.kind]
+                print(f"  [{tag}] {entry.name} ({inputs}): {lhs_label}={exact_to_str(entry.lhs)}"
+                      f" {rhs_label}={exact_to_str(entry.rhs)}")
         verdict = "all held" if summary["all_held"] else "FAILED"
         # the verdict leaves out the held total: it is checked less the others
         totals = ", ".join(f"{key}={summary['total_' + key]}"

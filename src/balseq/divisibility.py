@@ -15,7 +15,8 @@ Each theorem is written once, as a *_sides function that takes its last
 index as a range and returns the computed gcds and the expected values over
 it.  The verify sweeps call it a row at a time, with the theorem's hypothesis
 on the catalog row, and verify.Sides.at calls it on a one-element range to
-answer one point with a GcdReport.
+answer one point with a verify.Report of kind "gcd", whose lhs is the
+computed gcd and rhs the expected value.
 
 gcd is always taken on magnitudes with gcd(0, x) = |x|, since 1 - k is
 negative for k >= 2.
@@ -24,21 +25,13 @@ negative for k >= 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .identities import SideLists, TermContext
 from .ring import SequenceParams
 
-
-@dataclass(frozen=True)
-class GcdReport:
-    theorem_name: str
-    inputs: dict[str, int]
-    computed_gcd: int
-    expected: int
-    hypothesis_met: bool
-    holds: bool
-
+if TYPE_CHECKING:  # verify imports this module
+    from .verify import Report
 
 def residue_hypothesis(params: SequenceParams) -> bool:
     """gcd(P, Q) = 1 for the Lucas parameters P = 3k, Q = k - 1 of B.
@@ -104,26 +97,26 @@ def strong_gcd_sides(ctx: TermContext, m: int, ns: range) -> SideLists:
 # wraps these names, so they stay until it changes.  verify imports this
 # module, hence the deferred imports.
 
-def check_index_divisibility(params: SequenceParams, m: int, n: int) -> GcdReport:
+def check_index_divisibility(params: SequenceParams, m: int, n: int) -> Report:
     from .verify import CATALOG
     return CATALOG["index-divisibility"].at(params, m=m, n=n)
 
 
-def check_coprime_norm(seq: str, params: SequenceParams, n: int) -> GcdReport:
+def check_coprime_norm(seq: str, params: SequenceParams, n: int) -> Report:
     from .verify import CATALOG
     return CATALOG[f"coprime-norm-{seq.lower()}"].at(params, n=n)
 
 
-def check_consecutive_coprime(seq: str, params: SequenceParams, n: int) -> GcdReport:
+def check_consecutive_coprime(seq: str, params: SequenceParams, n: int) -> Report:
     from .verify import CATALOG
     return CATALOG[f"consecutive-gcd-{seq.lower()}"].at(params, n=n)
 
 
-def check_b_c_coprime(params: SequenceParams, n: int) -> GcdReport:
+def check_b_c_coprime(params: SequenceParams, n: int) -> Report:
     from .verify import CATALOG
     return CATALOG["b-c-coprime"].at(params, n=n)
 
 
-def check_strong_gcd(params: SequenceParams, m: int, n: int) -> GcdReport:
+def check_strong_gcd(params: SequenceParams, m: int, n: int) -> Report:
     from .verify import CATALOG
     return CATALOG["strong-gcd"].at(params, m=m, n=n)

@@ -41,7 +41,7 @@ from itertools import islice
 from typing import Iterator
 
 from .decimal_io import arithmetic_context
-from .ring import SequenceParams, alpha_power_components
+from .ring import SequenceParams, alpha_power_components, is_int
 
 ITERATIVE_CAP_DEFAULT = 100_000
 
@@ -127,6 +127,8 @@ def check_iterative_cap(cap: int) -> None:
 
 
 def _check_n(n: int) -> None:
+    if not is_int(n):
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 0:
         raise ValueError("n must be >= 0 (use term_b_negative for negative indices)")
 
@@ -147,7 +149,7 @@ def _recurrence(k: int, x0: int, x1: int) -> Iterator[int]:
 
 def _check_window(start: int, n_max: int) -> None:
     _check_n(n_max)
-    if not 0 <= start <= n_max:
+    if not is_int(start) or not 0 <= start <= n_max:
         raise ValueError(f"start must be in 0..n_max, got {start} for n_max {n_max}")
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .engines import b_table, c_table, term_b_negative
-from .genfunc import c_series, erratum_probe_c_numerator
+from .genfunc import c_series
 from .identities import TermContext, catalan_sides, sum_sides, vajda2_sides
 from .ring import SequenceParams
 
@@ -106,15 +106,16 @@ def _demo_negative_index_sign() -> Demonstration:
 
 def _demo_c_series_numerator() -> Demonstration:
     params = SequenceParams(2)
-    probe = erratum_probe_c_numerator(params, 10)
+    printed = c_series(params, 50, variant="printed").expansion
     corrected = c_series(params, 50).expansion
     true_c = tuple(c_table(params, 50))
+    first = next((n for n, (p, c) in enumerate(zip(printed, true_c)) if p != c), None)
     return Demonstration(
-        printed_fails=probe.inputs["first_mismatch"] == 1 and not probe.holds,
+        printed_fails=first == 1,
         verified_holds=corrected == true_c,
         lines=[
             f"printed numerator 1+3x(1+k), k=2: first mismatch at n="
-            f"{probe.inputs['first_mismatch']}, coefficient {probe.lhs} vs C_1 = {probe.rhs}",
+            f"{first}, coefficient {printed[1]} vs C_1 = {true_c[1]}",
             "corrected numerator 1+3x(1-k), k=2: 51 coefficients all equal C_(2,n)",
         ],
     )
@@ -171,10 +172,8 @@ def _demo_gcd_product_rule() -> Demonstration:
     a = b = c = 2
     lhs = math.gcd(a, b * c)
     rhs = math.gcd(a, b) * math.gcd(a, c)
-    consecutive = all(
-        math.gcd(x, y) == 1
-        for x, y in zip(b_table(SequenceParams(2), 11), b_table(SequenceParams(2), 11)[1:])
-    )
+    terms = b_table(SequenceParams(2), 11)
+    consecutive = all(math.gcd(x, y) == 1 for x, y in zip(terms, terms[1:]))
     return Demonstration(
         printed_fails=lhs != rhs,
         verified_holds=consecutive,

@@ -3,7 +3,8 @@
 Both sequences have generating functions with denominator
 1 - 3kx + (k-1)x^2; B has numerator x, and C has numerator 1 + 3(1-k)x.
 (The numerator variant 1 + 3(1+k)x that sometimes circulates in print fails
-already at the x^1 coefficient; see erratum_probe_c_numerator.)
+already at the x^1 coefficient; c_series expands it as variant="printed",
+and the errata module's c-series-numerator entry shows the mismatch.)
 
 Expansion is plain long division, c_n = num_n + 3k*c_{n-1} - (k-1)*c_{n-2},
 implemented without touching the engines module so the series is an
@@ -23,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decimal_io import arithmetic_context
-from .engines import c_table
-from .identities import IdentityReport
 from .ring import SequenceParams
 
 
@@ -97,29 +96,3 @@ def c_series(
     den = series_denominator(params)
     return RationalSeries(tuple(num), tuple(den), tuple(expand(num, den, n_coeffs, one=one)))
 
-
-def erratum_probe_c_numerator(params: SequenceParams, n_coeffs: int) -> IdentityReport:
-    """Expand the printed C numerator and report its first disagreement with C.
-
-    The first mismatch is at n = 1 for every k >= 1: the printed numerator
-    yields c_1 = 3 + 6k there instead of C_1 = 3.  The report carries the
-    mismatch index in inputs["first_mismatch"] (-1 if none was found within
-    n_coeffs) and the mismatched coefficient pair as lhs/rhs.
-    """
-    if n_coeffs < 1:
-        raise ValueError("need at least coefficients 0..1")
-    printed = c_series(params, n_coeffs, variant="printed").expansion
-    true_c = c_table(params, n_coeffs)
-    first = -1
-    for n in range(n_coeffs + 1):
-        if printed[n] != true_c[n]:
-            first = n
-            break
-    idx = first if first >= 0 else n_coeffs
-    return IdentityReport(
-        "c-series-printed-numerator",
-        {"k": params.k, "n_coeffs": n_coeffs, "first_mismatch": first},
-        printed[idx],
-        true_c[idx],
-        first == -1,
-    )

@@ -14,11 +14,12 @@ check.  Every verify identity row's arithmetic lives here.  A caller builds
 one TermContext for a k and calls the *_sides functions on it, a whole row
 of the last index at a time: the verify sweeps, the errata demonstrations,
 and verify.Sides.at, which answers one point of a catalog row with a
-one-element range.  The vajda-1 sweep also shares a table of products of B
-terms on its context, stored by diagonal (diagonals[d][a] = B_a*B_{a+d}), so
-that both products of a row over n are runs of two diagonals and a check
-costs one subtraction and one multiplication by k - 1; a single point builds
-no table.
+one-element range.  This module builds no report: verify turns the two side
+lists into a verify.Report where one is asked for.  The vajda-1 sweep also
+shares a table of products of B terms on its context, stored by diagonal
+(diagonals[d][a] = B_a*B_{a+d}), so that both products of a row over n are
+runs of two diagonals and a check costs one subtraction and one
+multiplication by k - 1; a single point builds no table.
 """
 
 from __future__ import annotations
@@ -41,16 +42,6 @@ from .engines import (
 from .ring import SequenceParams, alpha_power_components
 
 Exact = int | Fraction
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    identity_name: str
-    inputs: dict[str, int]
-    lhs: Exact
-    rhs: Exact
-    holds: bool
-    hypothesis_met: bool = True
 
 
 @dataclass

@@ -19,6 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+def is_int(value) -> bool:
+    """Whether value is an int and not a bool: an index or a k, exactly."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SequenceParams:
     """The family parameter k >= 1 plus the derived characteristic data."""
@@ -26,6 +31,8 @@ class SequenceParams:
     k: int
 
     def __post_init__(self) -> None:
+        if not is_int(self.k):
+            raise ValueError(f"k must be an int, got {self.k!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
 

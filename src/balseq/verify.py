@@ -6,9 +6,11 @@ run by one driver: it calls a *_sides function once per domain row (the
 leading indices and a range of the last one), compares the two side lists
 it returns, and builds a report only for a failing element; so each
 identity's and each theorem's arithmetic is written once, in the identities
-and divisibility modules; this module imports no engine.  CATALOG is one
-list of rows keyed by name, each B/C family declared once for its -b and -c
-rows, and the per-identity counts are named once, in COUNTS.  Each row also
+and divisibility modules; this module imports no engine.  Every check, of an
+identity or of a gcd theorem, gives one Report type, defined here and built
+nowhere else; its kind picks the JSON keys of its name and sides.  CATALOG
+is one list of rows keyed by name, each B/C family declared once for its -b
+and -c rows, and the per-identity counts are named once, in COUNTS.  Each row also
 states, per point, whether the point is in its domain and the largest term
 index its sides read there, so that the same row answers a single point
 (Sides.at) as well as a sweep.
@@ -32,7 +34,6 @@ from typing import Callable, Iterable
 from . import __version__
 from .decimal_io import decimal_str
 from .divisibility import (
-    GcdReport,
     b_c_coprime_sides,
     consecutive_gcd_sides,
     coprime_norm_sides,
@@ -41,7 +42,7 @@ from .divisibility import (
     strong_gcd_sides,
 )
 from .identities import (
-    IdentityReport,
+    Exact,
     SideLists,
     TermContext,
     addition_sides,
@@ -57,12 +58,36 @@ from .identities import (
     vajda1_sides,
     vajda2_sides,
 )
-from .ring import SequenceParams
-
-Report = IdentityReport | GcdReport
+from .ring import SequenceParams, is_int
 
 # per-identity counts, in report order; the summary adds total_<count> for each
 COUNTS = ("checked", "held", "failed", "hypothesis_not_met")
+
+
+@dataclass(frozen=True)
+class Report:
+    """Both sides of one catalog row at one point.
+
+    kind is "identity" for an identity row and "gcd" for a gcd theorem row,
+    whose lhs is the computed gcd and rhs the expected value; it picks the
+    keys in KIND_KEYS.
+    """
+
+    name: str
+    inputs: dict[str, int]
+    lhs: Exact
+    rhs: Exact
+    holds: bool
+    hypothesis_met: bool
+    kind: str
+
+
+# per report kind: the JSON keys of the name and of the two sides, then the
+# labels of the two sides in the plain listing
+KIND_KEYS = {
+    "identity": ("identity_name", "lhs", "rhs", "lhs", "rhs"),
+    "gcd": ("theorem_name", "computed_gcd", "expected", "gcd", "expected"),
+}
 
 
 @dataclass
@@ -100,7 +125,8 @@ class Sides:
     its term tables to reach at the corner point whose every key is
     max_index.  diagonals, if set, gives the width of each diagonal of the
     shared table of B-term products the sides read.  A gcd row carries its
-    theorem's hypothesis, and an identity row none.
+    theorem's hypothesis, and an identity row none; that sets the kind of
+    the row's reports.
     """
 
     name: str
@@ -122,18 +148,19 @@ class Sides:
     def _report(self, params: SequenceParams, point: tuple, lhs, rhs, met: bool) -> Report:
         """The report of the sides at one point; met is the hypothesis at k."""
         inputs = {"k": params.k, **dict(zip(self.keys, point))}
-        if self.hypothesis is None:
-            return IdentityReport(self.name, inputs, lhs, rhs, lhs == rhs)
-        return GcdReport(self.name, inputs, lhs, rhs, met, lhs == rhs)
+        return Report(self.name, inputs, lhs, rhs, lhs == rhs, met,
+                      "identity" if self.hypothesis is None else "gcd")
 
     def at(self, params: SequenceParams, **inputs: int) -> Report:
         """The report at one point of the domain, named by keys, e.g.
         CATALOG["catalan-b"].at(params, n=3, r=1), on term tables built to
         the point's reach (and no product table)."""
-        given = ", ".join(f"{key}={value}" for key, value in inputs.items())
+        given = ", ".join(f"{key}={value!r}" for key, value in inputs.items())
         if inputs.keys() != set(self.keys):
             raise ValueError(f"{self.name}({given}) takes {', '.join(self.keys)}")
         point = tuple(inputs[key] for key in self.keys)
+        if not all(map(is_int, point)):
+            raise ValueError(f"{self.name}({given}) takes integer indices")
         if min(point) < 0 or not self.where(*point):
             raise ValueError(f"{self.name}({given}) is outside the domain")
         *lead, last = point
@@ -293,13 +320,8 @@ class VerifyReport:
         return 0 if self.summary["total_failed"] == 0 else 1
 
 
-def report_name(report: Report) -> str:
-    """The catalog name of an identity or a gcd report."""
-    return getattr(report, "identity_name", None) or report.theorem_name
-
-
 def _sort_key(report: Report):
-    return report_name(report), sorted(report.inputs.items())
+    return report.name, sorted(report.inputs.items())
 
 
 def run_verify(config: VerifyRunConfig) -> VerifyReport:
@@ -337,21 +359,10 @@ def exact_to_str(value) -> str:
 
 
 def report_entry_to_dict(report: Report) -> dict:
-    if isinstance(report, IdentityReport):
-        entry = {
-            "kind": "identity",
-            "identity_name": report.identity_name,
-            "lhs": exact_to_str(report.lhs),
-            "rhs": exact_to_str(report.rhs),
-        }
-    else:
-        entry = {
-            "kind": "gcd",
-            "theorem_name": report.theorem_name,
-            "computed_gcd": decimal_str(report.computed_gcd),
-            "expected": decimal_str(report.expected),
-        }
-    return {**entry, "inputs": dict(sorted(report.inputs.items())),
+    name_key, lhs_key, rhs_key, *_ = KIND_KEYS[report.kind]
+    return {"kind": report.kind, name_key: report.name,
+            lhs_key: exact_to_str(report.lhs), rhs_key: exact_to_str(report.rhs),
+            "inputs": dict(sorted(report.inputs.items())),
             "holds": report.holds, "hypothesis_met": report.hypothesis_met}
 
 

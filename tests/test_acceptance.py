@@ -10,7 +10,7 @@ import time
 
 from balseq.cli import main
 from balseq.engines import Engine, b_table, c_table, term_b, term_b_negative, term_c
-from balseq.genfunc import b_series, c_series, erratum_probe_c_numerator
+from balseq.genfunc import b_series, c_series
 from balseq.ring import RingElement, SequenceParams, ring_pow_counted
 from balseq.verify import CATALOG, VerifyRunConfig, report_to_json, run_verify
 
@@ -125,7 +125,7 @@ def test_criterion_04_divisibility_sweep():
             assert outcome.failed == 0
     spot = CATALOG["consecutive-gcd-b"](SequenceParams(4), 10)
     assert any(
-        r.inputs["n"] == 2 and r.computed_gcd == 3 for r in spot.expected_failures
+        r.inputs["n"] == 2 and r.lhs == 3 for r in spot.expected_failures
     )
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"{elapsed:.2f}s"
@@ -136,7 +136,7 @@ def test_criterion_05_strong_gcd_spot_check():
     b = oracle_b(3, 6)
     assert math.gcd(b[4], b[6]) == 9 == b[2]
     report = CATALOG["strong-gcd"].at(SequenceParams(3), m=4, n=6)
-    assert report.computed_gcd == 9 == report.expected and report.holds
+    assert report.lhs == 9 == report.rhs and report.holds
     _passed(5, "gcd(B_(3,4), B_(3,6)) = 9 = B_(3,2)")
 
 
@@ -147,8 +147,9 @@ def test_criterion_06_generating_function_oracle():
         assert list(b_series(params, 200).expansion) == oracle_b(k, 200)
         assert list(c_series(params, 200).expansion) == oracle_c(k, 200)
     for k in range(2, 11):
-        probe = erratum_probe_c_numerator(SequenceParams(k), 200)
-        assert probe.inputs["first_mismatch"] == 1
+        printed = c_series(SequenceParams(k), 200, variant="printed").expansion
+        mismatches = [n for n, (p, c) in enumerate(zip(printed, oracle_c(k, 200))) if p != c]
+        assert mismatches[0] == 1
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"{elapsed:.2f}s"
     _passed(6, "series oracle matches engines; printed C-numerator fails at n=1")

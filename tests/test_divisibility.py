@@ -20,7 +20,7 @@ BAD_K = [4, 7, 10]
 class TestIndexDivisibility:
     def test_example_k3(self):
         report = CATALOG["index-divisibility"].at(SequenceParams(3), m=2, n=4)
-        assert report.computed_gcd == 9 == report.expected
+        assert report.lhs == 9 == report.rhs
         assert report.holds and report.hypothesis_met
 
     def test_m_one_divides_everything(self):
@@ -49,57 +49,57 @@ class TestIndexDivisibility:
 class TestCoprimeNorm:
     def test_example_b(self):
         report = CATALOG["coprime-norm-b"].at(SequenceParams(3), n=4)
-        assert report.computed_gcd == 1 and report.holds and report.hypothesis_met
+        assert report.lhs == 1 and report.holds and report.hypothesis_met
 
     def test_hypothesis_violation_k4(self):
         report = CATALOG["coprime-norm-b"].at(SequenceParams(4), n=2)
-        assert report.computed_gcd == 3
+        assert report.lhs == 3
         assert not report.hypothesis_met and not report.holds
 
     def test_k1_gcd_with_zero(self):
         # gcd(0, B_n) = B_n; k=1 is in the expected-failure pool (1 % 3 == 1)
         report = CATALOG["coprime-norm-b"].at(SequenceParams(1), n=4)
-        assert report.computed_gcd == oracle_b(1, 4)[4] == 27
+        assert report.lhs == oracle_b(1, 4)[4] == 27
         assert not report.hypothesis_met
 
 
 class TestConsecutiveCoprime:
     def test_example_b(self):
         report = CATALOG["consecutive-gcd-b"].at(SequenceParams(3), n=3)
-        assert report.computed_gcd == math.gcd(79, 693) == 1 and report.holds
+        assert report.lhs == math.gcd(79, 693) == 1 and report.holds
 
     def test_example_c(self):
         report = CATALOG["consecutive-gcd-c"].at(SequenceParams(2), n=4)
-        assert report.computed_gcd == math.gcd(577, 3363) == 1 and report.holds
+        assert report.lhs == math.gcd(577, 3363) == 1 and report.holds
 
     def test_counterexample_k4(self):
         report = CATALOG["consecutive-gcd-b"].at(SequenceParams(4), n=2)
-        assert report.computed_gcd == math.gcd(12, 141) == 3
+        assert report.lhs == math.gcd(12, 141) == 3
         assert not report.hypothesis_met and not report.holds
 
 
 class TestBCCoprime:
     def test_n0(self):
         report = CATALOG["b-c-coprime"].at(SequenceParams(5), n=0)
-        assert report.computed_gcd == 1 and report.holds
+        assert report.lhs == 1 and report.holds
 
     def test_examples(self):
-        assert CATALOG["b-c-coprime"].at(SequenceParams(3), n=3).computed_gcd == 1
-        assert CATALOG["b-c-coprime"].at(SequenceParams(2), n=4).computed_gcd == 1
+        assert CATALOG["b-c-coprime"].at(SequenceParams(3), n=3).lhs == 1
+        assert CATALOG["b-c-coprime"].at(SequenceParams(2), n=4).lhs == 1
 
 
 class TestStrongGcd:
     def test_example_k3(self):
         report = CATALOG["strong-gcd"].at(SequenceParams(3), m=4, n=6)
-        assert report.computed_gcd == 9 == report.expected and report.holds
+        assert report.lhs == 9 == report.rhs and report.holds
 
     def test_diagonal(self):
         report = CATALOG["strong-gcd"].at(SequenceParams(5), m=7, n=7)
-        assert report.computed_gcd == report.expected and report.holds
+        assert report.lhs == report.rhs and report.holds
 
     def test_coprime_indices(self):
         report = CATALOG["strong-gcd"].at(SequenceParams(2), m=3, n=4)
-        assert report.computed_gcd == 1 == report.expected and report.holds
+        assert report.lhs == 1 == report.rhs and report.holds
 
     def test_m_above_n_rejected(self):
         # gcd is symmetric, so the domain is the sweep's 1 <= m <= n
@@ -113,8 +113,8 @@ class TestStrongGcd:
         for m in range(1, 25):
             strong = CATALOG["strong-gcd"].at(params, m=m, n=m + 1)
             consecutive = CATALOG["consecutive-gcd-b"].at(params, n=m)
-            assert strong.expected == 1
-            assert strong.computed_gcd == consecutive.computed_gcd
+            assert strong.rhs == 1
+            assert strong.lhs == consecutive.lhs
 
 
 def test_check_functions_are_catalog_points():
@@ -152,7 +152,7 @@ class TestResidueSweeps:
     def test_specific_counterexample_listed(self):
         outcome = CATALOG["consecutive-gcd-b"](SequenceParams(4), 10)
         found = [r for r in outcome.expected_failures if r.inputs["n"] == 2]
-        assert found and found[0].computed_gcd == 3
+        assert found and found[0].lhs == 3
 
     def test_lucas_hypothesis_is_the_residue_condition(self):
         # gcd(P, Q) = 1 for P = 3k, Q = k - 1 reduces to gcd(3, k - 1) = 1

@@ -78,6 +78,28 @@ class TestTermB:
             fn(SequenceParams(2), 3, engine, iterative_cap=-5)
 
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True])
+    def test_non_int_k_rejected(self, k):
+        # a float k once gave 2255 on iterative and 2913.1875 on the others
+        # at n = 5, and k = 2.0 gave 1189.0
+        with pytest.raises(ValueError, match=r"^k must be an int, got "):
+            SequenceParams(k)
+
+    @pytest.mark.parametrize("engine", list(Engine))
+    @pytest.mark.parametrize("fn", [term_b, term_c])
+    @pytest.mark.parametrize("n", [5.0, True])
+    def test_non_int_n_rejected(self, engine, fn, n):
+        with pytest.raises(ValueError, match=r"^n must be an int, got "):
+            fn(SequenceParams(2), n, engine)
+
+    @pytest.mark.parametrize("table", [b_table, c_table])
+    def test_non_int_table_bounds_rejected(self, table):
+        with pytest.raises(ValueError, match="n must be an int"):
+            table(SequenceParams(2), 5.0)
+        with pytest.raises(ValueError, match="start must be in 0..n_max"):
+            table(SequenceParams(2), 5, start=2.0)
+
+
 class TestTermC:
     @pytest.mark.parametrize("engine", ALL_ENGINES)
     @pytest.mark.parametrize(

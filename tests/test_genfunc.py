@@ -1,5 +1,7 @@
+import ast
 import decimal
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +9,6 @@ from balseq.decimal_io import decimal_str
 from balseq.genfunc import (
     b_series,
     c_series,
-    erratum_probe_c_numerator,
     expand,
     series_denominator,
 )
@@ -84,23 +85,31 @@ class TestSeries:
             c_series(SequenceParams(2), 5, variant="original")
 
 
+def first_mismatch(series, oracle) -> int | None:
+    """The first n at which two coefficient lists differ, if any."""
+    return next((n for n, (x, y) in enumerate(zip(series, oracle)) if x != y), None)
+
+
 class TestPrintedNumeratorProbe:
     @pytest.mark.parametrize("k", range(1, 11))
     def test_mismatch_at_n1_for_every_k(self, k):
-        report = erratum_probe_c_numerator(SequenceParams(k), 50)
-        assert report.inputs["first_mismatch"] == 1
-        assert not report.holds
+        printed = c_series(SequenceParams(k), 50, variant="printed").expansion
+        true_c = oracle_c(k, 50)
+        assert first_mismatch(printed, true_c) == 1
         # long-division: c_1 = num_1 + 3k*c_0 = 3(1+k) + 3k
-        assert report.lhs == 3 + 6 * k
-        assert report.rhs == 3
+        assert printed[1] == 3 + 6 * k
+        assert true_c[1] == 3
 
     def test_corrected_variant_has_no_mismatch_k2(self):
         series = c_series(SequenceParams(2), 50)
         assert list(series.expansion) == oracle_c(2, 50)
 
-    def test_probe_requires_at_least_two_coefficients(self):
-        with pytest.raises(ValueError):
-            erratum_probe_c_numerator(SequenceParams(2), 0)
+    def test_one_coefficient_shows_no_mismatch(self):
+        # the printed numerator agrees with C at n = 0, so seeing the
+        # mismatch takes at least the coefficients 0..1
+        printed = c_series(SequenceParams(2), 1, variant="printed").expansion
+        assert first_mismatch(printed[:1], oracle_c(2, 0)) is None
+        assert first_mismatch(printed, oracle_c(2, 1)) == 1
 
 
 class TestDecimalSeries:
@@ -140,3 +149,20 @@ class TestDecimalSeries:
             got = b_series(SequenceParams(7), 200, one=Decimal(1)).expansion
             assert ctx.prec == 28 and not any(ctx.flags.values())
         assert [decimal_str(x) for x in got] == expected
+
+
+def test_series_oracle_imports_no_engine():
+    # the series is an independent oracle for the engines only while the
+    # module reads neither the engines nor the identity checks built on them
+    source = Path(__file__).resolve().parent.parent / "src" / "balseq" / "genfunc.py"
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported.add(module.rpartition(".")[2])
+            if module in ("", "balseq"):  # from . import x, from balseq import x
+                imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+    assert imported, "no imports found"
+    assert not imported & {"engines", "identities"}, imported

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from balseq.divisibility import residue_hypothesis
 from balseq.identities import (
-    IdentityReport,
     TermContext,
     addition_sides,
     cassini_sides,
@@ -59,7 +58,7 @@ class TestCatalan:
 
     def test_inputs_recorded(self):
         report = CATALOG["catalan-b"].at(SequenceParams(3), n=3, r=1)
-        assert report.identity_name == "catalan-b"
+        assert report.name == "catalan-b"
         assert report.inputs == {"k": 3, "n": 3, "r": 1}
         assert report.hypothesis_met
 
@@ -332,11 +331,7 @@ class TestFullSweep:
         x = data.draw(st.sampled_from(last))
         lhs, rhs = sweep.sides(ctx, *lead, last)
         report = sweep.at(params, **dict(zip(sweep.keys, (*lead, x))))
-        if isinstance(report, IdentityReport):
-            got = report.lhs, report.rhs
-        else:
-            got = report.computed_gcd, report.expected
-        assert got == (lhs[last.index(x)], rhs[last.index(x)])
+        assert (report.lhs, report.rhs) == (lhs[last.index(x)], rhs[last.index(x)])
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(data=st.data(), k=st.integers(1, 12), max_index=st.integers(1, 30))

@@ -10,12 +10,13 @@ from itertools import product
 import pytest
 
 from balseq import identities
-from balseq.divisibility import GcdReport
-from balseq.identities import IdentityReport
 from balseq.verify import (
     CATALOG,
+    KIND_KEYS,
+    Report,
     VerifyReport,
     VerifyRunConfig,
+    report_entry_to_dict,
     report_to_json,
     resolve_identities,
     run_verify,
@@ -37,14 +38,11 @@ def read_report(text: str) -> VerifyReport:
     config = data["config"]
     results = []
     for entry in data["results"]:
-        if entry["kind"] == "identity":
-            results.append(IdentityReport(
-                entry["identity_name"], entry["inputs"], exact_from_str(entry["lhs"]),
-                exact_from_str(entry["rhs"]), entry["holds"], entry["hypothesis_met"]))
-        else:
-            results.append(GcdReport(
-                entry["theorem_name"], entry["inputs"], exact_from_str(entry["computed_gcd"]),
-                exact_from_str(entry["expected"]), entry["hypothesis_met"], entry["holds"]))
+        name_key, lhs_key, rhs_key, *_ = KIND_KEYS[entry["kind"]]
+        results.append(Report(
+            entry[name_key], entry["inputs"], exact_from_str(entry[lhs_key]),
+            exact_from_str(entry[rhs_key]), entry["holds"], entry["hypothesis_met"],
+            entry["kind"]))
     return VerifyReport(data["tool_version"],
                         VerifyRunConfig(**{**config, "identities": tuple(config["identities"])}),
                         results, data["summary"])
@@ -108,6 +106,35 @@ class TestDeclarations:
         assert CATALOG["vajda-2"].at(params, n=1, m=50, ell=2).holds
         assert built == [501, 50]
 
+    @pytest.mark.parametrize("value, shown", [(2.5, "2.5"), ("3", "'3'"), (True, "True")])
+    def test_non_int_indices_rejected(self, value, shown):
+        with pytest.raises(ValueError, match=rf"^cassini-b\(n={shown}\) takes integer indices$"):
+            CATALOG["cassini-b"].at(SequenceParams(3), n=value)
+
+
+# the JSON keys of a report entry, by kind
+ENTRY_KEYS = {
+    "identity": {"kind", "identity_name", "lhs", "rhs", "inputs", "holds", "hypothesis_met"},
+    "gcd": {"kind", "theorem_name", "computed_gcd", "expected", "inputs", "holds",
+            "hypothesis_met"},
+}
+
+
+class TestReportKinds:
+    @pytest.mark.parametrize("name", list(CATALOG))
+    def test_kind_and_keys_on_every_row(self, name):
+        # one in-domain point per row, at a k that meets the residue
+        # hypothesis, where every row holds
+        row = CATALOG[name]
+        *lead, last = next(iter(row.domain(3)))
+        report = row.at(SequenceParams(2), **dict(zip(row.keys, (*lead, last[0]))))
+        assert report.name == name
+        assert report.kind == ("gcd" if row.hypothesis is not None else "identity")
+        entry = report_entry_to_dict(report)
+        assert set(entry) == ENTRY_KEYS[report.kind]
+        assert entry["kind"] == report.kind
+        assert report.lhs == report.rhs and report.holds and entry["holds"]
+
 
 class TestConfigValidation:
     def test_defaults(self):
@@ -148,9 +175,9 @@ class TestRunVerify:
         assert listed
         b_counterexample = [
             r for r in listed
-            if r.theorem_name == "consecutive-gcd-b" and r.inputs["n"] == 2
+            if r.name == "consecutive-gcd-b" and r.inputs["n"] == 2
         ]
-        assert b_counterexample and b_counterexample[0].computed_gcd == 3
+        assert b_counterexample and b_counterexample[0].lhs == 3
 
     def test_per_identity_counts_shape(self):
         config = VerifyRunConfig(2, 2, 6, ("cassini-b", "strong-gcd"))
@@ -210,11 +237,10 @@ class TestSerialization:
         code = textwrap.dedent("""
             import sys
             from fractions import Fraction
-            from balseq.identities import IdentityReport
-            from balseq.verify import VerifyReport, VerifyRunConfig, report_to_json
+            from balseq.verify import Report, VerifyReport, VerifyRunConfig, report_to_json
             lhs = 7 * 10**9999 + 12345
             rhs = Fraction(-(3**20000), 2**1000 + 1)
-            entry = IdentityReport("sum-c", {"k": 2, "n": 3}, lhs, rhs, False)
+            entry = Report("sum-c", {"k": 2, "n": 3}, lhs, rhs, False, True, "identity")
             report = VerifyReport("0", VerifyRunConfig(2, 2, 3), [entry], {"total_failed": 1})
             assert sys.get_int_max_str_digits() == 640
             sys.stdout.write(report_to_json(report))
@@ -224,8 +250,8 @@ class TestSerialization:
         assert proc.returncode == 0, proc.stderr
         text = proc.stdout
         assert len(text) > 10_000
-        entry = IdentityReport("sum-c", {"k": 2, "n": 3}, 7 * 10**9999 + 12345,
-                               Fraction(-(3**20000), 2**1000 + 1), False)
+        entry = Report("sum-c", {"k": 2, "n": 3}, 7 * 10**9999 + 12345,
+                       Fraction(-(3**20000), 2**1000 + 1), False, True, "identity")
         again = read_report(text)
         assert again == VerifyReport("0", VerifyRunConfig(2, 2, 3), [entry],
                                      {"total_failed": 1}), "round trip changed the report"
