@@ -90,19 +90,12 @@ def _to_decimal(n: int, width: int, powers: dict[int, decimal.Decimal]) -> decim
 
 
 def _power_of_two(width: int, powers: dict[int, decimal.Decimal]) -> decimal.Decimal:
-    """Decimal(2)**width, cached for the one conversion that owns `powers`."""
+    """Decimal(2)**width, cached for the one conversion that owns `powers`.
+
+    A missing power is libmpdec's own integer power of Decimal(2), taken in
+    the caller's exact_context(), where it is exact or raises.
+    """
     power = powers.get(width)
     if power is None:
-        if width <= _LEAF_BITS:
-            power = decimal.Decimal(1 << width)
-        elif width - 1 in powers:
-            power = powers[width - 1] * 2
-        else:
-            # the two halves differ by at most one, so the larger is often
-            # the cheap doubling of the smaller, which is computed first
-            half = width >> 1
-            power = _power_of_two(half, powers)
-            power = power * _power_of_two(width - half, powers)
-        powers[width] = power
+        power = powers[width] = decimal.Decimal(2) ** width
     return power
-

@@ -41,7 +41,7 @@ from itertools import islice
 from typing import Iterator
 
 from .decimal_io import arithmetic_context
-from .ring import SequenceParams, alpha_power_components, is_int
+from .ring import SequenceParams, alpha_power_components, check_exponent, is_int
 
 ITERATIVE_CAP_DEFAULT = 100_000
 
@@ -97,8 +97,7 @@ def mat_pow(m: Mat2, n: int) -> Mat2:
     it by m itself; for the small A of the matrix engine that product costs
     linear time, where right-to-left powering multiplies two big matrices.
     """
-    if n < 0:
-        raise ValueError("exponent must be >= 0")
+    check_exponent(n)
     if n == 0:
         return Mat2.identity(type(m.a11)(1))  # the unit of the entries' type
     result = m
@@ -269,13 +268,11 @@ def term_b_negative(params: SequenceParams, n: int) -> Fraction:
 
 def matrix_power(params: SequenceParams, n: int) -> Mat2:
     """A^n for n >= 1; entries are [[B_{n+1}, (1-k)B_n], [B_n, (1-k)B_{n-1}]]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not is_int(n) or n < 1:
+        raise ValueError(f"n must be an int >= 1, got {n!r}")
     return mat_pow(a_matrix(params), n)
 
 
 def r_matrix(params: SequenceParams, n: int) -> Mat2:
     """R*A^n for n >= 1; entries are [[C_{n+1}, (1-k)C_n], [C_n, (1-k)C_{n-1}]]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return r_base_matrix(params) @ mat_pow(a_matrix(params), n)
+    return r_base_matrix(params) @ matrix_power(params, n)

@@ -7,6 +7,10 @@ demonstration computing both.  The failing variants are kept on purpose:
 they are regression tests that the resolution stays load-bearing instead of
 silently patched.
 
+Where the verified form is a catalog identity (catalan-c, vajda-2, sum-c),
+its demonstration reads both sides through the verify.CATALOG row of that
+name (`Sides.at`), so each identity's arithmetic stays in one place.
+
 The rendered document is a generated artifact (`balseq verify --emit-errata`).
 """
 
@@ -19,8 +23,8 @@ from typing import Callable
 
 from .engines import b_table, c_table, term_b_negative
 from .genfunc import c_series
-from .identities import TermContext, catalan_sides, sum_sides, vajda2_sides
 from .ring import SequenceParams
+from .verify import CATALOG
 
 
 @dataclass
@@ -122,47 +126,49 @@ def _demo_c_series_numerator() -> Demonstration:
 
 
 def _demo_catalan_c_proof_term() -> Demonstration:
-    ctx = TermContext(SequenceParams(3)).ensure(8)
+    params = SequenceParams(3)
     n, r = 3, 1
-    (lhs,), (rhs,) = catalan_sides(ctx, "C", n, range(r, r + 1))
-    proof_variant = 8 * ctx.pk[n - r + 1] * ctx.b[n] * ctx.b[n]
+    report = CATALOG["catalan-c"].at(params, n=n, r=r)
+    b = b_table(params, n)
+    proof_variant = 8 * params.norm ** (n - r + 1) * b[n] * b[n]
     return Demonstration(
-        printed_fails=lhs != proof_variant,
-        verified_holds=lhs == rhs,
+        printed_fails=report.lhs != proof_variant,
+        verified_holds=report.holds,
         lines=[
-            f"k=3, n=3, r=1: C_4*C_2 - C_3^2 = {lhs}",
-            f"statement form 8(k-1)^(n-r+1)*B_r^2 = {rhs}",
+            f"k=3, n=3, r=1: C_4*C_2 - C_3^2 = {report.lhs}",
+            f"statement form 8(k-1)^(n-r+1)*B_r^2 = {report.rhs}",
             f"proof-final-line variant with B_n^2 = {proof_variant}",
         ],
     )
 
 
 def _demo_vajda2_sign() -> Demonstration:
-    ctx = TermContext(SequenceParams(3)).ensure(4)
+    params = SequenceParams(3)
     n, m, ell = 1, 4, 1
-    (lhs,), (rhs,) = vajda2_sides(ctx, n, m, range(ell, ell + 1))
-    flipped = (1 - 3) ** n * ctx.b[m - n - ell] * ctx.b[ell]
+    report = CATALOG["vajda-2"].at(params, n=n, m=m, ell=ell)
+    b = b_table(params, m)
+    flipped = (1 - 3) ** n * b[m - n - ell] * b[ell]
     return Demonstration(
-        printed_fails=lhs != flipped,
-        verified_holds=lhs == rhs,
+        printed_fails=report.lhs != flipped,
+        verified_holds=report.holds,
         lines=[
-            f"k=3, n=1, m=4, l=1: B_2*B_3 - B_1*B_4 = {lhs}",
-            f"(k-1)^n form = {rhs}; proof's (1-k)^n form = {flipped}",
+            f"k=3, n=1, m=4, l=1: B_2*B_3 - B_1*B_4 = {report.lhs}",
+            f"(k-1)^n form = {report.rhs}; proof's (1-k)^n form = {flipped}",
         ],
     )
 
 
 def _demo_sum_c_constant() -> Demonstration:
-    ctx = TermContext(SequenceParams(2)).ensure(3)
-    (lhs,), (rhs,) = sum_sides(ctx, "C", range(3, 4))
-    k, c = 2, ctx.c
+    params = SequenceParams(2)
+    report = CATALOG["sum-c"].at(params, n=3)
+    k, c = 2, c_table(params, 3)
     printed = Fraction(-(2 * k + 1) * c[3] + (k - 1) * c[2] + 4 * (1 - k), -2 * k)
     return Demonstration(
-        printed_fails=printed != lhs,
-        verified_holds=lhs == rhs,
+        printed_fails=printed != report.lhs,
+        verified_holds=report.holds,
         lines=[
-            f"k=2, n=3: direct sum C_0+..+C_3 = {lhs}",
-            f"closed form with constant 4-3k = {rhs}",
+            f"k=2, n=3: direct sum C_0+..+C_3 = {report.lhs}",
+            f"closed form with constant 4-3k = {report.rhs}",
             f"printed constant 4(1-k) gives {printed} (not even integral)",
         ],
     )

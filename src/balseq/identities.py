@@ -12,9 +12,8 @@ checks fail independently.  Only the matrix rows (matrix_sides,
 ar_commute_sides) read an engine: the matrices whose representation they
 check.  Every verify identity row's arithmetic lives here.  A caller builds
 one TermContext for a k and calls the *_sides functions on it, a whole row
-of the last index at a time: the verify sweeps, the errata demonstrations,
-and verify.Sides.at, which answers one point of a catalog row with a
-one-element range.  This module builds no report: verify turns the two side
+of the last index at a time: the verify sweeps, and verify.Sides.at, which
+answers one point of a catalog row with a one-element range.  This module builds no report: verify turns the two side
 lists into a verify.Report where one is asked for.  The vajda-1 sweep also
 shares a table of products of B terms on its context, stored by diagonal
 (diagonals[d][a] = B_a*B_{a+d}), so that both products of a row over n are

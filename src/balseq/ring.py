@@ -24,6 +24,12 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def check_exponent(n) -> None:
+    """Reject an exponent that is not an int >= 0, a bool included."""
+    if not is_int(n) or n < 0:
+        raise ValueError(f"exponent must be an int >= 0, got {n!r}")
+
+
 @dataclass(frozen=True)
 class SequenceParams:
     """The family parameter k >= 1 plus the derived characteristic data."""
@@ -63,14 +69,6 @@ class RingElement:
     def alpha(cls, params: SequenceParams, one=1) -> RingElement:
         return cls(0 * one, one, params)
 
-    def __mul__(self, other: RingElement) -> RingElement:
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return ring_mul(self, other)
-
-    def __pow__(self, n: int) -> RingElement:
-        return ring_pow(self, n)
-
 
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     """Multiply, reducing alpha^2 = 3k*alpha - (k-1) back into the basis."""
@@ -101,8 +99,7 @@ def ring_pow_counted(a: RingElement, n: int) -> tuple[RingElement, int]:
     at most 2*floor(log2(n)), which is what keeps the closed-form engine
     logarithmic in n.
     """
-    if n < 0:
-        raise ValueError("exponent must be >= 0")
+    check_exponent(n)
     if n == 0:
         return RingElement.one(a.params, type(a.u)(1)), 0  # the coordinates' unit
     result = a
@@ -128,7 +125,5 @@ def alpha_power_components(params: SequenceParams, n: int, one=1) -> tuple[int, 
     v is B_{k,n}; u is (1-k)*B_{k,n-1} for n >= 1; and alpha^n + beta^n
     equals 2u + 3k*v because the conjugate power is u + v*beta.
     """
-    if n < 0:
-        raise ValueError("exponent must be >= 0")
     power = ring_pow(RingElement.alpha(params, one), n)
     return power.u, power.v

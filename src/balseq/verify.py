@@ -174,22 +174,20 @@ class Sides:
         ctx = self.context(params, max_index)
         met = self.hypothesis is None or self.hypothesis(params)
         failures = out.violations if met else out.expected_failures
-        checked = held = 0
+        checked = 0
         for row in self.domain(max_index):
             lhs, rhs = self.sides(ctx, *row)
             checked += len(lhs)
             if lhs == rhs:
-                held += len(lhs)
                 continue
             *lead, last = row
             for index, left, right in zip(last, lhs, rhs):
-                if left == right:
-                    held += 1
-                    continue
-                failures.append(self._report(params, (*lead, index), left, right, met))
+                if left != right:
+                    failures.append(self._report(params, (*lead, index), left, right, met))
         out.checked = checked
         if met:
-            out.held, out.failed = held, len(out.violations)
+            out.failed = len(out.violations)
+            out.held = checked - out.failed
         else:
             out.hypothesis_not_met = checked
         return out
@@ -295,6 +293,10 @@ class VerifyRunConfig:
     max_listed: int = 25
 
     def __post_init__(self) -> None:
+        for name in ("k_lo", "k_hi", "max_index", "max_listed"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.k_lo < 1:
             raise ValueError("k must be >= 1")
         if self.k_hi < self.k_lo:

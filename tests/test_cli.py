@@ -549,6 +549,24 @@ class TestBench:
         assert code == 0
         assert "skipped (cap 100)" in out
 
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_cap_skips_by_index_not_by_engine(self, capsys, fmt):
+        code, out, _ = run_cli(capsys, "bench", "--k", "2", "--n", "50,200",
+                               "--engines", "iterative,matrix", "--iterative-cap", "100",
+                               "--reps", "1", "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            rows = [(row["engine"], row["n"], row["skipped"]) for row in json.loads(out)]
+        elif fmt == "csv":
+            rows = [(name, int(n), seconds == "skipped")
+                    for name, n, _, seconds in list(csv.reader(io.StringIO(out)))[1:]]
+        else:
+            # "iterative  n=200: skipped (cap 100)"
+            rows = [(name, int(n[2:-1]), rest == ["skipped", "(cap", "100)"])
+                    for name, n, *rest in map(str.split, out.splitlines())]
+        assert rows == [("iterative", 50, False), ("matrix", 50, False),
+                        ("iterative", 200, True), ("matrix", 200, False)]
+
     def test_raised_cap_is_honored(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--k", "2", "--n", "1500",
                                "--engines", "iterative", "--reps", "1",

@@ -305,6 +305,16 @@ class TestMatrices:
         with pytest.raises(ValueError):
             r_matrix(SequenceParams(2), bad_n)
 
+    @pytest.mark.parametrize("n", [2.5, "3", True])
+    def test_non_int_index_rejected(self, n):
+        # 2.5 once raised AttributeError, "3" a TypeError, and mat_pow(m, True)
+        # returned m
+        for power in (matrix_power, r_matrix):
+            with pytest.raises(ValueError, match=r"^n must be an int >= 1, got "):
+                power(SequenceParams(2), n)
+        with pytest.raises(ValueError, match=r"^exponent must be an int >= 0, got "):
+            mat_pow(Mat2(3, 1, 4, 1), n)
+
     def test_a_and_r_commute(self):
         for k in (1, 2, 5, 11):
             a, r = a_matrix(SequenceParams(k)), r_base_matrix(SequenceParams(k))

@@ -151,18 +151,31 @@ class TestDecimalSeries:
         assert [decimal_str(x) for x in got] == expected
 
 
-def test_series_oracle_imports_no_engine():
-    # the series is an independent oracle for the engines only while the
-    # module reads neither the engines nor the identity checks built on them
-    source = Path(__file__).resolve().parent.parent / "src" / "balseq" / "genfunc.py"
+def imported_modules(module: str) -> set[str]:
+    """The last name of every module that src/balseq/<module>.py imports."""
+    source = Path(__file__).resolve().parent.parent / "src" / "balseq" / f"{module}.py"
     imported = set()
     for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            imported.add(module.rpartition(".")[2])
-            if module in ("", "balseq"):  # from . import x, from balseq import x
+            name = node.module or ""
+            imported.add(name.rpartition(".")[2])
+            if name in ("", "balseq"):  # from . import x, from balseq import x
                 imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name.rpartition(".")[2] for alias in node.names)
     assert imported, "no imports found"
+    return imported
+
+
+def test_series_oracle_imports_no_engine():
+    # the series is an independent oracle for the engines only while the
+    # module reads neither the engines nor the identity checks built on them
+    imported = imported_modules("genfunc")
     assert not imported & {"engines", "identities"}, imported
+
+
+def test_errata_imports_no_identities():
+    # errata reads each verified identity through its catalog row (Sides.at),
+    # so only verify sizes the term tables of a single point
+    imported = imported_modules("errata")
+    assert "verify" in imported and "identities" not in imported, imported

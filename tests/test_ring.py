@@ -75,12 +75,6 @@ class TestRingMul:
         with pytest.raises(ValueError, match="parameter mismatch"):
             ring_mul(RingElement.alpha(SequenceParams(2)), RingElement.alpha(SequenceParams(3)))
 
-    def test_operator_spelling(self):
-        p = SequenceParams(3)
-        a = RingElement.alpha(p)
-        assert a * a == ring_mul(a, a)
-        assert a**4 == ring_pow(a, 4)
-
 
 class TestRingPow:
     def test_zeroth_power_is_one(self):
@@ -100,6 +94,17 @@ class TestRingPow:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             ring_pow(RingElement.alpha(SequenceParams(2)), -1)
+
+    @pytest.mark.parametrize("n", [2.5, "3", True])
+    @pytest.mark.parametrize("power", [
+        lambda p, n: ring_pow(RingElement.alpha(p), n),
+        lambda p, n: ring_pow_counted(RingElement.alpha(p), n),
+        alpha_power_components,
+    ], ids=["ring_pow", "ring_pow_counted", "alpha_power_components"])
+    def test_non_int_exponent_rejected(self, power, n):
+        # 2.5 once raised AttributeError, "3" a TypeError, and True gave alpha
+        with pytest.raises(ValueError, match=r"^exponent must be an int >= 0, got "):
+            power(SequenceParams(2), n)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 64, 65, 1000, 12345])
     def test_multiplication_count_logarithmic(self, n):

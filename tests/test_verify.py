@@ -156,6 +156,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             VerifyRunConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["k_lo", "k_hi", "max_index", "max_listed"])
+    @pytest.mark.parametrize("value", [1.0, 2.5, 3.5, True])
+    def test_non_int_field_rejected(self, field, value):
+        # k_lo=1.0 once raised TypeError from range(), max_index=3.5 the
+        # engines' "n must be an int", max_listed=2.5 a slice TypeError, and
+        # k_lo=True ran as k = 1
+        with pytest.raises(ValueError, match=rf"^{field} must be an int, got {value!r}$"):
+            VerifyRunConfig(**{field: value})
+
 
 class TestRunVerify:
     def test_clean_run_exits_zero(self):
