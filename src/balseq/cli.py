@@ -21,7 +21,10 @@ directly: no field the CLI writes ever needs quoting.
 `main(argv)` may be called any number of times in one process.  The parser
 is built once per process, on the first `build_parser()` call (not at
 import), and every later call returns it; the subcommand handlers and the
-`choices` are bound at that build.
+`choices` are bound at that build.  `main` returns the exit code in every
+case, an argparse usage error, `--help` and `--version` included, and never
+raises SystemExit.  `verify --threads` caps the processes its sweeps run in
+(see `verify.run_verify`).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from decimal import Decimal
@@ -96,7 +100,7 @@ def parse_index_list(text: str) -> list[int]:
 
 
 def parse_threads(text: str) -> str:
-    """Validate --threads; the count is ignored because sweeps run serially."""
+    """Validate --threads, the most processes verify sweeps in; see _verify_workers."""
     if text == "auto":
         return text
     try:
@@ -108,6 +112,17 @@ def parse_threads(text: str) -> str:
             f"thread count must be an integer >= 1 or 'auto', got {text!r}"
         )
     return text
+
+
+def _verify_workers(threads: str) -> int:
+    """The processes verify sweeps in for a --threads value: "auto" gives
+    the number of CPUs this process may run on, and N gives at most that
+    many, so a large N never starts more processes than there are CPUs."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform can report the affinity
+        cpus = os.cpu_count() or 1
+    return cpus if threads == "auto" else min(int(threads), cpus)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -269,7 +284,7 @@ def cmd_verify(args) -> int:
             handle.write(render_document())
         if not args.quiet:
             print(f"errata document written to {path}", file=sys.stderr)
-    report = run_verify(config)
+    report = run_verify(config, workers=_verify_workers(args.threads))
 
     summary = report.summary
     if args.format == "json":
@@ -426,8 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-listed", type=int, default=25,
                           help="failing reports listed per identity and pool")
     p_verify.add_argument("--threads", type=parse_threads, default="auto",
-                          help="accepted for compatibility and ignored;"
-                          " sweeps run serially (integer >= 1 or 'auto')")
+                          help="most processes the sweeps run in, capped at the"
+                          " usable CPUs (integer >= 1, or 'auto' for all of them;"
+                          " default auto); small runs stay in one process")
     p_verify.add_argument("--emit-errata", nargs="?", const="ERRATA.md",
                           default=None, metavar="PATH",
                           help="also write the machine-checked errata document")
@@ -451,7 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error, --help or --version
+        return exc.code
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:

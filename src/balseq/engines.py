@@ -259,6 +259,8 @@ def term_b_negative(params: SequenceParams, n: int) -> Fraction:
     Satisfies the backward recurrence B_{m-2} = (B_m - 3k*B_{m-1}) / (1-k);
     non-integral for k >= 3, equal to -B_{k,n} at k = 2.
     """
+    if not is_int(n):
+        raise ValueError(f"n must be an int, got {n!r}")
     if params.k == 1:
         raise ValueError("negative indices are undefined for k=1 (division by k-1)")
     if n < 1:

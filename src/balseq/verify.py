@@ -18,18 +18,23 @@ index its sides read there, so that the same row answers a single point
 A gcd row carries its theorem's hypothesis.  When the hypothesis fails at a
 k (gcd(3k, k - 1) = 1, i.e. k % 3 != 1), every check of that k is counted as
 hypothesis_not_met and its failures go to a separate expected-failure pool,
-never to the violations.  Sweeps run serially and the final report is
-canonically sorted, so the emitted JSON is byte-identical from one run to
-the next.
+never to the violations.  Each (name, k) sweep is one task; run_verify runs
+them in the calling process, and with workers > 1 it hands what is left
+after a short serial start to forked children.  A task keeps only the head
+of its failure pools, the results are merged in (name, k) order and the
+final report is canonically sorted, so the emitted JSON is byte-identical
+from one run to the next, whatever the number of workers.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NoReturn
 
 from . import __version__
 from .decimal_io import decimal_str
@@ -322,21 +327,135 @@ class VerifyReport:
         return 0 if self.summary["total_failed"] == 0 else 1
 
 
+# seconds of sweeps run_verify runs in the calling process before it forks
+# any worker: a fork and the pickled result cost about 3.5 ms (2-core x86-64,
+# Python 3.11), so a request that ends within this never pays for one
+SERIAL_BUDGET_S = 0.05
+
+
 def _sort_key(report: Report):
     return report.name, sorted(report.inputs.items())
 
 
-def run_verify(config: VerifyRunConfig) -> VerifyReport:
-    """Sweep every selected identity over the k range, one k at a time.
+def _sweep(name: str, k: int, config: VerifyRunConfig) -> SweepOutcome:
+    """One (name, k) task, each failure pool cut to its first max_listed
+    reports: the first max_listed of a union are among those of its parts."""
+    outcome = CATALOG[name](SequenceParams(k), config.max_index)
+    outcome.violations = sorted(outcome.violations, key=_sort_key)[: config.max_listed]
+    outcome.expected_failures = sorted(outcome.expected_failures,
+                                       key=_sort_key)[: config.max_listed]
+    return outcome
 
-    Sweeps run serially: they are bignum loops that hold the interpreter
-    lock, so worker threads only added wall time.
+
+def _child(tasks: list[tuple[str, int]], config: VerifyRunConfig, read_end: int,
+           write_end: int) -> NoReturn:
+    """In a forked child: sweep tasks, pickle the outcomes (or the one-line
+    reason they failed) into the pipe, and leave by os._exit, which flushes
+    none of the stdio buffers the child inherited, so none is written twice."""
+    status = 1
+    try:
+        import pickle
+
+        os.close(read_end)
+        try:
+            result = [_sweep(name, k, config) for name, k in tasks]
+        except BaseException as exc:
+            result = f"{type(exc).__name__}: {exc}".splitlines()[0]
+        with open(write_end, "wb") as pipe:
+            pickle.dump(result, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _collect(pid: int, read_end: int) -> list[SweepOutcome]:
+    """The outcomes a child sent; the child is reaped and the pipe closed."""
+    import pickle
+
+    try:
+        with open(read_end, "rb") as pipe:
+            payload = pipe.read()
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        raise ChildProcessError(f"a verify worker exited with status {status} and no result")
+    result = pickle.loads(payload)
+    if isinstance(result, str):
+        raise ChildProcessError(f"a verify worker failed: {result}")
+    return result
+
+
+def _sweep_shares(tasks: list[tuple[str, int]], config: VerifyRunConfig,
+                  workers: int) -> list[SweepOutcome]:
+    """The outcomes of tasks, in their order, swept in `workers` shares.
+
+    The tasks are dealt in snake order (0, 1, ..., w-1, w-1, ..., 0, 0, 1,
+    ...).  The caller sweeps share 0 and a forked child each other share;
+    every child is reaped before this returns or raises.
     """
-    outcomes: dict[str, SweepOutcome] = {}
-    for name in config.identities:
-        outcome = outcomes[name] = SweepOutcome(name)
-        for k in range(config.k_lo, config.k_hi + 1):
-            outcome.merge(CATALOG[name](SequenceParams(k), config.max_index))
+    import signal  # here, not at module load: only a forking run needs it
+
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    for position in range(len(tasks)):
+        lap, seat = divmod(position, workers)
+        shares[seat if lap % 2 == 0 else workers - 1 - seat].append(position)
+    outcomes: dict[int, SweepOutcome] = {}  # by position in tasks
+    pending: dict[int, tuple[int, list[int]]] = {}  # pid -> (read end, share)
+    try:
+        for share in filter(None, shares[1:]):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _child([tasks[i] for i in share], config, read_end, write_end)
+            os.close(write_end)
+            pending[pid] = read_end, share
+        for i in shares[0]:
+            outcomes[i] = _sweep(*tasks[i], config)
+        for pid in list(pending):
+            read_end, share = pending.pop(pid)
+            for i, outcome in zip(share, _collect(pid, read_end)):
+                outcomes[i] = outcome
+    finally:
+        # reached with children pending only when something failed first
+        for pid, (read_end, _) in pending.items():
+            os.close(read_end)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [outcomes[i] for i in range(len(tasks))]
+
+
+def run_verify(config: VerifyRunConfig, *, workers: int = 1) -> VerifyReport:
+    """Sweep every selected identity over the k range, one (name, k) task at
+    a time, in catalog order.
+
+    With workers > 1 (and where the platform has os.fork), the tasks left
+    once the sweeps have taken SERIAL_BUDGET_S are split into `workers`
+    shares: the caller sweeps one and a forked child each of the others.  A
+    child that fails raises ChildProcessError, and no report is made.
+    Threads would not help: the sweeps are bignum loops that hold the
+    interpreter lock.  The report is the same for every number of workers.
+    """
+    if not is_int(workers) or workers < 1:
+        raise ValueError(f"workers must be an int >= 1, got {workers!r}")
+    parallel = workers > 1 and hasattr(os, "fork")
+    tasks = [(name, k) for name in config.identities
+             for k in range(config.k_lo, config.k_hi + 1)]
+    done: list[SweepOutcome] = []
+    start = time.perf_counter()
+    for name, k in tasks:
+        if parallel and time.perf_counter() - start >= SERIAL_BUDGET_S:
+            done += _sweep_shares(tasks[len(done):], config, workers)
+            break
+        done.append(_sweep(name, k, config))
+
+    outcomes = {name: SweepOutcome(name) for name in config.identities}
+    for (name, _), outcome in zip(tasks, done):
+        outcomes[name].merge(outcome)
 
     results: list[Report] = []
     for outcome in outcomes.values():

@@ -4,16 +4,18 @@ Every numeric expectation in the suite either comes from one of these
 oracles or is a frozen value that was computed with them (or taken from the
 published value table where that table is consistent with the recurrence).
 The planted_b7 fixture plants one wrong term, so tests can watch the
-failure path.
+failure path.  The forks fixture makes every verify run fork its workers
+from the first sweep and records each fork.
 """
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
 import pytest
 
-from balseq import identities
+from balseq import identities, verify
 
 
 def oracle_b(k: int, n_max: int) -> list[int]:
@@ -56,3 +58,28 @@ def planted_b7(monkeypatch):
         return table
 
     monkeypatch.setattr(identities, "b_table", planted)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """verify forks from its first sweep; returns the pids os.fork made."""
+    monkeypatch.setattr(verify, "SERIAL_BUDGET_S", 0)
+    made, real_fork = [], os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return made
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False

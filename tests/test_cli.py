@@ -5,6 +5,7 @@ import decimal
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,7 @@ import tracemalloc
 import pytest
 
 import balseq.cli as cli
-from balseq import __version__
+from balseq import __version__, verify
 from balseq.cli import main
 from balseq.decimal_io import decimal_str
 from balseq.engines import term_b, term_c
@@ -20,21 +21,11 @@ from balseq.genfunc import b_series
 from balseq.ring import SequenceParams
 from balseq.verify import CATALOG
 
-from conftest import oracle_b, oracle_c
+from conftest import no_child_left, oracle_b, oracle_c
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def run_caught(capsys, *argv):
-    """run_cli, with an argparse exit read as its exit code."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -206,15 +197,11 @@ class TestTable:
         assert out.splitlines() == ["k n B C", "3 0 0 1", "3 1 1 3"]
 
     def test_bad_range_usage_error(self, capsys):
-        # argparse rejects the flag value itself, so this exits rather than returns
-        with pytest.raises(SystemExit) as exc:
-            main(["table", "--k", "2..x", "--n", "0..3"])
-        assert exc.value.code == 2
+        # argparse rejects the flag value itself; main returns its exit code
+        assert main(["table", "--k", "2..x", "--n", "0..3"]) == 2
 
     def test_bad_range_reason_is_printed(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["table", "--k", "1..x", "--n", "0..3"])
-        assert exc.value.code == 2
+        assert main(["table", "--k", "1..x", "--n", "0..3"]) == 2
         assert "invalid range '1..x', expected 'lo..hi' or an integer" in capsys.readouterr().err
 
     # sha256 of `table` stdout per (argv, format), taken from the code that
@@ -470,20 +457,25 @@ class TestVerify:
         assert out.splitlines()[0] == "identity,checked,held,failed,hypothesis_not_met"
         assert "doubling,5,5,0,0" in out.splitlines()
 
-    def test_threads_do_not_change_bytes(self, capsys):
-        outputs = set()
-        for threads in ("1", "2", "auto"):
-            code, out, _ = run_cli(capsys, "verify", "--k", "1..4", "--max-index", "8",
-                                   "--format", "json", "--threads", threads)
-            assert code == 0
-            outputs.add(out)
-        assert len(outputs) == 1
+    def test_threads_do_not_change_bytes(self, capsys, forks, monkeypatch):
+        # three CPUs, so --threads 2 and auto fork 1 and 2 workers; k 1..6
+        # lists gcd expected failures at k = 1 and 4
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        for fmt in ("plain", "csv", "json"):
+            outputs = {}
+            for threads, workers in (("1", 1), ("2", 2), ("auto", 3)):
+                before = len(forks)
+                outputs[threads] = run_cli(capsys, "verify", "--k", "1..6", "--max-index",
+                                           "9", "--format", fmt, "--threads", threads)
+                assert len(forks) - before == workers - 1 and no_child_left()
+            code, out, err = outputs["1"]
+            assert code == 0 and err == ""
+            assert fmt != "plain" or "[expected failure] consecutive-gcd-b" in out
+            assert outputs["2"] == outputs["auto"] == outputs["1"], fmt
 
     @pytest.mark.parametrize("value", ["0", "-3", "abc"])
     def test_bad_thread_count_reason_is_printed(self, capsys, value):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--k", "2..2", "--max-index", "3", "--threads", value])
-        assert exc.value.code == 2
+        assert main(["verify", "--k", "2..2", "--max-index", "3", "--threads", value]) == 2
         err = capsys.readouterr().err
         assert f"thread count must be an integer >= 1 or 'auto', got '{value}'" in err
 
@@ -517,6 +509,58 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(target) in err
+
+
+class TestVerifyWorkers:
+    # k 1..6 lists gcd expected failures at k = 1 and 4
+    ARGV = ("verify", "--k", "1..6", "--max-index", "9")
+
+    def test_thread_count_capped_at_the_cpus(self, capsys, forks):
+        cpus = len(os.sched_getaffinity(0))
+        code, _, _ = run_cli(capsys, *self.ARGV, "--threads", "64")
+        assert code == 0 and len(forks) <= cpus - 1 and no_child_left()
+
+    def test_workers_from_threads(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5, 6})
+        assert [cli._verify_workers(t) for t in ("auto", "1", "3", "64")] == [4, 1, 3, 4]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert [cli._verify_workers(t) for t in ("auto", "2", "64")] == [3, 2, 3]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._verify_workers("auto") == 1
+
+    def test_buffered_stdout_written_once(self, tmp_path, forks, monkeypatch):
+        # text a file-backed stdout holds unflushed when the children fork
+        # must not be flushed again by a child
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        path = tmp_path / "out.txt"
+        saved = sys.stdout
+        with open(path, "w", encoding="utf-8") as handle:
+            sys.stdout = handle
+            try:
+                handle.write("before the run\n")
+                code = main([*self.ARGV, "--quiet", "--threads", "2"])
+            finally:
+                sys.stdout = saved
+        assert code == 0 and forks
+        assert path.read_text(encoding="utf-8") == (
+            "before the run\n"
+            "verify: all held (checked=10362, failed=0, hypothesis_not_met=182)\n")
+
+    def test_failing_child_exits_2_with_one_line(self, capsys, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent, real = os.getpid(), CATALOG["cassini-b"]
+
+        def sweep(params, max_index):
+            if os.getpid() != parent:
+                raise ArithmeticError("planted")
+            return real(params, max_index)
+
+        monkeypatch.setitem(CATALOG, "cassini-b", sweep)
+        code, out, err = run_cli(capsys, *self.ARGV, "--threads", "2")
+        assert code == 2 and out == ""
+        assert err == "error: a verify worker failed: ArithmeticError: planted\n"
+        assert forks and no_child_left()
 
 
 class TestBench:
@@ -595,10 +639,9 @@ class TestBench:
     ])
     def test_bad_index_list_usage_error(self, capsys, value, reason):
         # rejected by argparse while parsing, before any engine runs
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--k", "2", "--n", value, "--reps", "1"])
+        code = main(["bench", "--k", "2", "--n", value, "--reps", "1"])
         captured = capsys.readouterr()
-        assert exc.value.code == 2 and captured.out == ""
+        assert code == 2 and captured.out == ""
         errors = [line for line in captured.err.splitlines() if "error" in line]
         assert errors == [f"balseq bench: error: argument --n: {reason}"]
 
@@ -737,14 +780,14 @@ class TestSharedParser:
 
     def test_usage_error_leaves_the_next_request_as_it_was(self, capsys):
         argv = ("verify", "--k", "1..3", "--max-index", "5", "--format", "json")
-        before = run_caught(capsys, *argv)
-        code, out, err = run_caught(capsys, "verify", "--threads", "0")
+        before = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, "verify", "--threads", "0")
         assert code == 2 and out == "" and "thread count" in err
-        assert run_caught(capsys, *argv) == before and before[0] == 0
+        assert run_cli(capsys, *argv) == before and before[0] == 0
 
     def test_version_prints_after_a_request(self, capsys):
         run_cli(capsys, "term", "--seq", "B", "--k", "2", "--n", "5")
-        assert run_caught(capsys, "--version") == (0, f"balseq {__version__}\n", "")
+        assert run_cli(capsys, "--version") == (0, f"balseq {__version__}\n", "")
 
     def test_action_defaults_are_immutable(self):
         # a list, dict or set default would be shared by every parse, and
@@ -774,7 +817,7 @@ class TestSharedParser:
 
     def test_one_process_prints_what_fresh_interpreters_print(self, capsys):
         for argv in self.MIXED:
-            code, out, err = run_caught(capsys, *argv)
+            code, out, err = run_cli(capsys, *argv)
             proc = subprocess.run([sys.executable, "-m", "balseq.cli", *argv],
                                   capture_output=True, text=True)
             assert (code, out) == (proc.returncode, proc.stdout), argv
@@ -798,6 +841,15 @@ class TestExitCodeContract:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2 and "k must be >= 1" in proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        # main returns argparse's exit code; the interpreter's is unchanged
+        assert main([flag]) == 0
+        assert capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-m", "balseq.cli", flag],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout
 
     def test_subprocess_bad_flag(self):
         proc = subprocess.run(

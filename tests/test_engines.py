@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -232,6 +233,12 @@ class TestSeedIdentity:
 
 
 class TestTermBNegative:
+    @pytest.mark.parametrize("n", ["3", 2.5, True])
+    def test_non_int_index_rejected(self, n):
+        # the type is checked first, so "3" does not reach the n < 1 comparison
+        with pytest.raises(ValueError, match=rf"^n must be an int, got {re.escape(repr(n))}$"):
+            term_b_negative(SequenceParams(3), n)
+
     def test_k2_is_negated_positive_term(self):
         assert term_b_negative(SequenceParams(2), 2) == -6
         assert term_b_negative(SequenceParams(2), 2).denominator == 1

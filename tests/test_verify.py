@@ -1,5 +1,6 @@
 import decimal
 import json
+import os
 import re
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from balseq import identities
+from balseq import identities, verify
 from balseq.verify import (
     CATALOG,
     KIND_KEYS,
@@ -18,10 +19,13 @@ from balseq.verify import (
     VerifyRunConfig,
     report_entry_to_dict,
     report_to_json,
+    SweepOutcome,
     resolve_identities,
     run_verify,
 )
 from balseq.ring import SequenceParams
+
+from conftest import no_child_left
 
 
 def exact_from_str(text: str) -> int | Fraction:
@@ -210,6 +214,109 @@ class TestRunVerify:
         small = run_verify(config).results
         full = run_verify(VerifyRunConfig(4, 4, 12, ("coprime-norm-b",), max_listed=25)).results
         assert small == full[:3]
+
+
+class TestFailurePoolHeads:
+    @pytest.mark.parametrize("max_listed", [1, 3, 25])
+    def test_reports_match_the_untruncated_merge(self, planted_b7, max_listed):
+        # each (name, k) task keeps only the head of its pools; with B_7
+        # planted wrong both pools fill, and the listing must equal the
+        # head of every k's full pools merged
+        config = VerifyRunConfig(1, 12, 9, max_listed=max_listed)
+        expected = []
+        for name in config.identities:
+            merged = SweepOutcome(name)
+            for k in range(1, 13):
+                merged.merge(CATALOG[name](SequenceParams(k), 9))
+            for pool in (merged.violations, merged.expected_failures):
+                expected += sorted(pool, key=verify._sort_key)[:max_listed]
+        expected.sort(key=verify._sort_key)
+        report = run_verify(config)
+        assert report.summary["total_failed"] > 0
+        assert report.summary["total_hypothesis_not_met"] > 0
+        assert report.results == expected
+
+
+class TestWorkers:
+    CONFIG = VerifyRunConfig(1, 5, 9)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_report_is_the_serial_one(self, forks, workers):
+        serial = run_verify(self.CONFIG)
+        assert not forks
+        assert run_verify(self.CONFIG, workers=workers) == serial
+        assert len(forks) == workers - 1 and no_child_left()
+
+    def test_default_never_forks(self, monkeypatch):
+        monkeypatch.setattr(verify, "SERIAL_BUDGET_S", 0)
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert run_verify(self.CONFIG).summary["all_held"]
+
+    def test_fewer_tasks_than_workers(self, forks):
+        config = VerifyRunConfig(2, 3, 6, ("cassini-b",))
+        assert run_verify(config, workers=5) == run_verify(config)
+        assert len(forks) == 1 and no_child_left()
+
+    def test_serial_without_fork(self, forks, monkeypatch):
+        serial = run_verify(self.CONFIG)
+        monkeypatch.delattr(os, "fork")
+        assert run_verify(self.CONFIG, workers=2) == serial
+        assert not forks
+
+    def test_small_run_stays_in_process(self, forks, monkeypatch):
+        monkeypatch.setattr(verify, "SERIAL_BUDGET_S", 60)
+        run_verify(self.CONFIG, workers=4)
+        assert not forks
+
+    @pytest.mark.parametrize("workers", [0, -1, 2.0, True, "2"])
+    def test_bad_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match=r"^workers must be an int >= 1, got "):
+            run_verify(self.CONFIG, workers=workers)
+
+    def _in_children(self, monkeypatch, action):
+        """cassini-b sweeps as usual in this process and runs action in a child."""
+        parent, real = os.getpid(), CATALOG["cassini-b"]
+
+        def sweep(params, max_index):
+            if os.getpid() != parent:
+                action()
+            return real(params, max_index)
+
+        monkeypatch.setitem(CATALOG, "cassini-b", sweep)
+
+    def test_raising_child_fails_the_run(self, forks, monkeypatch):
+        def boom():
+            raise RuntimeError("boom\nsecond line")
+
+        self._in_children(monkeypatch, boom)
+        with pytest.raises(ChildProcessError,
+                           match=r"^a verify worker failed: RuntimeError: boom$"):
+            run_verify(self.CONFIG, workers=2)
+        assert forks and no_child_left()
+
+    def test_child_dying_without_a_result_fails_the_run(self, forks, monkeypatch):
+        self._in_children(monkeypatch, lambda: os._exit(3))
+        with pytest.raises(ChildProcessError,
+                           match=r"^a verify worker exited with status 3 and no result$"):
+            run_verify(self.CONFIG, workers=3)
+        assert len(forks) == 2 and no_child_left()
+
+    def test_failing_parent_share_reaps_the_children(self, forks, monkeypatch):
+        parent, real = os.getpid(), CATALOG["vajda-1"]
+
+        def sweep(params, max_index):
+            if os.getpid() == parent:
+                raise KeyError("parent")
+            return real(params, max_index)
+
+        monkeypatch.setitem(CATALOG, "vajda-1", sweep)
+        with pytest.raises(KeyError, match="parent"):
+            run_verify(self.CONFIG, workers=2)
+        assert forks and no_child_left()
 
 
 class TestSerialization:
