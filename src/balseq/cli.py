@@ -318,9 +318,10 @@ def cmd_bench(args) -> int:
         raise ValueError("reps must be >= 1")
     check_iterative_cap(args.iterative_cap)
     params = SequenceParams(args.k)
+    # a name listed twice is timed once, at its first place
     engine_names = (
         list(ENGINES) if args.engines == "all" else
-        [name.strip() for name in args.engines.split(",")]
+        list(dict.fromkeys(name.strip() for name in args.engines.split(",")))
     )
     for name in engine_names:
         if name not in ENGINES:

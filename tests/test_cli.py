@@ -144,6 +144,56 @@ class TestTerm:
             "94669a14bd9761084ecdce9b0d6a242ddf58db8b33a82d1654db8ae5a4c3f044",
         ("C", 12, 20000, "doubling", "json"):
             "502c10a5c1e9391b00c8ec9ff96fb9f49bb793b72e3006fca6a9d2da31b8e409",
+        # odd n, where each log engine's last step takes its other formula;
+        # taken while that step still built the whole final state
+        ("B", 5, 30001, "iterative", "plain"):
+            "7d11ef24e2bbc919786487888202bbd3a7b88a51ae3ca69c5817d9f55c7dac89",
+        ("B", 5, 30001, "iterative", "csv"):
+            "84cd30220bb4faa1ef1e1f1c7d228feb1d0499c0fc2bf06d299fcd5ffa674ff1",
+        ("B", 5, 30001, "iterative", "json"):
+            "512a41be9c273fa7da03305c0d3935b497b867767a21769ee69ac7c6f49e6307",
+        ("B", 5, 30001, "matrix", "plain"):
+            "7d11ef24e2bbc919786487888202bbd3a7b88a51ae3ca69c5817d9f55c7dac89",
+        ("B", 5, 30001, "matrix", "csv"):
+            "126b983028afb02d8513adaab2db07fd09a9c66e34a26152acf5b62fb8729279",
+        ("B", 5, 30001, "matrix", "json"):
+            "292cc1f6d4987d162f106854ee6603f7b8581ba81f4d0bc7b0b5a030900a2537",
+        ("B", 5, 30001, "binet", "plain"):
+            "7d11ef24e2bbc919786487888202bbd3a7b88a51ae3ca69c5817d9f55c7dac89",
+        ("B", 5, 30001, "binet", "csv"):
+            "b356a6e2339d648aef7c7699f67cbd7cd56698007c69f9504b85bc16c703c442",
+        ("B", 5, 30001, "binet", "json"):
+            "7f07c19d7284fea3c5433fd20a62b439805c96e710ab55521dda4b561b647ff8",
+        ("B", 5, 30001, "doubling", "plain"):
+            "7d11ef24e2bbc919786487888202bbd3a7b88a51ae3ca69c5817d9f55c7dac89",
+        ("B", 5, 30001, "doubling", "csv"):
+            "fcd942fd92d7d6d2fd32c2b9f308c99b21fc463198ec3c472a4d52da185b2db3",
+        ("B", 5, 30001, "doubling", "json"):
+            "8bbbf3413f067a6c6483fdff8b145b025e4834195701f9e48ab9989f00c23de0",
+        ("C", 12, 20001, "iterative", "plain"):
+            "dc5d446b43a221b3c21ae78ed18eec1c490ee948dca072a77dc131e2100459f3",
+        ("C", 12, 20001, "iterative", "csv"):
+            "4b049c1f1f9c720b3c483e3c6121454043dddce26b59bb20be8b830d1c331ad1",
+        ("C", 12, 20001, "iterative", "json"):
+            "b2b01c8b5a30ace6fa150df62d4c01ddb357af5cc0ec66dfc7b164b82cf24285",
+        ("C", 12, 20001, "matrix", "plain"):
+            "dc5d446b43a221b3c21ae78ed18eec1c490ee948dca072a77dc131e2100459f3",
+        ("C", 12, 20001, "matrix", "csv"):
+            "4c08bb403f7e3089b669ea86e7ec4ca189d8aaeec187e4f54c1976eb2ecb6aab",
+        ("C", 12, 20001, "matrix", "json"):
+            "2e67496b625a2e3b77f15eb40e502cb0e35750845afa5d13201892402ba78a44",
+        ("C", 12, 20001, "binet", "plain"):
+            "dc5d446b43a221b3c21ae78ed18eec1c490ee948dca072a77dc131e2100459f3",
+        ("C", 12, 20001, "binet", "csv"):
+            "35e590be00776642c1c90537d1589f7d1369e71e82d137c75d5cd6da82be8bd4",
+        ("C", 12, 20001, "binet", "json"):
+            "376f1c83da40a9dcbb6e9901772569e0b0cd130c1ddd4647d50f6918e7232b60",
+        ("C", 12, 20001, "doubling", "plain"):
+            "dc5d446b43a221b3c21ae78ed18eec1c490ee948dca072a77dc131e2100459f3",
+        ("C", 12, 20001, "doubling", "csv"):
+            "3fca105ce2fcb787ec46f7c07ac98f97a0c897319cdaf1888a299e1fb08a3c2c",
+        ("C", 12, 20001, "doubling", "json"):
+            "bc7c494d4367b0d2b43be52938d5b0de62b65230f5cfe0f5d828ddb4cbc03062",
     }
 
     @pytest.mark.parametrize("key", sorted(TERM_SHA256))
@@ -731,6 +781,23 @@ class TestBench:
         assert code == 1 and out == ""
         assert err.splitlines()[1:] == [f"  matrix: {digits} digits",
                                         f"  doubling: {digits} digits"]
+
+    def test_repeated_engine_timed_once(self, capsys, monkeypatch):
+        # "doubling,doubling" once timed the engine twice and printed two rows
+        calls = []
+        real = cli.term_b
+
+        def spy(params, n, engine, **kwargs):
+            calls.append(engine.value)
+            return real(params, n, engine, **kwargs)
+
+        monkeypatch.setattr(cli, "term_b", spy)
+        code, out, _ = run_cli(capsys, "bench", "--k", "3", "--n", "10",
+                               "--engines", "doubling, matrix,doubling", "--reps", "1",
+                               "--format", "csv")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["doubling", "matrix"]
+        assert calls == ["doubling", "matrix"]
 
     def test_all_is_every_engine_in_enum_order(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--k", "2", "--n", "5",

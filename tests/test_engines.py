@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from balseq.decimal_io import decimal_str
 from balseq.engines import (
+    _doubling_pair,
     Engine,
     ITERATIVE_CAP_DEFAULT,
     IterativeCapError,
@@ -221,6 +222,102 @@ class TestDecimalEngines:
             value = term_b(params, 5000, engine, one=Decimal(1))
             assert ctx.prec == 28 and not any(ctx.flags.values())
         assert decimal_str(value) == expected
+
+
+def full_products(params: SequenceParams, n: int) -> dict[Engine, tuple[int, int]]:
+    """(B_n, C_n) read off each log engine's whole representation at n, in int."""
+    k = params.k
+    power = mat_pow(a_matrix(params), n)
+    u, v = alpha_power_components(params, n)
+    b_n, b_next = _doubling_pair(k, n)
+    return {
+        Engine.MATRIX: (power.a21, (r_base_matrix(params) @ power).a21),
+        Engine.BINET: (v, u + 3 * v),
+        Engine.FAST_DOUBLING: (b_n, b_next + 3 * (1 - k) * b_n),
+    }
+
+
+def counting_type():
+    """A fresh int-like number type, and the list of its logged products.
+
+    A product of two of its values appends the bit lengths of both
+    operands; a product with an int, like the engines' small constants, is
+    not logged.
+    """
+    products = []
+
+    class Counted:
+        __slots__ = ("value",)
+
+        def __init__(self, value):
+            self.value = value
+
+        def __add__(self, other):
+            return Counted(self.value + getattr(other, "value", other))
+
+        __radd__ = __add__
+
+        def __sub__(self, other):
+            return Counted(self.value - getattr(other, "value", other))
+
+        def __rsub__(self, other):
+            return Counted(other - self.value)
+
+        def __mul__(self, other):
+            if isinstance(other, Counted):
+                products.append((self.value.bit_length(), other.value.bit_length()))
+                return Counted(self.value * other.value)
+            return Counted(self.value * other)
+
+        __rmul__ = __mul__
+
+    return Counted, products
+
+
+# the products of full size in the last step, at (even n, odd n): that step
+# at n = 2m or 2m + 1 works on operands of the size of B_m, about twice the
+# size of any operand before it, where the whole final state took 5 on
+# matrix and 3 on binet and doubling
+BIG_PRODUCTS = {
+    (Engine.MATRIX, "B"): (1, 2), (Engine.MATRIX, "C"): (2, 4),
+    (Engine.BINET, "B"): (1, 2), (Engine.BINET, "C"): (2, 2),
+    (Engine.FAST_DOUBLING, "B"): (1, 2), (Engine.FAST_DOUBLING, "C"): (2, 2),
+}
+
+
+class TestLastStep:
+    """Each log engine powers to n >> 1, then computes only the term it returns."""
+
+    INDICES = sorted({*range(301), *(2**j + d for j in range(17) for d in (-1, 0, 1))})
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_equals_oracle_and_full_product(self, k):
+        params = SequenceParams(k)
+        small = list(zip(b_table(params, 300), c_table(params, 300)))
+        for n in self.INDICES:
+            # past 300 the oracle is a window of the recurrence, seeded at n - 1
+            wants = small[n] if n <= 300 else (b_table(params, n, start=n - 1)[1],
+                                              c_table(params, n, start=n - 1)[1])
+            full = full_products(params, n)
+            for seq, (fn, want) in enumerate(zip((term_b, term_c), wants)):
+                text = decimal_str(want)
+                for engine in LOG_ENGINES:
+                    assert fn(params, n, engine) == want == full[engine][seq], (engine, n)
+                    assert decimal_str(fn(params, n, engine, one=Decimal(1))) == text, \
+                        (engine, n)
+
+    @pytest.mark.parametrize("engine, seq", list(BIG_PRODUCTS))
+    @pytest.mark.parametrize("k", [2, 7, 12])
+    def test_last_step_makes_only_the_big_products_it_needs(self, engine, seq, k):
+        # a product counts as big when its smaller operand has at least 3/4
+        # of the bits of the largest such operand in the run
+        fn = term_b if seq == "B" else term_c
+        for n, want in zip((4000, 4001), BIG_PRODUCTS[engine, seq]):
+            counted, products = counting_type()
+            value = fn(SequenceParams(k), n, engine, one=counted(1))
+            assert value.value == fn(SequenceParams(k), n, Engine.ITERATIVE)
+            sizes = [min(pair) for pair in products]
+            assert sum(4 * size >= 3 * max(sizes) for size in sizes) == want, n
 
 
 class TestSeedIdentity:
