@@ -161,7 +161,8 @@ def vajda1_sides(ctx: TermContext, i: int, j: int, ns: range) -> SideLists:
 def vajda2_sides(ctx: TermContext, n: int, m: int, ells: range) -> SideLists:
     """Vajda, second form: B_{n+ell}*B_{m-ell} - B_n*B_m against
     (k-1)^n * B_{m-n-ell}*B_ell, for n, ell >= 0 and m > n + ell; k is the
-    sequence parameter, as in the first form."""
+    sequence parameter, as in the first form.  At (n, m, ell) both sides are
+    those of the first form at i = ell, j = m - n - ell and the same n."""
     b = ctx.b
     bn_bm, pkn = b[n] * b[m], ctx.pk[n]
     lhs = [b[n + ell] * b[m - ell] - bn_bm for ell in ells]

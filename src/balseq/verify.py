@@ -310,9 +310,15 @@ class VerifyRunConfig:
             raise ValueError("max index must be >= 1")
         if self.max_listed < 1:
             raise ValueError("max listed must be >= 1")
+        if not self.identities:
+            raise ValueError("no identity selected")
+        seen: set[str] = set()
         for name in self.identities:
             if name not in CATALOG:
                 raise ValueError(f"unknown identity {name!r}")
+            if name in seen:
+                raise ValueError(f"identity {name!r} selected more than once")
+            seen.add(name)
 
 
 @dataclass

@@ -24,6 +24,16 @@ from balseq.verify import CATALOG
 from conftest import no_child_left, oracle_b, oracle_c
 
 
+@pytest.fixture(scope="module")
+def errata_document():
+    """The errata document, rendered once for this module: cli writes this
+    text wherever --emit-errata asks."""
+    text = cli.render_document()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "render_document", lambda: text)
+        yield text
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -529,12 +539,13 @@ class TestVerify:
         err = capsys.readouterr().err
         assert f"thread count must be an integer >= 1 or 'auto', got '{value}'" in err
 
-    def test_emit_errata(self, capsys, tmp_path):
+    def test_emit_errata(self, capsys, tmp_path, errata_document):
         target = tmp_path / "errata.md"
         code, _, err = run_cli(capsys, "verify", "--k", "2..2", "--max-index", "4",
                                "--identity", "cassini-b", "--emit-errata", str(target))
         assert code == 0
         text = target.read_text()
+        assert text == errata_document
         assert "c-series-numerator" in text and "refuted" in text
         assert str(target) in err
 
@@ -544,7 +555,8 @@ class TestVerify:
         assert code == 0 and err == ""
         assert out == "verify: all held (checked=18, failed=0, hypothesis_not_met=12)\n"
 
-    def test_quiet_emit_errata_writes_nothing_to_stderr(self, capsys, tmp_path):
+    def test_quiet_emit_errata_writes_nothing_to_stderr(self, capsys, tmp_path,
+                                                        errata_document):
         target = tmp_path / "errata.md"
         code, _, err = run_cli(capsys, "verify", "--k", "2..2", "--max-index", "4",
                                "--identity", "cassini-b", "--emit-errata", str(target),

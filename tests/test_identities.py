@@ -131,6 +131,27 @@ class TestVajda:
         with pytest.raises(ValueError, match=r"vajda-2\(n=1, i=1, j=1\) takes n, m, ell"):
             CATALOG["vajda-2"].at(SequenceParams(3), n=1, i=1, j=1)
 
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_forms_specialize_the_first_vajda_form(self, k):
+        # vajda-2 at (n, m, ell) has the sides of vajda-1 at (i, j, n) =
+        # (ell, m - n - ell, n), and catalan-b at (n, r) the negated sides of
+        # vajda-1 at (r, r, n - r); every index here is at most 12
+        params, vajda1, points = SequenceParams(k), CATALOG["vajda-1"], 0
+        for m in range(1, 13):
+            for n in range(m):
+                for ell in range(m - n):
+                    two = CATALOG["vajda-2"].at(params, n=n, m=m, ell=ell)
+                    one = vajda1.at(params, i=ell, j=m - n - ell, n=n)
+                    assert (two.lhs, two.rhs) == (one.lhs, one.rhs), (n, m, ell)
+                    points += 1
+        for n in range(1, 13):
+            for r in range(n + 1):
+                catalan = CATALOG["catalan-b"].at(params, n=n, r=r)
+                one = vajda1.at(params, i=r, j=r, n=n - r)
+                assert (catalan.lhs, catalan.rhs) == (-one.lhs, -one.rhs), (n, r)
+                points += 1
+        assert points == 364 + 90
+
 
 class TestSumClosedForm:
     def test_b_example(self):

@@ -160,6 +160,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             VerifyRunConfig(**kwargs)
 
+    def test_empty_selection_rejected(self):
+        # run_verify once reported all_held at 0 checks and exit code 0
+        with pytest.raises(ValueError, match=r"^no identity selected$"):
+            VerifyRunConfig(identities=())
+
+    def test_duplicate_names_rejected(self):
+        # run_verify once swept each copy, counting 20 checks for 10 at k
+        # 2..3, max index 5
+        with pytest.raises(ValueError,
+                           match=r"^identity 'cassini-b' selected more than once$"):
+            VerifyRunConfig(2, 3, 5, ("cassini-b", "cassini-b"))
+
     @pytest.mark.parametrize("field", ["k_lo", "k_hi", "max_index", "max_listed"])
     @pytest.mark.parametrize("value", [1.0, 2.5, 3.5, True])
     def test_non_int_field_rejected(self, field, value):
