@@ -25,13 +25,20 @@ import), and every later call returns it; the subcommand handlers and the
 case, an argparse usage error, `--help` and `--version` included, and never
 raises SystemExit.  `verify --threads` caps the processes its sweeps run in
 (see `verify.run_verify`).
+
+Every run pays for what this module imports, so at import it loads only
+what parsing, `term`, `table` and `bench` run: argparse, decimal, and the
+`engines`, `ring` and `decimal_io` modules.  `cmd_series` imports `genfunc`,
+`cmd_verify` imports `verify`, and `errata` only for `--emit-errata`; `json`
+is imported by the branches that write JSON.  So a `term` or `table` run
+loads neither `verify` nor `dataclasses`, and one that writes no JSON
+loads no `json` either.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
@@ -49,18 +56,7 @@ from .engines import (
     term_b,
     term_c,
 )
-from .errata import render_document
-from .genfunc import b_series, c_series
 from .ring import SequenceParams
-from .verify import (
-    COUNTS,
-    KIND_KEYS,
-    VerifyRunConfig,
-    exact_to_str,
-    report_to_json,
-    resolve_identities,
-    run_verify,
-)
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -172,6 +168,8 @@ def cmd_term(args) -> int:
         sys.stdout.write(_csv_line(["k", "n", "seq", "engine", "value"]))
         sys.stdout.write(_csv_line([args.k, args.n, args.seq, args.engine, value]))
     else:
+        import json
+
         print(json.dumps(
             {"k": args.k, "n": args.n, "seq": args.seq, "engine": args.engine,
              "value": value},
@@ -202,6 +200,8 @@ def cmd_table(args) -> int:
         for text in texts:
             sys.stdout.write(_csv_line(text))
     else:
+        import json
+
         # a row at a time, with json.dumps's default separators: the bytes
         # of one dump of the whole list, which would hold every row at once
         keys = [key.lower() for key in header]
@@ -230,15 +230,17 @@ def _table_rows(k_range, n_range, seqs):
 
 
 def cmd_series(args) -> int:
+    from . import genfunc
+
     if args.N < 0:
         raise ValueError(f"--N must be >= 0, got {args.N}")
     if args.seq == "B" and args.variant == "printed":
         raise ValueError("--variant printed applies to --seq C only")
     params = SequenceParams(args.k)
     if args.seq == "B":
-        series = b_series(params, args.N, one=Decimal(1))
+        series = genfunc.b_series(params, args.N, one=Decimal(1))
     else:
-        series = c_series(params, args.N, variant=args.variant, one=Decimal(1))
+        series = genfunc.c_series(params, args.N, variant=args.variant, one=Decimal(1))
         if args.variant == "printed":
             print(
                 "warning: the printed 1+3x(1+k) numerator does not generate C;"
@@ -259,6 +261,8 @@ def cmd_series(args) -> int:
     else:
         # the bytes of one sort_keys dump of the whole document:
         # "coefficients" sorts first, and the other keys follow the list
+        import json
+
         rest = json.dumps({"k": args.k, "seq": args.seq, "variant": args.variant},
                           sort_keys=True)
         sys.stdout.write('{"coefficients": [')
@@ -269,26 +273,33 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # run_verify, report_to_json and render_document are read off their
+    # modules when called, so a wrapper set on a module attribute is called
+    from . import verify
+    from .verify import COUNTS, KIND_KEYS, exact_to_str
+
     k_lo, k_hi = args.k
-    config = VerifyRunConfig(
+    config = verify.VerifyRunConfig(
         k_lo=k_lo,
         k_hi=k_hi,
         max_index=args.max_index,
-        identities=tuple(resolve_identities(args.identity)),
+        identities=tuple(verify.resolve_identities(args.identity)),
         max_listed=args.max_listed,
     )
     if args.emit_errata is not None:
+        from . import errata
+
         # written before the sweep, so an unwritable path fails fast
         path = args.emit_errata
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(render_document())
+            handle.write(errata.render_document())
         if not args.quiet:
             print(f"errata document written to {path}", file=sys.stderr)
-    report = run_verify(config, workers=_verify_workers(args.threads))
+    report = verify.run_verify(config, workers=_verify_workers(args.threads))
 
     summary = report.summary
     if args.format == "json":
-        print(report_to_json(report))
+        print(verify.report_to_json(report))
     elif args.format == "csv":
         sys.stdout.write(_csv_line(["identity", *COUNTS]))
         for name in sorted(summary["per_identity"]):
@@ -353,6 +364,8 @@ def cmd_bench(args) -> int:
         rows.extend((name, n, best.get(name)) for name in engine_names)
 
     if args.format == "json":
+        import json
+
         print(json.dumps(
             [
                 {"engine": name, "n": n, "repetitions": args.reps,
@@ -389,13 +402,15 @@ def _timed(fn, params, n, engine, iterative_cap) -> tuple[float, int | Decimal]:
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser: built on the first call, and the same object after.
 
-    A build takes about 1.4 ms (2-core x86-64, Python 3.11), about half of
-    a small verify request, so `main` parses every argv with this one
+    The first build in a process takes 2.9-4.7 ms, 1.7 ms of it `gettext`
+    importing `locale` for argparse's messages, and a rebuild 1.2-2.0 ms
+    (2-core x86-64, Python 3.11, 8 fresh processes), against about 0.8 ms
+    for a small verify request, so `main` parses every argv with this one
     parser.  The subcommand handlers (`set_defaults(handler=cmd_*)`) and
     the `choices` are bound at that first build; a handler reads the
-    engines and `run_verify` from this module when it runs.  Every action
-    default is immutable (a str, int, tuple or None), so no parse can
-    change what the next one sees.
+    engines from this module, and `run_verify` from `verify`, when it
+    runs.  Every action default is immutable (a str, int, tuple or None),
+    so no parse can change what the next one sees.
     """
     parser = argparse.ArgumentParser(
         prog="balseq",

@@ -66,13 +66,14 @@ below it are neither computed nor held.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .decimal_io import arithmetic_context
 from .ring import SequenceParams, alpha_power_components, check_exponent, is_int
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 ITERATIVE_CAP_DEFAULT = 100_000
 
@@ -88,12 +89,12 @@ class Engine(enum.Enum):
     FAST_DOUBLING = "doubling"
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(NamedTuple):
     """2x2 matrix over an exact number type: int, or Decimal holding integers.
 
-    The product and the square use only + - *, so they keep the entries'
-    type; a Decimal matrix must be multiplied in `exact_context()`.
+    A named tuple of the entries in row-major order.  The product and the
+    square use only + - *, so they keep the entries' type; a Decimal matrix
+    must be multiplied in `exact_context()`.
     """
 
     a11: int
@@ -326,6 +327,8 @@ def term_b_negative(params: SequenceParams, n: int) -> Fraction:
         raise ValueError("negative indices are undefined for k=1 (division by k-1)")
     if n < 1:
         raise ValueError("n must be >= 1 (term_b_negative returns B at index -n)")
+    from fractions import Fraction  # here: no term command needs it
+
     return Fraction(-term_b(params, n), (params.k - 1) ** n)
 
 

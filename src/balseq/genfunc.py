@@ -21,14 +21,13 @@ or -1, so that context never meets a quotient that does not terminate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .decimal_io import arithmetic_context
 from .ring import SequenceParams
 
 
-@dataclass(frozen=True)
-class RationalSeries:
+class RationalSeries(NamedTuple):
     """A rational generating function and its leading coefficients.
 
     The numerator and denominator are small ints; the expansion is of the

@@ -30,7 +30,6 @@ from operator import mul, sub
 from typing import Iterable
 
 from .engines import (
-    Mat2,
     a_matrix,
     b_table,
     c_table,
@@ -233,15 +232,10 @@ def c_from_b_sides(ctx: TermContext, ns: range) -> SideLists:
     return lhs, rhs
 
 
-def _entries(p: Mat2) -> tuple[int, int, int, int]:
-    return p.a11, p.a12, p.a21, p.a22
-
-
 def matrix_sides(ctx: TermContext, seq: str, n: int, entries: range) -> SideLists:
     """Row-major entries of A^n (B) or R*A^n (C) against the iterative terms."""
     x, k = ctx.seq(seq), ctx.params.k
-    power = matrix_power(ctx.params, n) if seq == "B" else r_matrix(ctx.params, n)
-    got = _entries(power)
+    got = matrix_power(ctx.params, n) if seq == "B" else r_matrix(ctx.params, n)
     want = (x[n + 1], (1 - k) * x[n], x[n], (1 - k) * x[n - 1])
     return [got[e] for e in entries], [want[e] for e in entries]
 
@@ -249,5 +243,5 @@ def matrix_sides(ctx: TermContext, seq: str, n: int, entries: range) -> SideList
 def ar_commute_sides(ctx: TermContext, entries: range) -> SideLists:
     """Row-major entries of A*R against R*A."""
     a, r = a_matrix(ctx.params), r_base_matrix(ctx.params)
-    ar, ra = _entries(a @ r), _entries(r @ a)
+    ar, ra = a @ r, r @ a
     return [ar[e] for e in entries], [ra[e] for e in entries]

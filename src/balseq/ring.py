@@ -16,7 +16,7 @@ which must then run in `decimal_io.exact_context()` (as `term_b` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def is_int(value) -> bool:
@@ -30,17 +30,43 @@ def check_exponent(n) -> None:
         raise ValueError(f"exponent must be an int >= 0, got {n!r}")
 
 
-@dataclass(frozen=True)
 class SequenceParams:
-    """The family parameter k >= 1 plus the derived characteristic data."""
+    """The family parameter k >= 1 plus the derived characteristic data.
 
-    k: int
+    Immutable, and equal and hashed by k.  A `__slots__` class rather than
+    a frozen dataclass, because `dataclasses` imports `inspect` and every
+    CLI command would pay for that at start-up.
+    """
 
-    def __post_init__(self) -> None:
-        if not is_int(self.k):
-            raise ValueError(f"k must be an int, got {self.k!r}")
-        if self.k < 1:
+    __slots__ = ("k",)
+
+    def __init__(self, k: int) -> None:
+        if not is_int(k):
+            raise ValueError(f"k must be an int, got {k!r}")
+        if k < 1:
             raise ValueError("k must be >= 1")
+        object.__setattr__(self, "k", k)
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.k == other.k
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.k,))
+
+    def __repr__(self) -> str:
+        return f"SequenceParams(k={self.k!r})"
+
+    def __reduce__(self):
+        # rebuilt through __init__: the default would restore k by setattr
+        return SequenceParams, (self.k,)
 
     @property
     def trace(self) -> int:
@@ -53,8 +79,7 @@ class SequenceParams:
         return self.k - 1
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(NamedTuple):
     """u + v*alpha with exact integer coordinates, int or integral Decimal."""
 
     u: int

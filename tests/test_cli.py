@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 
 import balseq.cli as cli
-from balseq import __version__, verify
+from balseq import __version__, errata, verify
 from balseq.cli import main
 from balseq.decimal_io import decimal_str
 from balseq.engines import term_b, term_c
@@ -28,9 +28,9 @@ from conftest import no_child_left, oracle_b, oracle_c
 def errata_document():
     """The errata document, rendered once for this module: cli writes this
     text wherever --emit-errata asks."""
-    text = cli.render_document()
+    text = errata.render_document()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "render_document", lambda: text)
+        patch.setattr(errata, "render_document", lambda: text)
         yield text
 
 

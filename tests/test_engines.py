@@ -442,6 +442,13 @@ class TestMatrices:
                 c[n + 1], (1 - k) * c[n], c[n], (1 - k) * c[n - 1]
             )
 
+    def test_fields_and_equality(self):
+        m = Mat2(3, -1, 4, 1)
+        assert (m.a11, m.a12, m.a21, m.a22) == (3, -1, 4, 1)
+        assert m == Mat2(3, -1, 4, 1) and m != Mat2(3, -1, 4, 2)
+        assert hash(m) == hash(Mat2(3, -1, 4, 1))
+        assert Mat2.identity(Decimal(1)) == Mat2(1, 0, 0, 1)
+
     def test_mat_pow_identity(self):
         assert mat_pow(Mat2(3, 1, 4, 1), 0) == Mat2.identity()
 

@@ -77,6 +77,14 @@ class TestSeries:
             assert series.denominator[0] == 1
             assert convolution_holds(series)
 
+    def test_series_fields_and_equality(self):
+        series = b_series(SequenceParams(2), 4)
+        assert (series.numerator, series.denominator, series.expansion) == (
+            (0, 1), (1, -6, 1), (0, 1, 6, 35, 204))
+        assert series == b_series(SequenceParams(2), 4)
+        assert series != b_series(SequenceParams(2), 5)
+        assert series != c_series(SequenceParams(2), 4)
+
     def test_denominator_coefficients(self):
         assert series_denominator(SequenceParams(4)) == [1, -12, 3]
 

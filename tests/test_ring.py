@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -50,6 +52,49 @@ class TestSequenceParams:
     def test_rejects_k_below_one(self, k):
         with pytest.raises(ValueError, match="k must be >= 1"):
             SequenceParams(k)
+
+    @pytest.mark.parametrize("k, message", [
+        (0, "k must be >= 1"),
+        (2.5, "k must be an int, got 2.5"),
+        (True, "k must be an int, got True"),
+    ])
+    def test_rejection_messages(self, k, message):
+        with pytest.raises(ValueError) as caught:
+            SequenceParams(k)
+        assert str(caught.value) == message
+
+    def test_immutable(self):
+        p = SequenceParams(3)
+        with pytest.raises(AttributeError):
+            p.k = 4
+        with pytest.raises(AttributeError):
+            del p.k
+        assert p.k == 3
+
+    def test_equal_and_hashed_by_k(self):
+        assert SequenceParams(3) == SequenceParams(k=3)
+        assert hash(SequenceParams(3)) == hash(SequenceParams(3))
+        assert SequenceParams(3) != SequenceParams(4)
+        assert SequenceParams(3) != 3
+        assert len({SequenceParams(3), SequenceParams(3), SequenceParams(4)}) == 2
+
+    def test_repr(self):
+        assert repr(SequenceParams(3)) == "SequenceParams(k=3)"
+
+    def test_copies_and_pickles_equal(self):
+        p = SequenceParams(5)
+        assert copy.copy(p) == copy.deepcopy(p) == pickle.loads(pickle.dumps(p)) == p
+
+
+class TestRingElement:
+    def test_fields_and_equality(self):
+        p = SequenceParams(2)
+        x = RingElement(4, -9, p)
+        assert (x.u, x.v, x.params) == (4, -9, p)
+        assert x == RingElement(4, -9, SequenceParams(2))
+        assert x != RingElement(4, -9, SequenceParams(3))
+        assert x != RingElement(4, 9, p)
+        assert hash(x) == hash(RingElement(4, -9, SequenceParams(2)))
 
 
 class TestRingMul:
