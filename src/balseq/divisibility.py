@@ -4,8 +4,10 @@ B_{k,n} is the Lucas sequence U_n(P, Q) with P = 3k and Q = k - 1, so these
 are instances of Lucas-sequence theory.  Most of them hold only under its
 classical hypothesis gcd(P, Q) = 1, which here is gcd(3, k - 1) = 1, i.e. the
 residue condition k % 3 != 1.  b-c-coprime restates consecutive-gcd-b, since
-C_n = B_{n+1} + 3(1-k)B_n gives gcd(B_n, C_n) = gcd(B_n, B_{n+1}).  Checks
-are run regardless and tagged: hypothesis_met is False when the condition
+C_n = B_{n+1} + 3(1-k)B_n gives gcd(B_n, C_n) = gcd(B_n, B_{n+1}).
+index-divisibility, B_m | B_n whenever m | n, runs strong_gcd_sides on
+m | n, where B_{gcd(m,n)} is B_m; it needs no residue condition.  Checks are
+run regardless and tagged: hypothesis_met is False when the condition
 fails, and such results land in an expected-failure pool instead of counting
 as violations.  Demonstrating that the condition is necessary (e.g.
 gcd(B_{4,2}, B_{4,3}) = 3) is as much a part of the contract as the theorems
@@ -47,17 +49,6 @@ def residue_hypothesis(params: SequenceParams) -> bool:
 # ---------------------------------------------------------------------------
 # gcd computations, shared between sweeps and single points
 
-def index_divisibility_sides(ctx: TermContext, m: int, ns: range) -> SideLists:
-    """B_m | B_n whenever m | n, for m, n >= 1; no residue condition.
-
-    Stated gcd-style: gcd(B_m, B_n) against B_m, which is equivalent since
-    B_m > 0 for m >= 1.
-    """
-    b = ctx.b
-    bm = b[m]
-    return [math.gcd(bm, b[n]) for n in ns], [bm] * len(ns)
-
-
 def coprime_norm_sides(ctx: TermContext, seq: str, ns: range) -> SideLists:
     """gcd(|1-k|, X_n) against 1, for n >= 1, under k % 3 != 1."""
     x, norm = ctx.seq(seq), ctx.params.k - 1
@@ -83,7 +74,8 @@ def b_c_coprime_sides(ctx: TermContext, ns: range) -> SideLists:
 def strong_gcd_sides(ctx: TermContext, m: int, ns: range) -> SideLists:
     """gcd(B_m, B_n) against B_{gcd(m,n)}, for 1 <= m <= n, under k % 3 != 1.
 
-    gcd is symmetric, so the domain takes m <= n.
+    gcd is symmetric, so the domain takes m <= n.  On m | n it states
+    B_m | B_n (index-divisibility), since B_m > 0 for m >= 1.
     """
     b = ctx.b
     bm = b[m]

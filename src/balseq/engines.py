@@ -15,8 +15,10 @@ takes a different route to the same integers:
 
 The doubling pair state is (B_n, B_{n+1}) rather than the (B_{n-1}, B_n,
 B_{n+1}) window, so no division by (1-k) is ever needed and k = 1 works
-uniformly.  C reduces to B via C_n = B_{n+1} + 3(1-k)*B_n everywhere except
-the matrix engine, which exercises the R*A^n representation directly.
+uniformly.  The iterative engine runs C's own recurrence from the seeds
+(1, 3), and the matrix engine reads C_n off R*A^n directly.  Binet and
+doubling reduce C to B: C_n = u + 3v for alpha^n = u + v*alpha, and
+C_n = B_{n+1} + 3(1-k)*B_n.
 
 `term_b` and `term_c` on the three logarithmic engines power only to
 m = n >> 1 and then compute the one term they return, because that last

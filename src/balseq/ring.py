@@ -1,22 +1,23 @@
-"""Exact arithmetic in the quadratic ring Z[alpha], alpha^2 = 3k*alpha - (k-1).
+"""Powers of alpha in the quadratic ring Z[alpha], alpha^2 = 3k*alpha - (k-1).
 
-Elements are coordinate pairs (u, v) standing for u + v*alpha, where
-alpha is the dominant root of x^2 - 3kx + (k-1).  The root itself is never
-evaluated as a radical or a float: powers of alpha are computed by reducing
-alpha^2 back into the {1, alpha} basis, which keeps every value exact at any
-size and makes the closed-form route a genuinely independent engine.  The
-coordinates of alpha^n recover the sequence directly: v = B_{k,n}.
+alpha is the dominant root of x^2 - 3kx + (k-1), and an element of the ring
+is a coordinate pair (u, v) standing for u + v*alpha.  The root itself is
+never evaluated as a radical or a float: `alpha_power_components` powers
+alpha by reducing alpha^2 back into the {1, alpha} basis, which keeps every
+value exact at any size and makes the closed-form route a genuinely
+independent engine.  The coordinates of alpha^n recover the sequence
+directly: v = B_{k,n}.  Its callers, the binet engine and the power-sum
+row, read only the coordinates of alpha^n, so no general element is ever
+multiplied and the module has no ring-element type.
 
 The coordinates are exact integers of one number type, int by default.
-Multiplication uses only + - * with small int constants, so it keeps that
-type; `alpha_power_components(..., one=Decimal(1))` computes in Decimal,
-which must then run in `decimal_io.exact_context()` (as `term_b` and
-`term_c` arrange).
+The powering loop uses only + - * with small int constants, so it keeps
+that type; `alpha_power_components(..., one=Decimal(1))` computes in
+Decimal, which must then run in `decimal_io.exact_context()` (as `term_b`
+and `term_c` arrange).
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 
 def is_int(value) -> bool:
@@ -79,76 +80,27 @@ class SequenceParams:
         return self.k - 1
 
 
-class RingElement(NamedTuple):
-    """u + v*alpha with exact integer coordinates, int or integral Decimal."""
-
-    u: int
-    v: int
-    params: SequenceParams
-
-    @classmethod
-    def one(cls, params: SequenceParams, one=1) -> RingElement:
-        return cls(one, 0 * one, params)
-
-    @classmethod
-    def alpha(cls, params: SequenceParams, one=1) -> RingElement:
-        return cls(0 * one, one, params)
-
-
-def ring_mul(a: RingElement, b: RingElement) -> RingElement:
-    """Multiply, reducing alpha^2 = 3k*alpha - (k-1) back into the basis."""
-    if a.params != b.params:
-        raise ValueError(f"parameter mismatch: k={a.params.k} vs k={b.params.k}")
-    k = a.params.k
-    vv = a.v * b.v
-    return RingElement(
-        a.u * b.u - (k - 1) * vv,
-        a.u * b.v + b.u * a.v + 3 * k * vv,
-        a.params,
-    )
-
-
-def _ring_square(a: RingElement) -> RingElement:
-    """ring_mul(a, a) from three products: the cross term u*v is shared."""
-    k = a.params.k
-    vv = a.v * a.v
-    return RingElement(a.u * a.u - (k - 1) * vv, 2 * a.u * a.v + 3 * k * vv, a.params)
-
-
-def ring_pow_counted(a: RingElement, n: int) -> tuple[RingElement, int]:
-    """a^n by left-to-right binary powers, returning the ring-multiplication count.
-
-    Each step squares the running power and, on a set bit of n, multiplies
-    it by a itself, which for a = alpha costs linear time.  For n >= 1 the
-    count is (bit_length(n) - 1) squarings plus (popcount(n) - 1) products,
-    at most 2*floor(log2(n)), which is what keeps the closed-form engine
-    logarithmic in n.
-    """
-    check_exponent(n)
-    if n == 0:
-        return RingElement.one(a.params, type(a.u)(1)), 0  # the coordinates' unit
-    result = a
-    count = 0
-    for shift in range(n.bit_length() - 2, -1, -1):
-        result = _ring_square(result)
-        count += 1
-        if (n >> shift) & 1:
-            result = ring_mul(result, a)
-            count += 1
-    return result, count
-
-
-def ring_pow(a: RingElement, n: int) -> RingElement:
-    """a^n with a^0 = (1, 0), valid for every k >= 1 including k = 1."""
-    result, _ = ring_pow_counted(a, n)
-    return result
-
-
 def alpha_power_components(params: SequenceParams, n: int, one=1) -> tuple[int, int]:
     """Coordinates (u, v) of alpha^n in the basis {1, alpha}, of the type of `one`.
 
     v is B_{k,n}; u is (1-k)*B_{k,n-1} for n >= 1; and alpha^n + beta^n
     equals 2u + 3k*v because the conjugate power is u + v*beta.
+
+    Left-to-right binary powering (Knuth, TAOCP vol. 2, 4.6.3): each step
+    squares u + v*alpha from the three products u*u, v*v and u*v, then on a
+    set bit of n multiplies by alpha, (u, v) -> ((1-k)*v, u + 3k*v), which
+    costs linear time.  So alpha^n takes 3*(bit_length(n) - 1) products of
+    two coordinates for n >= 1, which keeps the closed-form engine
+    logarithmic in n.
     """
-    power = ring_pow(RingElement.alpha(params, one), n)
-    return power.u, power.v
+    check_exponent(n)
+    if n == 0:
+        return one, 0 * one
+    k = params.k
+    u, v = 0 * one, one
+    for shift in range(n.bit_length() - 2, -1, -1):
+        vv = v * v
+        u, v = u * u - (k - 1) * vv, 2 * (u * v) + 3 * k * vv
+        if (n >> shift) & 1:
+            u, v = (1 - k) * v, u + 3 * k * v
+    return u, v

@@ -42,7 +42,6 @@ from .divisibility import (
     b_c_coprime_sides,
     consecutive_gcd_sides,
     coprime_norm_sides,
-    index_divisibility_sides,
     residue_hypothesis,
     strong_gcd_sides,
 )
@@ -247,10 +246,11 @@ CATALOG: dict[str, Sides] = {row.name: row for row in [
             lambda n, entry: n >= 1 and entry < 4, matrix_sides, ("n", "entry")),
     Sides("ar-commute", lambda entry: 0, lambda m: [(range(4),)], lambda entry: entry < 4,
           ar_commute_sides, ("entry",)),
+    # strong-gcd on m | n, where B_gcd(m,n) is B_m, so it holds for every k
     Sides("index-divisibility", lambda m, n: n,
           lambda m: ((d, range(d, m + 1, d)) for d in range(1, m + 1)),
           lambda m, n: m >= 1 and n >= 1 and n % m == 0,
-          index_divisibility_sides, ("m", "n"), lambda params: True),
+          strong_gcd_sides, ("m", "n"), lambda params: True),
     *_twins("coprime-norm", lambda n: n, *_row(1), coprime_norm_sides,
             hypothesis=residue_hypothesis),
     *_twins("consecutive-gcd", lambda n: n + 1, *_row(1), consecutive_gcd_sides,

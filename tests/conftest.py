@@ -5,7 +5,9 @@ oracles or is a frozen value that was computed with them (or taken from the
 published value table where that table is consistent with the recurrence).
 The planted_b7 fixture plants one wrong term, so tests can watch the
 failure path.  The forks fixture makes every verify run fork its workers
-from the first sweep and records each fork.
+from the first sweep and records each fork.  counting_type makes a number
+type that logs each product of two of its values, for the tests that count
+an engine's full-size products.
 """
 
 from __future__ import annotations
@@ -44,6 +46,43 @@ def oracle_b_negative(k: int, n_max: int) -> dict[int, Fraction]:
     for m in range(1, -n_max, -1):
         values[m - 2] = (values[m] - 3 * k * values[m - 1]) / (1 - k)
     return {-n: values[-n] for n in range(1, n_max + 1)}
+
+
+def counting_type():
+    """A fresh int-like number type, and the list of its logged products.
+
+    A product of two of its values appends the bit lengths of both
+    operands; a product with an int, like the engines' small constants, is
+    not logged.
+    """
+    products = []
+
+    class Counted:
+        __slots__ = ("value",)
+
+        def __init__(self, value):
+            self.value = value
+
+        def __add__(self, other):
+            return Counted(self.value + getattr(other, "value", other))
+
+        __radd__ = __add__
+
+        def __sub__(self, other):
+            return Counted(self.value - getattr(other, "value", other))
+
+        def __rsub__(self, other):
+            return Counted(other - self.value)
+
+        def __mul__(self, other):
+            if isinstance(other, Counted):
+                products.append((self.value.bit_length(), other.value.bit_length()))
+                return Counted(self.value * other.value)
+            return Counted(self.value * other)
+
+        __rmul__ = __mul__
+
+    return Counted, products
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ from balseq.engines import (
 from balseq.genfunc import b_series, c_series
 from balseq.ring import SequenceParams, alpha_power_components
 
-from conftest import oracle_b, oracle_b_negative, oracle_c
+from conftest import counting_type, oracle_b, oracle_b_negative, oracle_c
 
 ALL_ENGINES = list(Engine)
 LOG_ENGINES = [Engine.FAST_DOUBLING, Engine.MATRIX, Engine.BINET]
@@ -235,43 +235,6 @@ def full_products(params: SequenceParams, n: int) -> dict[Engine, tuple[int, int
         Engine.BINET: (v, u + 3 * v),
         Engine.FAST_DOUBLING: (b_n, b_next + 3 * (1 - k) * b_n),
     }
-
-
-def counting_type():
-    """A fresh int-like number type, and the list of its logged products.
-
-    A product of two of its values appends the bit lengths of both
-    operands; a product with an int, like the engines' small constants, is
-    not logged.
-    """
-    products = []
-
-    class Counted:
-        __slots__ = ("value",)
-
-        def __init__(self, value):
-            self.value = value
-
-        def __add__(self, other):
-            return Counted(self.value + getattr(other, "value", other))
-
-        __radd__ = __add__
-
-        def __sub__(self, other):
-            return Counted(self.value - getattr(other, "value", other))
-
-        def __rsub__(self, other):
-            return Counted(other - self.value)
-
-        def __mul__(self, other):
-            if isinstance(other, Counted):
-                products.append((self.value.bit_length(), other.value.bit_length()))
-                return Counted(self.value * other.value)
-            return Counted(self.value * other)
-
-        __rmul__ = __mul__
-
-    return Counted, products
 
 
 # the products of full size in the last step, at (even n, odd n): that step

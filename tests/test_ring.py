@@ -2,19 +2,13 @@ import copy
 import math
 import pickle
 import random
+from decimal import Decimal
 
 import pytest
 
-from balseq.ring import (
-    RingElement,
-    SequenceParams,
-    alpha_power_components,
-    ring_mul,
-    ring_pow,
-    ring_pow_counted,
-)
+from balseq.ring import SequenceParams, alpha_power_components
 
-from conftest import oracle_b
+from conftest import counting_type, oracle_b
 
 
 def discriminant(p: SequenceParams) -> int:
@@ -22,15 +16,22 @@ def discriminant(p: SequenceParams) -> int:
     return 9 * p.k * p.k - 4 * p.k + 4
 
 
-def conj(x: RingElement) -> RingElement:
+def mul(k: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """(u + v*alpha)(s + t*alpha), reduced by alpha^2 = 3k*alpha - (k-1)."""
+    (u, v), (s, t) = x, y
+    return u * s - (k - 1) * v * t, u * t + v * s + 3 * k * v * t
+
+
+def conj(k: int, x: tuple[int, int]) -> tuple[int, int]:
     """Map alpha to the other root beta = 3k - alpha."""
-    return RingElement(x.u + x.params.trace * x.v, -x.v, x.params)
+    u, v = x
+    return u + 3 * k * v, -v
 
 
-def norm(x: RingElement) -> int:
+def norm(k: int, x: tuple[int, int]) -> int:
     """Product with the conjugate: u^2 + 3k*uv + (k-1)*v^2."""
-    k = x.params.k
-    return x.u * x.u + 3 * k * x.u * x.v + (k - 1) * x.v * x.v
+    u, v = x
+    return u * u + 3 * k * u * v + (k - 1) * v * v
 
 
 class TestSequenceParams:
@@ -86,99 +87,79 @@ class TestSequenceParams:
         assert copy.copy(p) == copy.deepcopy(p) == pickle.loads(pickle.dumps(p)) == p
 
 
-class TestRingElement:
-    def test_fields_and_equality(self):
-        p = SequenceParams(2)
-        x = RingElement(4, -9, p)
-        assert (x.u, x.v, x.params) == (4, -9, p)
-        assert x == RingElement(4, -9, SequenceParams(2))
-        assert x != RingElement(4, -9, SequenceParams(3))
-        assert x != RingElement(4, 9, p)
-        assert hash(x) == hash(RingElement(4, -9, SequenceParams(2)))
-
-
 class TestRingMul:
+    """The reduction alpha^2 = 3k*alpha - (k-1), as the powering applies it."""
+
     def test_alpha_squared_satisfies_characteristic_equation(self):
         # k=2: alpha^2 = 6*alpha - 1
-        p = SequenceParams(2)
-        a = RingElement.alpha(p)
-        assert ring_mul(a, a) == RingElement(-1, 6, p)
-
-    def test_one_is_multiplicative_identity(self):
-        p = SequenceParams(7)
-        x = RingElement(123456, -98765, p)
-        assert ring_mul(RingElement.one(p), x) == x
-        assert ring_mul(x, RingElement.one(p)) == x
+        for k in range(1, 13):
+            assert alpha_power_components(SequenceParams(k), 2) == (1 - k, 3 * k)
 
     def test_alpha_cubed_carries_b3(self):
-        # k=2: alpha^3 = 35*alpha - 6 and 35 is B_{2,3} from the value table
-        p = SequenceParams(2)
-        sq = RingElement(-1, 6, p)
-        assert ring_mul(sq, RingElement.alpha(p)) == RingElement(-6, 35, p)
-
-    def test_parameter_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="parameter mismatch"):
-            ring_mul(RingElement.alpha(SequenceParams(2)), RingElement.alpha(SequenceParams(3)))
+        # alpha^3 = alpha^2 * alpha = (1-k)*3k + (9k^2 - (k-1))*alpha
+        for k in range(1, 13):
+            u, v = alpha_power_components(SequenceParams(k), 3)
+            assert (u, v) == ((1 - k) * 3 * k, 9 * k * k - (k - 1))
+            assert v == oracle_b(k, 3)[3]
 
 
 class TestRingPow:
+    """alpha^n by left-to-right binary powers of the coordinate pair."""
+
     def test_zeroth_power_is_one(self):
         for k in (1, 2, 9):
             p = SequenceParams(k)
-            assert ring_pow(RingElement(5, -3, p), 0) == RingElement.one(p)
+            assert alpha_power_components(p, 0) == (1, 0)
+            u, v = alpha_power_components(p, 0, one=Decimal(1))
+            assert (type(u), type(v), u, v) == (Decimal, Decimal, 1, 0)
 
     def test_alpha_cubed_k2(self):
-        p = SequenceParams(2)
-        assert ring_pow(RingElement.alpha(p), 3) == RingElement(-6, 35, p)
+        assert alpha_power_components(SequenceParams(2), 3) == (-6, 35)
 
     def test_alpha_fourth_k3_v_part_is_b4(self):
         # B_{3,4} = 693 from the value table
-        p = SequenceParams(3)
-        assert ring_pow(RingElement.alpha(p), 4).v == 693
+        assert alpha_power_components(SequenceParams(3), 4)[1] == 693
 
     def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            ring_pow(RingElement.alpha(SequenceParams(2)), -1)
+        with pytest.raises(ValueError, match=r"^exponent must be an int >= 0, got -1$"):
+            alpha_power_components(SequenceParams(2), -1)
 
     @pytest.mark.parametrize("n", [2.5, "3", True])
-    @pytest.mark.parametrize("power", [
-        lambda p, n: ring_pow(RingElement.alpha(p), n),
-        lambda p, n: ring_pow_counted(RingElement.alpha(p), n),
-        alpha_power_components,
-    ], ids=["ring_pow", "ring_pow_counted", "alpha_power_components"])
-    def test_non_int_exponent_rejected(self, power, n):
+    def test_non_int_exponent_rejected(self, n):
         # 2.5 once raised AttributeError, "3" a TypeError, and True gave alpha
         with pytest.raises(ValueError, match=r"^exponent must be an int >= 0, got "):
-            power(SequenceParams(2), n)
+            alpha_power_components(SequenceParams(2), n)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 64, 65, 1000, 12345])
     def test_multiplication_count_logarithmic(self, n):
-        p = SequenceParams(4)
-        _, count = ring_pow_counted(RingElement.alpha(p), n)
-        assert count <= 2 * math.ceil(math.log2(n + 1)) + 2
+        # 3 products of two coordinates per squaring, none per step by alpha
+        counted, products = counting_type()
+        alpha_power_components(SequenceParams(4), n, one=counted(1))
+        assert len(products) == 3 * max(n.bit_length() - 1, 0) <= 3 * math.ceil(math.log2(n + 1))
 
     @pytest.mark.parametrize("j", range(1, 21))
     def test_multiplication_count_at_powers_of_two(self, j):
-        # n = 2^j - 1 takes j-1 squarings and j-1 products by the base, the
-        # most for its bit length; n = 2^j takes j squarings and no product
-        a = RingElement.alpha(SequenceParams(3))
-        for n, expected in ((2**j - 1, 2 * (j - 1)), (2**j, j)):
-            _, count = ring_pow_counted(a, n)
-            assert count == expected <= 2 * math.floor(math.log2(n))
+        # n = 2^j - 1 takes j-1 squarings and j-1 steps by alpha, n = 2^j
+        # takes j squarings and no step: only the squarings make products
+        p = SequenceParams(3)
+        for n, expected in ((2**j - 1, 3 * (j - 1)), (2**j, 3 * j)):
+            counted, products = counting_type()
+            alpha_power_components(p, n, one=counted(1))
+            assert len(products) == expected <= 3 * math.floor(math.log2(n))
 
     @pytest.mark.parametrize("k", [1, 2, 4])
-    def test_matches_repeated_product_for_general_base(self, k):
+    def test_matches_repeated_product_by_alpha(self, k):
         p = SequenceParams(k)
-        x = RingElement(-2, 5, p)
-        power = RingElement.one(p)
+        power = (1, 0)
         for n in range(65):
-            assert ring_pow(x, n) == power
-            power = ring_mul(power, x)
+            assert alpha_power_components(p, n) == power
+            power = mul(k, power, (0, 1))
 
     def test_counted_matches_uncounted(self):
         p = SequenceParams(5)
-        x = RingElement(2, 7, p)
-        assert ring_pow_counted(x, 38)[0] == ring_pow(x, 38)
+        counted, _ = counting_type()
+        u, v = alpha_power_components(p, 38, one=counted(1))
+        assert (u.value, v.value) == alpha_power_components(p, 38)
 
 
 class TestAlphaPowerComponents:
@@ -207,27 +188,32 @@ class TestNormAndConjugate:
     def test_norm_of_alpha_is_ring_norm(self):
         for k in range(1, 13):
             p = SequenceParams(k)
-            assert norm(RingElement.alpha(p)) == p.norm == k - 1
+            assert norm(k, alpha_power_components(p, 1)) == p.norm == k - 1
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_norm_of_alpha_power_is_power_of_norm(self, k):
+        # alpha^n * beta^n = (k-1)^n, with 0^0 = 1 at k = 1
+        p = SequenceParams(k)
+        for n in range(301):
+            assert norm(k, alpha_power_components(p, n)) == (k - 1) ** n
 
     def test_norm_multiplicative_on_random_elements(self):
+        # the elements are powers of alpha at random k and exponents
         rng = random.Random(20260811)
         for _ in range(300):
             k = rng.randint(1, 12)
             p = SequenceParams(k)
-            a = RingElement(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6), p)
-            b = RingElement(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6), p)
-            assert norm(ring_mul(a, b)) == norm(a) * norm(b)
+            m, n = rng.randint(0, 200), rng.randint(0, 200)
+            a, b = alpha_power_components(p, m), alpha_power_components(p, n)
+            assert norm(k, mul(k, a, b)) == norm(k, a) * norm(k, b)
+            assert mul(k, a, b) == alpha_power_components(p, m + n)
 
     def test_conjugate_coordinates(self):
-        p = SequenceParams(5)
-        x = RingElement(4, -9, p)
-        assert conj(x) == RingElement(4 + 15 * (-9), 9, p)
+        assert conj(5, (4, -9)) == (4 + 15 * (-9), 9)
 
     def test_product_with_conjugate_is_rational(self):
         rng = random.Random(7)
         for _ in range(100):
-            p = SequenceParams(rng.randint(1, 10))
-            x = RingElement(rng.randint(-500, 500), rng.randint(-500, 500), p)
-            product = ring_mul(x, conj(x))
-            assert product.v == 0
-            assert product.u == norm(x)
+            k = rng.randint(1, 10)
+            x = alpha_power_components(SequenceParams(k), rng.randint(0, 200))
+            assert mul(k, x, conj(k, x)) == (norm(k, x), 0)
