@@ -16,7 +16,10 @@ the number type `term` computes in on it.  The caller's decimal context is
 left as it was.  `table` computes and holds one k's terms at a time, for the
 n window asked only, and writes every format a row at a time; `series`
 writes every format a coefficient at a time.  CSV lines are joined
-directly: no field the CLI writes ever needs quoting.
+directly: no field the CLI writes ever needs quoting.  The rows of `table`
+and `series`, whose fields are already text, are joined as they are, and
+only the other commands' lines go through `_csv_line`, which converts each
+field with `str`.
 
 `main(argv)` may be called any number of times in one process.  The parser
 is built once per process, on the first `build_parser()` call (not at
@@ -55,6 +58,7 @@ from .engines import (
     check_iterative_cap,
     term_b,
     term_c,
+    window_pair,
 )
 from .ring import SequenceParams
 
@@ -198,7 +202,7 @@ def cmd_table(args) -> int:
     elif args.format == "csv":
         sys.stdout.write(_csv_line(header))
         for text in texts:
-            sys.stdout.write(_csv_line(text))
+            sys.stdout.write(",".join(text) + "\n")
     else:
         import json
 
@@ -221,7 +225,10 @@ def _table_rows(k_range, n_range, seqs):
     one = Decimal(1)
     for k in range(k_lo, k_hi + 1):
         params = SequenceParams(k)
-        tables = ((b_table if seq == "B" else c_table)(params, n_hi, start=n_lo, one=one)
+        # a window after n 0 seeds B and C from one doubling pair
+        pair = window_pair(params, n_lo, one=one) if n_lo else None
+        tables = ((b_table if seq == "B" else c_table)(params, n_hi, start=n_lo, one=one,
+                                                       pair=pair)
                   for seq in seqs)
         # only the loop holds this k's terms, so they are freed before the
         # next k's are computed
@@ -257,7 +264,7 @@ def cmd_series(args) -> int:
     elif args.format == "csv":
         sys.stdout.write(_csv_line(["n", "coefficient"]))
         for n, c in enumerate(coeffs):
-            sys.stdout.write(_csv_line([n, decimal_str(c)]))
+            sys.stdout.write(f"{n},{decimal_str(c)}\n")
     else:
         # the bytes of one sort_keys dump of the whole document:
         # "coefficients" sorts first, and the other keys follow the list

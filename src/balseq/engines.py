@@ -62,7 +62,9 @@ decimal context can never round a term.
 
 `b_table` and `c_table` also take a keyword-only `start`: a window
 start..n_max is seeded from the doubling pair at `start`, so the terms
-below it are neither computed nor held.
+below it are neither computed nor held.  A caller that builds both windows
+at one `start` computes that pair once, with `window_pair`, and hands it to
+both as `pair`.
 """
 
 from __future__ import annotations
@@ -186,37 +188,58 @@ def _check_window(start: int, n_max: int) -> None:
         raise ValueError(f"start must be in 0..n_max, got {start} for n_max {n_max}")
 
 
-def b_table(params: SequenceParams, n_max: int, *, start: int = 0, one=1) -> list[int]:
+def b_table(
+    params: SequenceParams, n_max: int, *, start: int = 0, one=1, pair=None
+) -> list[int]:
     """B_{k,start..n_max} by the defining recurrence (the iterative engine in bulk).
 
     The terms are of the type of `one`.  At start 0 the recurrence runs
     from the seeds B_0, B_1; a later window starts from the doubling pair
-    (B_start, B_start+1).
+    (B_start, B_start+1), or from `pair` when the caller has it already
+    (see `window_pair`).
     """
     _check_window(start, n_max)
     k = params.k
     # the generator is drained inside the context, where its terms are made
     with arithmetic_context(one):
-        seeds = _doubling_pair(k, start, one) if start else (0 * one, one)
+        if start:
+            seeds = _doubling_pair(k, start, one) if pair is None else pair
+        else:
+            seeds = (0 * one, one)
         return list(islice(_recurrence(k, *seeds), n_max - start + 1))
 
 
-def c_table(params: SequenceParams, n_max: int, *, start: int = 0, one=1) -> list[int]:
+def c_table(
+    params: SequenceParams, n_max: int, *, start: int = 0, one=1, pair=None
+) -> list[int]:
     """C_{k,start..n_max} by the defining recurrence, of the type of `one`.
 
     A window after start 0 is seeded with C_n = B_{n+1} + 3(1-k)*B_n at
-    n = start and start + 1, from the doubling pair at `start`.
+    n = start and start + 1, from the doubling pair at `start`, or from
+    `pair` when the caller has it already (see `window_pair`).
     """
     _check_window(start, n_max)
     k = params.k
     with arithmetic_context(one):
         if start:
-            b_n, b_next = _doubling_pair(k, start, one)
+            b_n, b_next = _doubling_pair(k, start, one) if pair is None else pair
             b_after = 3 * k * b_next + (1 - k) * b_n
             seeds = (b_next + 3 * (1 - k) * b_n, b_after + 3 * (1 - k) * b_next)
         else:
             seeds = (one, 3 * one)
         return list(islice(_recurrence(k, *seeds), n_max - start + 1))
+
+
+def window_pair(params: SequenceParams, start: int, *, one=1) -> tuple[int, int]:
+    """(B_start, B_start+1), of the type of `one`: the `pair` that seeds a
+    `b_table` and a `c_table` window at `start` > 0.
+
+    A caller that builds both windows computes it once here; it is most of
+    a window's cost when the window is short and `start` is large.
+    """
+    _check_n(start)
+    with arithmetic_context(one):
+        return _doubling_pair(params.k, start, one)
 
 
 def _doubling_pair(k: int, n: int, one=1) -> tuple[int, int]:

@@ -13,10 +13,10 @@ import tracemalloc
 import pytest
 
 import balseq.cli as cli
-from balseq import __version__, errata, verify
+from balseq import __version__, engines, errata, verify
 from balseq.cli import main
 from balseq.decimal_io import decimal_str
-from balseq.engines import term_b, term_c
+from balseq.engines import b_table, c_table, term_b, term_c
 from balseq.genfunc import b_series
 from balseq.ring import SequenceParams
 from balseq.verify import CATALOG
@@ -323,6 +323,49 @@ class TestTable:
         assert proc.stdout.splitlines() == ["k,n,B,C"] + [
             f"12,{n},{decimal_str(b[n])},{decimal_str(c[n])}" for n in range(4990, 5001)]
 
+    @pytest.mark.parametrize("seq, names", [("BC", ["b_table", "c_table"]),
+                                            ("C", ["c_table"])])
+    def test_window_computes_one_doubling_pair_per_k(self, capsys, monkeypatch, seq, names):
+        # both windows of a k are seeded from one pair, and each table
+        # function is still entered once per k
+        pairs, entered = [], []
+        real_pair = engines._doubling_pair
+
+        def spy_pair(k, n, one=1):
+            pairs.append((k, n))
+            return real_pair(k, n, one)
+
+        def spy_table(name):
+            real = getattr(cli, name)
+
+            def table(*args, **kwargs):
+                entered.append(name)
+                return real(*args, **kwargs)
+
+            return table
+
+        monkeypatch.setattr(engines, "_doubling_pair", spy_pair)
+        for name in ("b_table", "c_table"):
+            monkeypatch.setattr(cli, name, spy_table(name))
+        code, out, _ = run_cli(capsys, "table", "--k", "1..3", "--n", "1000..1002",
+                               "--seq", seq, "--format", "csv")
+        assert code == 0
+        assert pairs == [(1, 1000), (2, 1000), (3, 1000)]
+        assert entered == names * 3
+        oracles = {"B": oracle_b, "C": oracle_c}
+        columns = [oracles[letter] for letter in seq]
+        assert out.splitlines() == [",".join(["k", "n", *seq])] + [
+            ",".join([str(k), str(n), *(decimal_str(oracle(k, 1002)[n]) for oracle in columns)])
+            for k in (1, 2, 3) for n in (1000, 1001, 1002)]
+
+    def test_table_from_n_zero_computes_no_doubling_pair(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the doubling pair was computed")
+
+        monkeypatch.setattr(engines, "_doubling_pair", refuse)
+        code, out, _ = run_cli(capsys, "table", "--k", "1..2", "--n", "0..3")
+        assert code == 0 and out.splitlines()[1:3] == ["1 0 0 1", "1 1 1 3"]
+
 
 class TestSeries:
     def test_b_series_plain(self, capsys):
@@ -422,6 +465,44 @@ class TestSeries:
             document = json.dumps({"seq": "B", "k": 12, "variant": "corrected",
                                    "coefficients": texts}, sort_keys=True)
         assert sink.hash.hexdigest() == hashlib.sha256((document + "\n").encode()).hexdigest()
+
+    @staticmethod
+    def printed_terms(k, n_max):
+        """The printed numerator's coefficients by their own recurrence:
+        1 and 3(1+k) + 3k, then the denominator's recurrence."""
+        values = [1, 3 + 6 * k]
+        while len(values) <= n_max:
+            values.append(3 * k * values[-1] + (1 - k) * values[-2])
+        return values[: n_max + 1]
+
+    # where the numerator's terms give way to the two-tap recurrence, and
+    # k = 1, where the tap k - 1 is 0
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    @pytest.mark.parametrize("variant", ["B", "C", "printed"])
+    @pytest.mark.parametrize("k", [1, 2, 12])
+    @pytest.mark.parametrize("n_top", [0, 1, 2, 3, 400])
+    def test_bytes_from_the_terms(self, capsys, n_top, k, variant, fmt):
+        params = SequenceParams(k)
+        seq = "B" if variant == "B" else "C"
+        named = "printed" if variant == "printed" else "corrected"
+        if variant == "B":
+            terms = b_table(params, n_top)
+        elif variant == "C":
+            terms = c_table(params, n_top)
+        else:
+            terms = self.printed_terms(k, n_top)
+        texts = [decimal_str(x) for x in terms]
+        code, out, _ = run_cli(capsys, "series", "--seq", seq, "--k", str(k),
+                               "--N", str(n_top), "--format", fmt, "--variant", named)
+        assert code == 0
+        if fmt == "plain":
+            assert out == " ".join(texts) + "\n"
+        elif fmt == "csv":
+            assert out == "n,coefficient\n" + "".join(f"{n},{t}\n" for n, t in enumerate(texts))
+        else:
+            assert out == json.dumps(
+                {"coefficients": texts, "k": k, "seq": seq, "variant": named},
+                sort_keys=True) + "\n"
 
 
 class TestCsvLine:

@@ -25,6 +25,7 @@ from balseq.engines import (
     term_b,
     term_b_negative,
     term_c,
+    window_pair,
 )
 from balseq.genfunc import b_series, c_series
 from balseq.ring import SequenceParams, alpha_power_components
@@ -470,6 +471,24 @@ class TestTables:
             fn(SequenceParams(2), 5, start=-1)
         with pytest.raises(ValueError, match="n must be >= 0"):
             fn(SequenceParams(2), -1)
+
+    @pytest.mark.parametrize("fn", [b_table, c_table])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_window_seeded_from_a_given_pair(self, fn, k):
+        params = SequenceParams(k)
+        b = oracle_b(k, 1001)
+        for start in (1, 2, 999):
+            for one in (1, Decimal(1)):
+                pair = window_pair(params, start, one=one)
+                assert pair == (b[start], b[start + 1])
+                assert {type(x) for x in pair} == {type(one)}
+                window = fn(params, start + 2, start=start, one=one, pair=pair)
+                assert window == fn(params, start + 2, start=start, one=one)
+                assert {type(x) for x in window} == {type(one)}
+
+    def test_window_pair_rejects_a_negative_start(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            window_pair(SequenceParams(2), -1)
 
     def test_start_zero_makes_no_doubling_call(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -4,8 +4,9 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from balseq.decimal_io import decimal_str
+from balseq.decimal_io import arithmetic_context, decimal_str
 from balseq.genfunc import (
     b_series,
     c_series,
@@ -58,6 +59,58 @@ class TestExpand:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             expand([1], [1], -1)
+
+
+def long_division(numerator, denominator, n_coeffs, one=1):
+    """The expansion by plain long division, one sum over the whole
+    denominator per coefficient: the oracle for expand's recurrence form."""
+    d0 = denominator[0]
+    coeffs = []
+    with arithmetic_context(one):
+        den = [d * one for d in denominator]
+        for n in range(n_coeffs + 1):
+            acc = (numerator[n] if n < len(numerator) else 0) * one
+            for j in range(1, min(n, len(den) - 1) + 1):
+                acc -= den[j] * coeffs[n - j]
+            coeffs.append(acc if d0 == 1 else -acc)
+    return coeffs
+
+
+# small values give zero coefficients and zero taps often
+SMALL_OR_LARGE = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+
+
+class TestRecurrenceForm:
+    """expand's taps and two-tap tail against long division."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(numerator=st.lists(SMALL_OR_LARGE, max_size=5),
+           d0=st.sampled_from([1, -1]),
+           rest=st.lists(SMALL_OR_LARGE, max_size=4),
+           n_coeffs=st.integers(0, 40))
+    def test_agrees_with_long_division(self, numerator, d0, rest, n_coeffs):
+        denominator = [d0, *rest]
+        want = long_division(numerator, denominator, n_coeffs)
+        got = expand(numerator, denominator, n_coeffs)
+        assert got == want and {type(c) for c in got} == {int}
+        decimals = expand(numerator, denominator, n_coeffs, one=Decimal(1))
+        assert {type(c) for c in decimals} == {Decimal}
+        assert not any(c.is_zero() and c.is_signed() for c in decimals)
+        assert [decimal_str(c) for c in decimals] == [str(c) for c in want]
+
+    @pytest.mark.parametrize("numerator, den, texts", [
+        # numerator = denominator: 1, 0, 0, ...
+        ([1, 6, 1], [1, 6, 1], ["1", "0", "0", "0", "0", "0", "0"]),
+        ([-1, -6, -1], [-1, -6, -1], ["1", "0", "0", "0", "0", "0", "0"]),
+        # taps 0 and -1 on a negative coefficient: 0*(-1) + (-1)*0
+        ([0, -1], [1, 0, 1], ["0", "-1", "0", "1", "0", "-1", "0"]),
+    ])
+    def test_zero_tail_is_unsigned(self, numerator, den, texts):
+        # each zero in the tail is a sum of two products that are both -0,
+        # which a tail without its fix-up returned as Decimal('-0')
+        coeffs = expand(numerator, den, 6, one=Decimal(1))
+        assert not any(c.is_zero() and c.is_signed() for c in coeffs)
+        assert [decimal_str(c) for c in coeffs] == texts
 
 
 class TestSeries:
