@@ -99,30 +99,24 @@ def parse_index_list(text: str) -> list[int]:
     return values
 
 
-def parse_threads(text: str) -> str:
-    """Validate --threads, the most processes verify sweeps in; see _verify_workers."""
-    if text == "auto":
-        return text
-    try:
-        count = int(text)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(
-            f"thread count must be an integer >= 1 or 'auto', got {text!r}"
-        )
-    return text
-
-
-def _verify_workers(threads: str) -> int:
+def parse_threads(text: str) -> int:
     """The processes verify sweeps in for a --threads value: "auto" gives
-    the number of CPUs this process may run on, and N gives at most that
-    many, so a large N never starts more processes than there are CPUs."""
+    the number of CPUs this process may run on, and N >= 1 gives at most
+    that many, so a large N never starts more processes than there are CPUs."""
+    if text != "auto":
+        try:
+            count = int(text)
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise argparse.ArgumentTypeError(
+                f"thread count must be an integer >= 1 or 'auto', got {text!r}"
+            )
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform can report the affinity
         cpus = os.cpu_count() or 1
-    return cpus if threads == "auto" else min(int(threads), cpus)
+    return cpus if text == "auto" else min(count, cpus)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -192,17 +186,13 @@ def cmd_table(args) -> int:
     seqs = ("B", "C") if args.seq == "BC" else (args.seq,)
     header = ["k", "n", *seqs]
     rows = _table_rows(args.k, args.n, seqs)
-    # converted row by row as it is written: a list of every row's strings
-    # would raise peak memory
-    texts = ([decimal_str(x) for x in row] for row in rows)
-    if args.format == "plain":
-        print(" ".join(header))
-        for text in texts:
-            print(" ".join(text))
-    elif args.format == "csv":
-        sys.stdout.write(_csv_line(header))
-        for text in texts:
-            sys.stdout.write(",".join(text) + "\n")
+    if args.format != "json":
+        sep = "," if args.format == "csv" else " "
+        sys.stdout.write(sep.join(header) + "\n")
+        # converted row by row as it is written: a list of every row's
+        # strings would raise peak memory
+        for row in rows:
+            sys.stdout.write(sep.join([decimal_str(x) for x in row]) + "\n")
     else:
         import json
 
@@ -225,8 +215,8 @@ def _table_rows(k_range, n_range, seqs):
     one = Decimal(1)
     for k in range(k_lo, k_hi + 1):
         params = SequenceParams(k)
-        # a window after n 0 seeds B and C from one doubling pair
-        pair = window_pair(params, n_lo, one=one) if n_lo else None
+        # B and C are seeded from one doubling pair
+        pair = window_pair(params, n_lo, one=one)
         tables = ((b_table if seq == "B" else c_table)(params, n_hi, start=n_lo, one=one,
                                                        pair=pair)
                   for seq in seqs)
@@ -302,7 +292,7 @@ def cmd_verify(args) -> int:
             handle.write(errata.render_document())
         if not args.quiet:
             print(f"errata document written to {path}", file=sys.stderr)
-    report = verify.run_verify(config, workers=_verify_workers(args.threads))
+    report = verify.run_verify(config, workers=args.threads)
 
     summary = report.summary
     if args.format == "json":
@@ -347,7 +337,7 @@ def cmd_bench(args) -> int:
     fn = term_b if args.seq == "B" else term_c
 
     rows = []
-    for n in args.n:
+    for n in dict.fromkeys(args.n):  # an n listed twice, too, is timed once
         # the values the timed runs return are the ones cross-checked; an
         # engine that refuses n over its cap is listed as skipped
         best, values = {}, {}

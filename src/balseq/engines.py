@@ -156,7 +156,10 @@ def r_base_matrix(params: SequenceParams) -> Mat2:
 
 
 def check_iterative_cap(cap: int) -> None:
-    """Reject a negative iterative cap, which no index could satisfy."""
+    """Reject an iterative cap that is not an int (a bool included), or is
+    negative, which no index could satisfy."""
+    if not is_int(cap):
+        raise ValueError(f"iterative cap must be an int, got {cap!r}")
     if cap < 0:
         raise ValueError("iterative cap must be >= 0")
 
@@ -193,19 +196,16 @@ def b_table(
 ) -> list[int]:
     """B_{k,start..n_max} by the defining recurrence (the iterative engine in bulk).
 
-    The terms are of the type of `one`.  At start 0 the recurrence runs
-    from the seeds B_0, B_1; a later window starts from the doubling pair
-    (B_start, B_start+1), or from `pair` when the caller has it already
-    (see `window_pair`).
+    The terms are of the type of `one`.  The recurrence starts from the
+    doubling pair (B_start, B_start+1), or from `pair` when the caller has
+    it already (see `window_pair`), at any start; at start 0 that pair is
+    (0, 1) and costs no product.
     """
     _check_window(start, n_max)
     k = params.k
     # the generator is drained inside the context, where its terms are made
     with arithmetic_context(one):
-        if start:
-            seeds = _doubling_pair(k, start, one) if pair is None else pair
-        else:
-            seeds = (0 * one, one)
+        seeds = _doubling_pair(k, start, one) if pair is None else pair
         return list(islice(_recurrence(k, *seeds), n_max - start + 1))
 
 
@@ -214,25 +214,23 @@ def c_table(
 ) -> list[int]:
     """C_{k,start..n_max} by the defining recurrence, of the type of `one`.
 
-    A window after start 0 is seeded with C_n = B_{n+1} + 3(1-k)*B_n at
-    n = start and start + 1, from the doubling pair at `start`, or from
-    `pair` when the caller has it already (see `window_pair`).
+    The window is seeded with C_n = B_{n+1} + 3(1-k)*B_n at n = start and
+    start + 1, from the doubling pair at `start`, or from `pair` when the
+    caller has it already (see `window_pair`), at any start; at start 0
+    that pair is (0, 1) and costs no product.
     """
     _check_window(start, n_max)
     k = params.k
     with arithmetic_context(one):
-        if start:
-            b_n, b_next = _doubling_pair(k, start, one) if pair is None else pair
-            b_after = 3 * k * b_next + (1 - k) * b_n
-            seeds = (b_next + 3 * (1 - k) * b_n, b_after + 3 * (1 - k) * b_next)
-        else:
-            seeds = (one, 3 * one)
+        b_n, b_next = _doubling_pair(k, start, one) if pair is None else pair
+        b_after = 3 * k * b_next + (1 - k) * b_n
+        seeds = (b_next + 3 * (1 - k) * b_n, b_after + 3 * (1 - k) * b_next)
         return list(islice(_recurrence(k, *seeds), n_max - start + 1))
 
 
 def window_pair(params: SequenceParams, start: int, *, one=1) -> tuple[int, int]:
     """(B_start, B_start+1), of the type of `one`: the `pair` that seeds a
-    `b_table` and a `c_table` window at `start` > 0.
+    `b_table` and a `c_table` window at `start`, 0 included.
 
     A caller that builds both windows computes it once here; it is most of
     a window's cost when the window is short and `start` is large.

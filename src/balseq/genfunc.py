@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .decimal_io import arithmetic_context
-from .ring import SequenceParams
+from .ring import SequenceParams, is_int
 
 
 class RationalSeries(NamedTuple):
@@ -66,6 +66,8 @@ def expand(
     coefficients.  A zero coefficient is always +0: a Decimal sum of two
     products that are both -0 is -0, which `decimal_str` refuses.
     """
+    if not is_int(n_coeffs):
+        raise ValueError(f"coefficient count must be an int, got {n_coeffs!r}")
     if n_coeffs < 0:
         raise ValueError("coefficient count must be >= 0")
     if not denominator or denominator[0] == 0:

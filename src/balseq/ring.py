@@ -19,6 +19,8 @@ and `term_c` arrange).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 
 def is_int(value) -> bool:
     """Whether value is an int and not a bool: an index or a k, exactly."""
@@ -31,43 +33,27 @@ def check_exponent(n) -> None:
         raise ValueError(f"exponent must be an int >= 0, got {n!r}")
 
 
-class SequenceParams:
+class SequenceParams(NamedTuple("SequenceParams", [("k", int)])):
     """The family parameter k >= 1 plus the derived characteristic data.
 
-    Immutable, and equal and hashed by k.  A `__slots__` class rather than
-    a frozen dataclass, because `dataclasses` imports `inspect` and every
-    CLI command would pay for that at start-up.
+    A named tuple of k: immutable, equal and hashed by k, and rebuilt
+    through `__new__`, so checked again, when it is copied or unpickled.
+    Like any tuple it also equals the plain tuple (k,).
     """
 
-    __slots__ = ("k",)
+    __slots__ = ()
 
-    def __init__(self, k: int) -> None:
+    def __new__(cls, k: int) -> SequenceParams:
         if not is_int(k):
             raise ValueError(f"k must be an int, got {k!r}")
         if k < 1:
             raise ValueError("k must be >= 1")
-        object.__setattr__(self, "k", k)
+        return super().__new__(cls, k)
 
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.k == other.k
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.k,))
-
-    def __repr__(self) -> str:
-        return f"SequenceParams(k={self.k!r})"
-
-    def __reduce__(self):
-        # rebuilt through __init__: the default would restore k by setattr
-        return SequenceParams, (self.k,)
+    @classmethod
+    def _make(cls, iterable) -> SequenceParams:
+        # through __new__, so _make and _replace check k as well
+        return cls(*iterable)
 
     @property
     def trace(self) -> int:

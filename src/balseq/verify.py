@@ -21,9 +21,10 @@ hypothesis_not_met and its failures go to a separate expected-failure pool,
 never to the violations.  Each (name, k) sweep is one task; run_verify runs
 them in the calling process, and with workers > 1 it hands what is left
 after a short serial start to forked children.  A task keeps only the head
-of its failure pools, the results are merged in (name, k) order and the
-final report is canonically sorted, so the emitted JSON is byte-identical
-from one run to the next, whatever the number of workers.
+of its failure pools, the results are merged by name in whatever order
+they come back (the counts are sums) and the final report is canonically
+sorted, so the emitted JSON is byte-identical from one run to the next,
+whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -393,7 +394,7 @@ def _collect(pid: int, read_end: int) -> list[SweepOutcome]:
 
 def _sweep_shares(tasks: list[tuple[str, int]], config: VerifyRunConfig,
                   workers: int) -> list[SweepOutcome]:
-    """The outcomes of tasks, in their order, swept in `workers` shares.
+    """The outcomes of tasks, in no set order, swept in `workers` shares.
 
     The tasks are dealt in snake order (0, 1, ..., w-1, w-1, ..., 0, 0, 1,
     ...).  The caller sweeps share 0 and a forked child each other share;
@@ -401,12 +402,11 @@ def _sweep_shares(tasks: list[tuple[str, int]], config: VerifyRunConfig,
     """
     import signal  # here, not at module load: only a forking run needs it
 
-    shares: list[list[int]] = [[] for _ in range(workers)]
-    for position in range(len(tasks)):
+    shares: list[list[tuple[str, int]]] = [[] for _ in range(workers)]
+    for position, task in enumerate(tasks):
         lap, seat = divmod(position, workers)
-        shares[seat if lap % 2 == 0 else workers - 1 - seat].append(position)
-    outcomes: dict[int, SweepOutcome] = {}  # by position in tasks
-    pending: dict[int, tuple[int, list[int]]] = {}  # pid -> (read end, share)
+        shares[seat if lap % 2 == 0 else workers - 1 - seat].append(task)
+    pending: dict[int, int] = {}  # pid -> read end
     try:
         for share in filter(None, shares[1:]):
             read_end, write_end = os.pipe()
@@ -417,22 +417,19 @@ def _sweep_shares(tasks: list[tuple[str, int]], config: VerifyRunConfig,
                 os.close(write_end)
                 raise
             if pid == 0:
-                _child([tasks[i] for i in share], config, read_end, write_end)
+                _child(share, config, read_end, write_end)
             os.close(write_end)
-            pending[pid] = read_end, share
-        for i in shares[0]:
-            outcomes[i] = _sweep(*tasks[i], config)
+            pending[pid] = read_end
+        outcomes = [_sweep(name, k, config) for name, k in shares[0]]
         for pid in list(pending):
-            read_end, share = pending.pop(pid)
-            for i, outcome in zip(share, _collect(pid, read_end)):
-                outcomes[i] = outcome
+            outcomes += _collect(pid, pending.pop(pid))
     finally:
         # reached with children pending only when something failed first
-        for pid, (read_end, _) in pending.items():
+        for pid, read_end in pending.items():
             os.close(read_end)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return [outcomes[i] for i in range(len(tasks))]
+    return outcomes
 
 
 def run_verify(config: VerifyRunConfig, *, workers: int = 1) -> VerifyReport:
@@ -460,8 +457,8 @@ def run_verify(config: VerifyRunConfig, *, workers: int = 1) -> VerifyReport:
         done.append(_sweep(name, k, config))
 
     outcomes = {name: SweepOutcome(name) for name in config.identities}
-    for (name, _), outcome in zip(tasks, done):
-        outcomes[name].merge(outcome)
+    for outcome in done:
+        outcomes[outcome.name].merge(outcome)
 
     results: list[Report] = []
     for outcome in outcomes.values():

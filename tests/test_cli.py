@@ -358,14 +358,6 @@ class TestTable:
             ",".join([str(k), str(n), *(decimal_str(oracle(k, 1002)[n]) for oracle in columns)])
             for k in (1, 2, 3) for n in (1000, 1001, 1002)]
 
-    def test_table_from_n_zero_computes_no_doubling_pair(self, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the doubling pair was computed")
-
-        monkeypatch.setattr(engines, "_doubling_pair", refuse)
-        code, out, _ = run_cli(capsys, "table", "--k", "1..2", "--n", "0..3")
-        assert code == 0 and out.splitlines()[1:3] == ["1 0 0 1", "1 1 1 3"]
-
 
 class TestSeries:
     def test_b_series_plain(self, capsys):
@@ -665,12 +657,12 @@ class TestVerifyWorkers:
 
     def test_workers_from_threads(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5, 6})
-        assert [cli._verify_workers(t) for t in ("auto", "1", "3", "64")] == [4, 1, 3, 4]
+        assert [cli.parse_threads(t) for t in ("auto", "1", "3", "64")] == [4, 1, 3, 4]
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert [cli._verify_workers(t) for t in ("auto", "2", "64")] == [3, 2, 3]
+        assert [cli.parse_threads(t) for t in ("auto", "2", "64")] == [3, 2, 3]
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert cli._verify_workers("auto") == 1
+        assert cli.parse_threads("auto") == 1
 
     def test_buffered_stdout_written_once(self, tmp_path, forks, monkeypatch):
         # text a file-backed stdout holds unflushed when the children fork
@@ -721,6 +713,19 @@ class TestBench:
         lines = out.splitlines()
         assert lines[0] == "engine,n,repetitions,seconds"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_repeated_n_timed_once_in_first_seen_order(self, capsys, fmt):
+        code, out, _ = run_cli(capsys, "bench", "--k", "2", "--n", "5,5,7,5",
+                               "--engines", "doubling", "--reps", "1", "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            listed = [row["n"] for row in json.loads(out)]
+        elif fmt == "csv":
+            listed = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
+        else:
+            listed = [int(line.split()[1][2:-1]) for line in out.splitlines()]
+        assert listed == [5, 7]
 
     def test_large_index_log_engines(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--k", "5", "--n", "100000",

@@ -80,6 +80,14 @@ class TestTermB:
         with pytest.raises(ValueError, match="^iterative cap must be >= 0$"):
             fn(SequenceParams(2), 3, engine, iterative_cap=-5)
 
+    @pytest.mark.parametrize("fn", [term_b, term_c])
+    @pytest.mark.parametrize("cap", ["3", 2.5, True])
+    def test_non_int_cap_rejected(self, fn, cap):
+        # "3" once raised a bare TypeError from <, and 2.5 and True passed
+        message = rf"^iterative cap must be an int, got {re.escape(repr(cap))}$"
+        with pytest.raises(ValueError, match=message):
+            fn(SequenceParams(2), 5, iterative_cap=cap)
+
 
     @pytest.mark.parametrize("k", [2.5, 2.0, True])
     def test_non_int_k_rejected(self, k):
@@ -490,10 +498,22 @@ class TestTables:
         with pytest.raises(ValueError, match="n must be >= 0"):
             window_pair(SequenceParams(2), -1)
 
-    def test_start_zero_makes_no_doubling_call(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the doubling pair was computed")
+    @pytest.mark.parametrize("fn, oracle", [(b_table, oracle_b), (c_table, oracle_c)])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_start_zero_seed_multiplies_no_two_terms(self, fn, oracle, k):
+        # a one-term window is its seed alone: at start 0 the seed costs no
+        # product, where a later start pays for its doubling pair
+        for start, products_made in ((0, False), (40, True)):
+            counted, products = counting_type()
+            (term,) = fn(SequenceParams(k), start, start=start, one=counted(1))
+            assert term.value == oracle(k, start)[start]
+            assert bool(products) is products_made, start
 
-        monkeypatch.setattr("balseq.engines._doubling_pair", refuse)
-        assert b_table(SequenceParams(4), 3) == oracle_b(4, 3)
-        assert c_table(SequenceParams(4), 3) == oracle_c(4, 3)
+    @pytest.mark.parametrize("fn", [b_table, c_table])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_given_pair_seeds_start_zero_as_any_start(self, fn, k):
+        params = SequenceParams(k)
+        for pair in ((2, 7), (0, 1), (-5, 3)):
+            at_zero = fn(params, 4, pair=pair)
+            for start in (1, 9):
+                assert fn(params, start + 4, start=start, pair=pair) == at_zero, (pair, start)

@@ -1,5 +1,6 @@
 import ast
 import decimal
+import re
 from decimal import Decimal
 from pathlib import Path
 
@@ -59,6 +60,16 @@ class TestExpand:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             expand([1], [1], -1)
+
+    @pytest.mark.parametrize("count", ["3", 2.5, True])
+    def test_non_int_count_rejected(self, count):
+        # True once gave two coefficients, and "3" and 2.5 a bare TypeError
+        message = rf"^coefficient count must be an int, got {re.escape(repr(count))}$"
+        for expand_count in (lambda: expand([0, 1], [1, -6, 1], count),
+                             lambda: b_series(SequenceParams(2), count),
+                             lambda: c_series(SequenceParams(2), count)):
+            with pytest.raises(ValueError, match=message):
+                expand_count()
 
 
 def long_division(numerator, denominator, n_coeffs, one=1):

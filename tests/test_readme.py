@@ -38,6 +38,21 @@ def test_cli_lines_print_the_values_they_show(capsys):
         assert capsys.readouterr().out == value.strip() + "\n", command
 
 
+def test_every_cli_line_exits_0(capsys, tmp_path, monkeypatch):
+    # every "balseq ..." line of the CLI block, run through cli.main in an
+    # empty working directory, where --emit-errata writes its ERRATA.md
+    section = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line]
+    assert len(commands) == 9
+    monkeypatch.chdir(tmp_path)
+    for program, *argv in commands:
+        assert program == "balseq"
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert [path.name for path in tmp_path.iterdir()] == ["ERRATA.md"]
+
+
 def test_catalog_block_lists_the_catalog_in_order():
     # the plain block after "The catalog:" names every CATALOG entry, in order
     section = README.read_text(encoding="utf-8").split("The catalog:", 1)[1]

@@ -87,6 +87,16 @@ class TestSequenceParams:
         assert copy.copy(p) == copy.deepcopy(p) == pickle.loads(pickle.dumps(p)) == p
 
 
+@pytest.mark.parametrize("k", [0, 2.5, True])
+def test_named_tuple_constructors_check_k(k):
+    # _make and _replace would build the tuple past __new__'s checks
+    with pytest.raises(ValueError, match="^k must be "):
+        SequenceParams(3)._replace(k=k)
+    with pytest.raises(ValueError, match="^k must be "):
+        SequenceParams._make([k])
+    assert SequenceParams._make([4]) == SequenceParams(3)._replace(k=4) == SequenceParams(4)
+
+
 class TestRingMul:
     """The reduction alpha^2 = 3k*alpha - (k-1), as the powering applies it."""
 
