@@ -33,9 +33,9 @@ Every run pays for what this module imports, so at import it loads only
 what parsing, `term`, `table` and `bench` run: argparse, decimal, and the
 `engines`, `ring` and `decimal_io` modules.  `cmd_series` imports `genfunc`,
 `cmd_verify` imports `verify`, and `errata` only for `--emit-errata`; `json`
-is imported by the branches that write JSON.  So a `term` or `table` run
-loads neither `verify` nor `dataclasses`, and one that writes no JSON
-loads no `json` either.
+is imported by `_json`, which every JSON text the CLI writes goes through.
+So a `term` or `table` run loads neither `verify` nor `dataclasses`, and one
+that writes no JSON loads no `json` either.
 """
 
 from __future__ import annotations
@@ -141,6 +141,28 @@ def _csv_line(fields) -> str:
     return ",".join(map(str, fields)) + "\n"
 
 
+def _json(value) -> str:
+    """value as one JSON text with sorted keys; `json` is imported on the
+    first call, so a run that writes no JSON never loads it."""
+    import json
+
+    return json.dumps(value, sort_keys=True)
+
+
+def _write_json_items(head: str, items, tail: str) -> None:
+    """head, then the items' JSON texts joined by ", ", then tail.
+
+    Written an item at a time: the text of the whole document would raise
+    peak memory.  With json.dumps's default separators, these are the bytes
+    of one dump of the whole document.
+    """
+    write = sys.stdout.write
+    write(head)
+    for index, item in enumerate(items):
+        write((", " if index else "") + _json(item))
+    write(tail)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -166,13 +188,8 @@ def cmd_term(args) -> int:
         sys.stdout.write(_csv_line(["k", "n", "seq", "engine", "value"]))
         sys.stdout.write(_csv_line([args.k, args.n, args.seq, args.engine, value]))
     else:
-        import json
-
-        print(json.dumps(
-            {"k": args.k, "n": args.n, "seq": args.seq, "engine": args.engine,
-             "value": value},
-            sort_keys=True,
-        ))
+        print(_json({"k": args.k, "n": args.n, "seq": args.seq, "engine": args.engine,
+                     "value": value}))
     return EXIT_OK
 
 
@@ -194,16 +211,9 @@ def cmd_table(args) -> int:
         for row in rows:
             sys.stdout.write(sep.join([decimal_str(x) for x in row]) + "\n")
     else:
-        import json
-
-        # a row at a time, with json.dumps's default separators: the bytes
-        # of one dump of the whole list, which would hold every row at once
         keys = [key.lower() for key in header]
-        sys.stdout.write("[")
-        for index, (k, n, *terms) in enumerate(rows):
-            entry = dict(zip(keys, [k, n, *map(decimal_str, terms)]))
-            sys.stdout.write((", " if index else "") + json.dumps(entry, sort_keys=True))
-        sys.stdout.write("]\n")
+        _write_json_items("[", (dict(zip(keys, [k, n, *map(decimal_str, terms)]))
+                                for k, n, *terms in rows), "]\n")
     return EXIT_OK
 
 
@@ -245,7 +255,7 @@ def cmd_series(args) -> int:
                 file=sys.stderr,
             )
     coeffs = series.expansion
-    # plain and json are written a coefficient at a time, as csv is: the
+    # plain is written a coefficient at a time, as csv and json are: the
     # whole document's text would raise peak memory
     if args.format == "plain":
         for n, c in enumerate(coeffs):
@@ -256,16 +266,10 @@ def cmd_series(args) -> int:
         for n, c in enumerate(coeffs):
             sys.stdout.write(f"{n},{decimal_str(c)}\n")
     else:
-        # the bytes of one sort_keys dump of the whole document:
         # "coefficients" sorts first, and the other keys follow the list
-        import json
-
-        rest = json.dumps({"k": args.k, "seq": args.seq, "variant": args.variant},
-                          sort_keys=True)
-        sys.stdout.write('{"coefficients": [')
-        for n, c in enumerate(coeffs):
-            sys.stdout.write((", " if n else "") + json.dumps(decimal_str(c)))
-        sys.stdout.write("], " + rest[1:] + "\n")
+        rest = _json({"k": args.k, "seq": args.seq, "variant": args.variant})
+        _write_json_items('{"coefficients": [', map(decimal_str, coeffs),
+                          "], " + rest[1:] + "\n")
     return EXIT_OK
 
 
@@ -361,17 +365,9 @@ def cmd_bench(args) -> int:
         rows.extend((name, n, best.get(name)) for name in engine_names)
 
     if args.format == "json":
-        import json
-
-        print(json.dumps(
-            [
-                {"engine": name, "n": n, "repetitions": args.reps,
-                 "seconds": seconds, "skipped": seconds is None,
-                 "cap": args.iterative_cap}
-                for name, n, seconds in rows
-            ],
-            sort_keys=True,
-        ))
+        print(_json([{"engine": name, "n": n, "repetitions": args.reps, "seconds": seconds,
+                      "skipped": seconds is None, "cap": args.iterative_cap}
+                     for name, n, seconds in rows]))
     elif args.format == "csv":
         sys.stdout.write(_csv_line(["engine", "n", "repetitions", "seconds"]))
         for name, n, seconds in rows:

@@ -56,9 +56,10 @@ small int constants, and its seeds are built from the `one` that `term_b`,
 `term_c`, `b_table` and `c_table` take, so the terms come back as the type
 of `one`.  The default is int.  With `one=Decimal(1)` the multiplications
 run in libmpdec (number-theoretic transforms for big operands, where
-CPython's int uses Karatsuba) and the result prints in linear time; the
-engines then compute inside `decimal_io.exact_context()`, so the caller's
-decimal context can never round a term.
+CPython's int uses Karatsuba) and the result prints in linear time.  Every
+function here that takes its number type from `one`, from a `pair` or from
+a matrix's entries computes Decimals inside `decimal_io.exact_context()`,
+so the caller's decimal context can never round a term.
 
 `b_table` and `c_table` also take a keyword-only `start`: a window
 start..n_max is seeded from the doubling pair at `start`, so the terms
@@ -97,8 +98,8 @@ class Mat2(NamedTuple):
     """2x2 matrix over an exact number type: int, or Decimal holding integers.
 
     A named tuple of the entries in row-major order.  The product and the
-    square use only + - *, so they keep the entries' type; a Decimal matrix
-    must be multiplied in `exact_context()`.
+    square use only + - *, so they keep the entries' type, and the product
+    of Decimal matrices is exact whatever the caller's decimal context.
     """
 
     a11: int
@@ -111,12 +112,13 @@ class Mat2(NamedTuple):
         return cls(one, 0 * one, 0 * one, one)
 
     def __matmul__(self, other: Mat2) -> Mat2:
-        return Mat2(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
-        )
+        with arithmetic_context(self.a11):
+            return Mat2(
+                self.a11 * other.a11 + self.a12 * other.a21,
+                self.a11 * other.a12 + self.a12 * other.a22,
+                self.a21 * other.a11 + self.a22 * other.a21,
+                self.a21 * other.a12 + self.a22 * other.a22,
+            )
 
 
 def _mat_square(m: Mat2) -> Mat2:
@@ -132,22 +134,26 @@ def mat_pow(m: Mat2, n: int) -> Mat2:
     Each step squares the running power and, on a set bit of n, multiplies
     it by m itself; for the small A of the matrix engine that product costs
     linear time, where right-to-left powering multiplies two big matrices.
+    The entries keep their type, and Decimal entries are exact whatever the
+    caller's decimal context.
     """
     check_exponent(n)
     if n == 0:
         return Mat2.identity(type(m.a11)(1))  # the unit of the entries' type
     result = m
-    for shift in range(n.bit_length() - 2, -1, -1):
-        result = _mat_square(result)
-        if (n >> shift) & 1:
-            result = result @ m
+    with arithmetic_context(m.a11):
+        for shift in range(n.bit_length() - 2, -1, -1):
+            result = _mat_square(result)
+            if (n >> shift) & 1:
+                result = result @ m
     return result
 
 
 def a_matrix(params: SequenceParams, one=1) -> Mat2:
     """A = [[3k, 1-k], [1, 0]] with entries of the type of `one`."""
     k = params.k
-    return Mat2(3 * k * one, (1 - k) * one, one, 0 * one)
+    with arithmetic_context(one):
+        return Mat2(3 * k * one, (1 - k) * one, one, 0 * one)
 
 
 def r_base_matrix(params: SequenceParams) -> Mat2:
@@ -169,6 +175,15 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be an int, got {n!r}")
     if n < 0:
         raise ValueError("n must be >= 0 (use term_b_negative for negative indices)")
+
+
+def _check_term(n: int, engine: Engine, iterative_cap: int) -> None:
+    """The argument checks of `term_b` and `term_c`: the cap, then n, then n
+    against the cap on the iterative engine."""
+    check_iterative_cap(iterative_cap)
+    _check_n(n)
+    if engine is Engine.ITERATIVE and n > iterative_cap:
+        raise IterativeCapError(f"n={n} exceeds iterative cap {iterative_cap}")
 
 
 def _recurrence(k: int, x0: int, x1: int) -> Iterator[int]:
@@ -196,33 +211,32 @@ def b_table(
 ) -> list[int]:
     """B_{k,start..n_max} by the defining recurrence (the iterative engine in bulk).
 
-    The terms are of the type of `one`.  The recurrence starts from the
-    doubling pair (B_start, B_start+1), or from `pair` when the caller has
-    it already (see `window_pair`), at any start; at start 0 that pair is
-    (0, 1) and costs no product.
+    The recurrence starts from `pair` = (B_start, B_start+1) when the caller
+    has it already, at any start, and otherwise from `window_pair` of the
+    type of `one`; at start 0 that pair is (0, 1) and costs no product.  The
+    terms are of the type of the pair.
     """
     _check_window(start, n_max)
-    k = params.k
+    if pair is None:
+        pair = window_pair(params, start, one=one)
     # the generator is drained inside the context, where its terms are made
-    with arithmetic_context(one):
-        seeds = _doubling_pair(k, start, one) if pair is None else pair
-        return list(islice(_recurrence(k, *seeds), n_max - start + 1))
+    with arithmetic_context(pair[1]):
+        return list(islice(_recurrence(params.k, *pair), n_max - start + 1))
 
 
 def c_table(
     params: SequenceParams, n_max: int, *, start: int = 0, one=1, pair=None
 ) -> list[int]:
-    """C_{k,start..n_max} by the defining recurrence, of the type of `one`.
+    """C_{k,start..n_max} by the defining recurrence.
 
     The window is seeded with C_n = B_{n+1} + 3(1-k)*B_n at n = start and
-    start + 1, from the doubling pair at `start`, or from `pair` when the
-    caller has it already (see `window_pair`), at any start; at start 0
-    that pair is (0, 1) and costs no product.
+    start + 1, from `pair` = (B_start, B_start+1) as `b_table` is, and its
+    terms are of the type of that pair.
     """
     _check_window(start, n_max)
     k = params.k
-    with arithmetic_context(one):
-        b_n, b_next = _doubling_pair(k, start, one) if pair is None else pair
+    b_n, b_next = window_pair(params, start, one=one) if pair is None else pair
+    with arithmetic_context(b_next):
         b_after = 3 * k * b_next + (1 - k) * b_n
         seeds = (b_next + 3 * (1 - k) * b_n, b_after + 3 * (1 - k) * b_next)
         return list(islice(_recurrence(k, *seeds), n_max - start + 1))
@@ -263,10 +277,7 @@ def term_b(
     one=1,
 ) -> int:
     """Exact B_{k,n} for n >= 0 via the chosen engine, of the type of `one`."""
-    check_iterative_cap(iterative_cap)
-    _check_n(n)
-    if engine is Engine.ITERATIVE and n > iterative_cap:
-        raise IterativeCapError(f"n={n} exceeds iterative cap {iterative_cap}")
+    _check_term(n, engine, iterative_cap)
     k = params.k
     m, odd = n >> 1, n & 1
     with arithmetic_context(one):
@@ -303,10 +314,7 @@ def term_c(
     one=1,
 ) -> int:
     """Exact C_{k,n} for n >= 0 via the chosen engine, of the type of `one`."""
-    check_iterative_cap(iterative_cap)
-    _check_n(n)
-    if engine is Engine.ITERATIVE and n > iterative_cap:
-        raise IterativeCapError(f"n={n} exceeds iterative cap {iterative_cap}")
+    _check_term(n, engine, iterative_cap)
     k = params.k
     m, odd = n >> 1, n & 1
     with arithmetic_context(one):

@@ -64,8 +64,12 @@ def expand(
     other than two taps, one loop sums over the taps; after the numerator, a
     two-tap denominator runs c_n = t_1*c_{n-1} + t_2*c_{n-2} on the last two
     coefficients.  A zero coefficient is always +0: a Decimal sum of two
-    products that are both -0 is -0, which `decimal_str` refuses.
+    products that are both -0 is -0, which `decimal_str` refuses.  Every
+    numerator and denominator entry must be an int (not a bool).
     """
+    for entry in (*numerator, *denominator):
+        if not is_int(entry):
+            raise ValueError(f"numerator and denominator entries must be ints, got {entry!r}")
     if not is_int(n_coeffs):
         raise ValueError(f"coefficient count must be an int, got {n_coeffs!r}")
     if n_coeffs < 0:
@@ -99,15 +103,15 @@ def expand(
     return coeffs
 
 
-def series_denominator(params: SequenceParams) -> list[int]:
-    return [1, -3 * params.k, params.k - 1]
+def _series(params: SequenceParams, num: list[int], n_coeffs: int, one) -> RationalSeries:
+    """num / (1 - 3kx + (k-1)x^2) and its first n_coeffs+1 coefficients."""
+    den = [1, -3 * params.k, params.k - 1]
+    return RationalSeries(tuple(num), tuple(den), tuple(expand(num, den, n_coeffs, one=one)))
 
 
 def b_series(params: SequenceParams, n_coeffs: int, *, one=1) -> RationalSeries:
     """x / (1 - 3kx + (k-1)x^2), whose coefficients are B_{k,n}."""
-    num = [0, 1]
-    den = series_denominator(params)
-    return RationalSeries(tuple(num), tuple(den), tuple(expand(num, den, n_coeffs, one=one)))
+    return _series(params, [0, 1], n_coeffs, one)
 
 
 def c_series(
@@ -125,6 +129,5 @@ def c_series(
         num = [1, 3 * (1 + k)]
     else:
         raise ValueError(f"variant must be 'corrected' or 'printed', got {variant!r}")
-    den = series_denominator(params)
-    return RationalSeries(tuple(num), tuple(den), tuple(expand(num, den, n_coeffs, one=one)))
+    return _series(params, num, n_coeffs, one)
 

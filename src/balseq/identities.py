@@ -23,7 +23,6 @@ multiplication by k - 1; a single point builds no table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from operator import mul, sub
@@ -42,21 +41,21 @@ from .ring import SequenceParams, alpha_power_components
 Exact = int | Fraction
 
 
-@dataclass
 class TermContext:
     """Iterative-engine term tables for one k, grown on demand.
 
-    b[i] = B_{k,i}, c[i] = C_{k,i}, pk[i] = (k-1)^i.  A sweep that reads the
-    same products of B terms many times may also share diagonals[d][a] =
-    b[a]*b[a+d], built by share_diagonals to the width each diagonal d is
-    read at; growing b drops it.
+    b[i] = B_{k,i}, c[i] = C_{k,i}, pk[i] = (k-1)^i, all empty until the
+    first `ensure`.  A sweep that reads the same products of B terms many
+    times may also share diagonals[d][a] = b[a]*b[a+d], built by
+    share_diagonals to the width each diagonal d is read at; growing b
+    drops it.
     """
 
-    params: SequenceParams
-    b: list[int] = field(default_factory=list)
-    c: list[int] = field(default_factory=list)
-    pk: list[int] = field(default_factory=list)
-    diagonals: list[list[int]] = field(default_factory=list)
+    __slots__ = ("params", "b", "c", "pk", "diagonals")
+
+    def __init__(self, params: SequenceParams) -> None:
+        self.params = params
+        self.b, self.c, self.pk, self.diagonals = [], [], [], []
 
     def ensure(self, hi: int) -> TermContext:
         if hi >= len(self.b):

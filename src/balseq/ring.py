@@ -13,13 +13,15 @@ multiplied and the module has no ring-element type.
 The coordinates are exact integers of one number type, int by default.
 The powering loop uses only + - * with small int constants, so it keeps
 that type; `alpha_power_components(..., one=Decimal(1))` computes in
-Decimal, which must then run in `decimal_io.exact_context()` (as `term_b`
-and `term_c` arrange).
+Decimal, inside `decimal_io.exact_context()`, so the caller's decimal
+context never rounds a coordinate.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
+
+from .decimal_io import arithmetic_context
 
 
 def is_int(value) -> bool:
@@ -83,10 +85,11 @@ def alpha_power_components(params: SequenceParams, n: int, one=1) -> tuple[int, 
     if n == 0:
         return one, 0 * one
     k = params.k
-    u, v = 0 * one, one
-    for shift in range(n.bit_length() - 2, -1, -1):
-        vv = v * v
-        u, v = u * u - (k - 1) * vv, 2 * (u * v) + 3 * k * vv
-        if (n >> shift) & 1:
-            u, v = (1 - k) * v, u + 3 * k * v
+    with arithmetic_context(one):
+        u, v = 0 * one, one
+        for shift in range(n.bit_length() - 2, -1, -1):
+            vv = v * v
+            u, v = u * u - (k - 1) * vv, 2 * (u * v) + 3 * k * vv
+            if (n >> shift) & 1:
+                u, v = (1 - k) * v, u + 3 * k * v
     return u, v

@@ -490,15 +490,11 @@ def report_entry_to_dict(report: Report) -> dict:
             "holds": report.holds, "hypothesis_met": report.hypothesis_met}
 
 
-def report_to_dict(report: VerifyReport) -> dict:
-    return {
+def report_to_json(report: VerifyReport) -> str:
+    return json.dumps({
         "tool_version": report.tool_version,
         "config": asdict(report.config),
         "results": [report_entry_to_dict(r) for r in report.results],
         "summary": report.summary,
-    }
-
-
-def report_to_json(report: VerifyReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+    }, indent=2, sort_keys=True)
 

@@ -727,6 +727,19 @@ class TestBench:
             listed = [int(line.split()[1][2:-1]) for line in out.splitlines()]
         assert listed == [5, 7]
 
+    def test_json_is_one_sorted_dump(self, capsys):
+        # the timings vary, so no sha256 pin covers this format: its bytes
+        # are one sort_keys dump of the list they parse to, skipped rows too
+        code, out, _ = run_cli(capsys, "bench", "--k", "2", "--n", "50,200",
+                               "--engines", "iterative,doubling", "--iterative-cap", "100",
+                               "--reps", "1", "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+        assert [(row["engine"], row["n"], row["skipped"], row["seconds"] is None)
+                for row in json.loads(out)] == [
+            ("iterative", 50, False, False), ("doubling", 50, False, False),
+            ("iterative", 200, True, True), ("doubling", 200, False, False)]
+
     def test_large_index_log_engines(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--k", "5", "--n", "100000",
                                "--engines", "matrix,doubling", "--reps", "1")

@@ -12,7 +12,6 @@ from balseq.genfunc import (
     b_series,
     c_series,
     expand,
-    series_denominator,
 )
 from balseq.ring import SequenceParams
 
@@ -70,6 +69,18 @@ class TestExpand:
                              lambda: c_series(SequenceParams(2), count)):
             with pytest.raises(ValueError, match=message):
                 expand_count()
+
+    @pytest.mark.parametrize("entry", [1.0, True, Decimal(1), "1", None])
+    def test_non_int_entry_rejected(self, entry):
+        # 1.0 once gave float coefficients, and True was taken for 1
+        message = (r"^numerator and denominator entries must be ints,"
+                   rf" got {re.escape(repr(entry))}$")
+        for numerator, denominator in (([0, entry], [1, -15, 4]), ([0, 1], [entry, -15, 4]),
+                                       ([0, 1], [1, -15, entry]), ([entry], [1])):
+            with pytest.raises(ValueError, match=message):
+                expand(numerator, denominator, 5)
+            with pytest.raises(ValueError, match=message):
+                expand(numerator, denominator, 5, one=Decimal(1))
 
 
 def long_division(numerator, denominator, n_coeffs, one=1):
@@ -150,7 +161,10 @@ class TestSeries:
         assert series != c_series(SequenceParams(2), 4)
 
     def test_denominator_coefficients(self):
-        assert series_denominator(SequenceParams(4)) == [1, -12, 3]
+        params = SequenceParams(4)
+        assert b_series(params, 3).denominator == (1, -12, 3)
+        assert c_series(params, 3).denominator == (1, -12, 3)
+        assert c_series(params, 3, variant="printed").denominator == (1, -12, 3)
 
     def test_bad_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):

@@ -410,7 +410,10 @@ class TestFullSweep:
         lhs, rhs = vajda1_sides(ctx, 1, 3, range(5, 9))
         assert list(zip(lhs, rhs)) == evaluated(1, 3, range(5, 9))
         # past the width of a table cut to a = 0..2 under a longer b
-        narrow = TermContext(params, b=b, diagonals=[row[:3] for row in ctx.diagonals])
+        with pytest.raises(TypeError):  # the tables are not arguments
+            TermContext(params, b=[])
+        narrow = TermContext(params)
+        narrow.b, narrow.diagonals = b, [row[:3] for row in ctx.diagonals]
         assert narrow.diagonal(3, 1, 8) == computed(3, 1, 8)
         assert narrow.diagonal(3, 1, 3) == computed(3, 1, 3)
         # growing b drops the table, so no diagonal is narrower than it reads
