@@ -33,9 +33,11 @@ Every run pays for what this module imports, so at import it loads only
 what parsing, `term`, `table` and `bench` run: argparse, decimal, and the
 `engines`, `ring` and `decimal_io` modules.  `cmd_series` imports `genfunc`,
 `cmd_verify` imports `verify`, and `errata` only for `--emit-errata`; `json`
-is imported by `_json`, which every JSON text the CLI writes goes through.
-So a `term` or `table` run loads neither `verify` nor `dataclasses`, and one
-that writes no JSON loads no `json` either.
+is imported by `_json`, which writes the JSON of `term`, `table`, `series`
+and `bench`.  `verify`'s report is written by `verify.report_to_json`, which
+takes only json's string escaper and runs none of its encoders.  So a `term`
+or `table` run loads neither `verify` nor `dataclasses`, and one that writes
+no JSON loads no `json` either.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ when they are handed a Decimal one, runs in `exact_context()`: unbounded
 precision with Inexact and Rounded trapped, so a lost digit raises instead
 of printing a wrong value, whatever context the caller has set.
 `arithmetic_context(one)` picks that context for a Decimal one and none for
-an int.  Nothing here reads or changes the interpreter's digit limit.
+an int, and refuses a float or complex one, whose products round.  Nothing
+here reads or changes the interpreter's digit limit.
 """
 
 from __future__ import annotations
@@ -56,9 +57,15 @@ def arithmetic_context(one) -> ContextManager:
     """The context to compute in with numbers of the type of `one`.
 
     `exact_context()` for a Decimal one, and no context for an int, whose
-    arithmetic is exact already.
+    arithmetic is exact already, or for another exact stand-in.  A float or
+    complex one raises ValueError: its terms would be rounded.
     """
-    return exact_context() if isinstance(one, decimal.Decimal) else nullcontext()
+    if isinstance(one, decimal.Decimal):
+        return exact_context()
+    if isinstance(one, (float, complex)):
+        raise ValueError(f"one must be of an exact number type, such as int or Decimal,"
+                         f" got {one!r}")
+    return nullcontext()
 
 
 def decimal_str(n: int | decimal.Decimal) -> str:

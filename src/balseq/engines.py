@@ -138,10 +138,10 @@ def mat_pow(m: Mat2, n: int) -> Mat2:
     caller's decimal context.
     """
     check_exponent(n)
-    if n == 0:
-        return Mat2.identity(type(m.a11)(1))  # the unit of the entries' type
-    result = m
     with arithmetic_context(m.a11):
+        if n == 0:
+            return Mat2.identity(type(m.a11)(1))  # the unit of the entries' type
+        result = m
         for shift in range(n.bit_length() - 2, -1, -1):
             result = _mat_square(result)
             if (n >> shift) & 1:

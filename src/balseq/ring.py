@@ -82,10 +82,10 @@ def alpha_power_components(params: SequenceParams, n: int, one=1) -> tuple[int, 
     logarithmic in n.
     """
     check_exponent(n)
-    if n == 0:
-        return one, 0 * one
     k = params.k
     with arithmetic_context(one):
+        if n == 0:
+            return one, 0 * one
         u, v = 0 * one, one
         for shift in range(n.bit_length() - 2, -1, -1):
             vv = v * v

@@ -550,6 +550,26 @@ class TestVerify:
         assert code == 1
         assert hashlib.sha256(out.encode()).hexdigest() == self.PLANTED_SHA256[fmt]
 
+    def test_json_report_stays_off_the_python_encoder(self, capsys, monkeypatch):
+        # json.dumps with an indent always runs json's pure-Python encoder,
+        # which took most of a small request's time once the gcd rows list
+        # their expected failures (k = 4 here)
+        argv = ("verify", "--k", "3..5", "--max-index", "20", "--threads", "1",
+                "--identity", "coprime-norm,consecutive-gcd", "--format", "json")
+        code, expected, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert expected.count('"hypothesis_met": false') == 78
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the verify report went through json's encoder")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        with pytest.raises(AssertionError, match="json's encoder"):
+            json.JSONEncoder(indent=2).encode({})  # the patch bites
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out == expected
+
     def test_small_sweep_all_held(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--k", "2..3", "--max-index", "10")
         assert code == 0

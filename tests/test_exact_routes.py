@@ -8,11 +8,14 @@ have more than 9 digits.  The values must equal the int route's, come back
 as Decimals, and leave no flag in the caller's context.  The same holds for
 `mat_pow` and the matrix product, whose number type is their entries', and
 for `b_table`/`c_table` given a Decimal `pair`.  A new function that takes
-`one` fails the guard until it has a sample call here.
+`one` fails the guard until it has a sample call here.  Every route refuses
+a float or complex `one`, or values of those types, in one line: a float
+term is rounded.
 """
 
 import decimal
 import inspect
+import re
 from decimal import Decimal
 
 import pytest
@@ -20,6 +23,7 @@ import pytest
 from balseq import engines, genfunc, ring
 from balseq.engines import (
     Engine,
+    Mat2,
     a_matrix,
     b_table,
     c_table,
@@ -85,3 +89,34 @@ def test_exact_inside_a_9_digit_context(name):
         assert ctx.prec == 9 and not any(ctx.flags.values())
     assert {type(x) for x in got} == {Decimal}
     assert got == want
+
+
+# a float or complex one, whose products round: B_(5,200) came back as
+# 2.958940044415348e+232
+INEXACT_ONES = [1.0, 1 + 0j]
+
+
+@pytest.mark.parametrize("one", INEXACT_ONES)
+@pytest.mark.parametrize("name", [*ONE_TAKERS, *TYPED_BY_VALUES])
+def test_inexact_one_rejected(name, one):
+    call = {**ONE_TAKERS, **TYPED_BY_VALUES}[name]
+    with pytest.raises(ValueError, match=rf"^one must be of an exact number type, such as int"
+                                         rf" or Decimal, got {re.escape(repr(one))}$"):
+        call(one)
+
+
+# the routes typed by their values, handed inexact values directly
+INEXACT_VALUES = {
+    "mat_pow": lambda x: mat_pow(Mat2(3 * x, -4 * x, x, 0 * x), 200),
+    "mat_pow 0": lambda x: mat_pow(Mat2(3 * x, -4 * x, x, 0 * x), 0),
+    "Mat2 @ Mat2": lambda x: Mat2(x, x, x, x) @ Mat2(x, x, x, x),
+    "b_table pair": lambda x: b_table(P, 300, start=100, pair=(x, 2 * x)),
+    "c_table pair": lambda x: c_table(P, 300, start=100, pair=(x, 2 * x)),
+}
+
+
+@pytest.mark.parametrize("one", INEXACT_ONES)
+@pytest.mark.parametrize("name", list(INEXACT_VALUES))
+def test_inexact_values_rejected(name, one):
+    with pytest.raises(ValueError, match=r"^one must be of an exact number type"):
+        INEXACT_VALUES[name](one)

@@ -5,10 +5,12 @@ import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balseq import identities, verify
 from balseq.verify import (
@@ -17,7 +19,7 @@ from balseq.verify import (
     Report,
     VerifyReport,
     VerifyRunConfig,
-    report_entry_to_dict,
+    exact_to_str,
     report_to_json,
     SweepOutcome,
     resolve_identities,
@@ -134,7 +136,8 @@ class TestReportKinds:
         report = row.at(SequenceParams(2), **dict(zip(row.keys, (*lead, last[0]))))
         assert report.name == name
         assert report.kind == ("gcd" if row.hypothesis is not None else "identity")
-        entry = report_entry_to_dict(report)
+        text = report_to_json(VerifyReport("0", VerifyRunConfig(), [report], {}))
+        entry, = json.loads(text)["results"]
         assert set(entry) == ENTRY_KEYS[report.kind]
         assert entry["kind"] == report.kind
         assert report.lhs == report.rhs and report.holds and entry["holds"]
@@ -164,6 +167,13 @@ class TestConfigValidation:
         # run_verify once reported all_held at 0 checks and exit code 0
         with pytest.raises(ValueError, match=r"^no identity selected$"):
             VerifyRunConfig(identities=())
+
+    @pytest.mark.parametrize("identities", ["cassini-b", ["cassini-b"]])
+    def test_identities_not_a_tuple_rejected(self, identities):
+        # a bare name was once read as its letters: "unknown identity 'c'"
+        with pytest.raises(ValueError, match=rf"^identities must be a tuple of catalog names,"
+                                             rf" got {re.escape(repr(identities))}$"):
+            VerifyRunConfig(1, 2, 5, identities)
 
     def test_duplicate_names_rejected(self):
         # run_verify once swept each copy, counting 20 checks for 10 at k
@@ -384,3 +394,90 @@ class TestSerialization:
         assert again == VerifyReport("0", VerifyRunConfig(2, 2, 3), [entry],
                                      {"total_failed": 1}), "round trip changed the report"
         assert report_to_json(again) == text
+
+
+def dumped_report(report: VerifyReport) -> str:
+    """The report as json.dumps writes it: the oracle for report_to_json,
+    which once built this document and dumped it."""
+    def entry(r: Report) -> dict:
+        name_key, lhs_key, rhs_key, *_ = KIND_KEYS[r.kind]
+        return {"kind": r.kind, name_key: r.name, lhs_key: exact_to_str(r.lhs),
+                rhs_key: exact_to_str(r.rhs), "inputs": dict(sorted(r.inputs.items())),
+                "holds": r.holds, "hypothesis_met": r.hypothesis_met}
+
+    return json.dumps({
+        "tool_version": report.tool_version,
+        "config": asdict(report.config),
+        "results": [entry(r) for r in report.results],
+        "summary": report.summary,
+    }, indent=2, sort_keys=True)
+
+
+# summaries of real runs: all held, gcd expected failures, and every row
+RUN_SUMMARIES = [run_verify(config).summary for config in (
+    VerifyRunConfig(2, 2, 4, ("cassini-b",)),
+    VerifyRunConfig(3, 5, 8, tuple(resolve_identities("coprime-norm"))),
+    VerifyRunConfig(1, 2, 3),
+)]
+
+JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+HAND_SUMMARIES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=20,
+)
+SIDES = st.integers() | st.fractions()
+REPORTS = st.builds(
+    Report,
+    name=st.sampled_from(list(CATALOG)) | st.text(max_size=12),
+    inputs=st.dictionaries(st.sampled_from(["k", "n", "m", "r", "i", "j", "ell", "entry"])
+                           | st.text(max_size=4), st.integers(), max_size=4),
+    lhs=SIDES, rhs=SIDES, holds=st.booleans(), hypothesis_met=st.booleans(),
+    kind=st.sampled_from(list(KIND_KEYS)),
+)
+CONFIGS = st.builds(
+    lambda k_lo, width, max_index, names, max_listed: VerifyRunConfig(
+        k_lo, k_lo + width, max_index, tuple(names), max_listed),
+    st.integers(1, 20), st.integers(0, 5), st.integers(1, 100),
+    st.lists(st.sampled_from(list(CATALOG)), min_size=1, max_size=5, unique=True),
+    st.integers(1, 1000),
+)
+
+# values past the interpreter's default 4300-digit str() limit
+HUGE = [10**4300, -(3**20000), 7 * 10**9999 + 12345, Fraction(-(3**20000), 2**1000 + 1),
+        Fraction(2**15000 + 1, 3**9000)]
+
+
+class TestWriter:
+    """report_to_json against json.dumps of the document it once built."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tool_version=st.text(max_size=8), config=CONFIGS,
+           results=st.lists(REPORTS, max_size=30),
+           summary=st.sampled_from(RUN_SUMMARIES) | HAND_SUMMARIES)
+    def test_bytes_are_json_dumps(self, tool_version, config, results, summary):
+        report = VerifyReport(tool_version, config, results, summary)
+        assert report_to_json(report) == dumped_report(report)
+
+    @pytest.mark.parametrize("kind", list(KIND_KEYS))
+    def test_huge_sides(self, kind):
+        results = [Report("sum-c", {"k": 2, "n": n}, lhs, rhs, False, True, kind)
+                   for n, (lhs, rhs) in enumerate(zip(HUGE, HUGE[1:] + [0]))]
+        report = VerifyReport("0", VerifyRunConfig(2, 2, 3), results, {"total_failed": 1})
+        assert report_to_json(report) == dumped_report(report)
+
+    def test_report_of_a_run_with_listed_failures(self):
+        report = run_verify(VerifyRunConfig(3, 5, 20, tuple(resolve_identities("coprime-norm"))))
+        assert len(report.results) == 39
+        assert report_to_json(report) == dumped_report(report)
+
+    @pytest.mark.parametrize("value", [1.5, {1: 2}, {"a": b"x"}, object()])
+    def test_other_types_raise_type_error(self, value):
+        report = VerifyReport("0", VerifyRunConfig(2, 2, 3), [], {"value": value})
+        with pytest.raises(TypeError):
+            report_to_json(report)
+
+    def test_report_equals_its_tuple(self):
+        report = Report("sum-c", {"k": 2, "n": 3}, 1, 2, False, True, "identity")
+        assert report == ("sum-c", {"k": 2, "n": 3}, 1, 2, False, True, "identity")
