@@ -324,7 +324,7 @@ def cmd_verify(args) -> int:
         totals = ", ".join(f"{key}={summary['total_' + key]}"
                            for key in (COUNTS[0], *COUNTS[2:]))
         print(f"verify: {verdict} ({totals})")
-    return report.exit_code
+    return EXIT_OK if summary["all_held"] else EXIT_FAILED
 
 
 def cmd_bench(args) -> int:

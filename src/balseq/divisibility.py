@@ -8,10 +8,11 @@ C_n = B_{n+1} + 3(1-k)B_n gives gcd(B_n, C_n) = gcd(B_n, B_{n+1}).
 index-divisibility, B_m | B_n whenever m | n, runs strong_gcd_sides on
 m | n, where B_{gcd(m,n)} is B_m; it needs no residue condition.  Checks are
 run regardless and tagged: hypothesis_met is False when the condition
-fails, and such results land in an expected-failure pool instead of counting
-as violations.  Demonstrating that the condition is necessary (e.g.
-gcd(B_{4,2}, B_{4,3}) = 3) is as much a part of the contract as the theorems
-themselves.
+fails.  Such checks count as hypothesis_not_met, never as failed, and a
+verify report lists their failures in a pool of their own, the expected
+failures, beside the violations.  Demonstrating that the condition is
+necessary (e.g. gcd(B_{4,2}, B_{4,3}) = 3) is as much a part of the contract
+as the theorems themselves.
 
 Each theorem is written once, as a *_sides function that takes its last
 index as a range and returns the computed gcds and the expected values over

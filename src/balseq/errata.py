@@ -208,8 +208,8 @@ def _evidence(erratum: Erratum) -> tuple[bool, list[str]]:
         f" it holds {erratum.holds}",
         f"verified form fails at {verified.failed} of {verified.checked} points",
     ]
-    if printed.violations:
-        first = printed.violations[0]
+    if printed.failures:  # errata rows have no hypothesis: all are violations
+        first = printed.failures[0]
         at = ", ".join(f"{key}={value}" for key, value in first.inputs.items())
         lines.append(f"first failure: {at}: lhs {first.lhs}, printed rhs {first.rhs}")
     return printed.failed > 0 and verified.failed == 0, lines

@@ -17,14 +17,17 @@ index its sides read there, so that the same row answers a single point
 
 A gcd row carries its theorem's hypothesis.  When the hypothesis fails at a
 k (gcd(3k, k - 1) = 1, i.e. k % 3 != 1), every check of that k is counted as
-hypothesis_not_met and its failures go to a separate expected-failure pool,
-never to the violations.  Each (name, k) sweep is one task; run_verify runs
-them in the calling process, and with workers > 1 it hands what is left
-after a short serial start to forked children.  A task keeps only the head
-of its failure pools, the results are merged by name in whatever order
-they come back (the counts are sums) and the final report is canonically
-sorted, so the emitted JSON is byte-identical from one run to the next,
-whatever the number of workers.
+hypothesis_not_met, not as failed.  A sweep keeps its failing reports in one
+list, and each report's hypothesis_met names its pool: the violations
+(True) or the expected failures (False).  Each (name, k) sweep is one task;
+run_verify runs them in the calling process, and with workers > 1 it hands
+what is left after a short serial start to forked children.  One rule,
+_listed, picks the reports a report lists: canonically sorted (by name,
+then by inputs in key-name order), the first max_listed of each (name,
+hypothesis_met) pool.  A task keeps only its own listing, and the outcomes
+are merged by name in whatever order they come back (the counts are sums)
+and listed once more, so the emitted JSON is byte-identical from one run to
+the next, whatever the number of workers.
 
 report_to_json writes the bytes json.dumps(doc, indent=2, sort_keys=True)
 would, but without json's encoder, which with an indent always runs in
@@ -38,9 +41,10 @@ from __future__ import annotations
 
 import os
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, NamedTuple, NoReturn
 
@@ -106,21 +110,23 @@ KIND_KEYS = {
 
 @dataclass
 class SweepOutcome:
-    """Aggregate of one identity swept over one or more parameter boxes."""
+    """Aggregate of one identity swept over one or more parameter boxes.
+
+    failures holds the failing reports of both pools; a report's
+    hypothesis_met says which.
+    """
 
     name: str
     checked: int = 0
     held: int = 0
     failed: int = 0
     hypothesis_not_met: int = 0
-    violations: list[Report] = field(default_factory=list)
-    expected_failures: list[Report] = field(default_factory=list)
+    failures: list[Report] = field(default_factory=list)
 
     def merge(self, other: SweepOutcome) -> None:
         for key in COUNTS:
             setattr(self, key, getattr(self, key) + getattr(other, key))
-        self.violations.extend(other.violations)
-        self.expected_failures.extend(other.expected_failures)
+        self.failures.extend(other.failures)
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +190,11 @@ class Sides:
                            self.hypothesis is None or self.hypothesis(params))
 
     def __call__(self, params: SequenceParams, max_index: int) -> SweepOutcome:
+        if not is_int(max_index) or max_index < 0:
+            raise ValueError(f"{self.name} sweeps to an int max index >= 0, got {max_index!r}")
         out = SweepOutcome(self.name)
         ctx = self.context(params, max_index)
         met = self.hypothesis is None or self.hypothesis(params)
-        failures = out.violations if met else out.expected_failures
         checked = 0
         for row in self.domain(max_index):
             lhs, rhs = self.sides(ctx, *row)
@@ -197,10 +204,10 @@ class Sides:
             *lead, last = row
             for index, left, right in zip(last, lhs, rhs):
                 if left != right:
-                    failures.append(self._report(params, (*lead, index), left, right, met))
+                    out.failures.append(self._report(params, (*lead, index), left, right, met))
         out.checked = checked
         if met:
-            out.failed = len(out.violations)
+            out.failed = len(out.failures)
             out.held = checked - out.failed
         else:
             out.hypothesis_not_met = checked
@@ -341,10 +348,6 @@ class VerifyReport:
     results: list[Report]
     summary: dict
 
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.summary["total_failed"] == 0 else 1
-
 
 # seconds of sweeps run_verify runs in the calling process before it forks
 # any worker: a fork and the pickled result cost about 3.5 ms (2-core x86-64,
@@ -356,13 +359,20 @@ def _sort_key(report: Report):
     return report.name, sorted(report.inputs.items())
 
 
+def _listed(reports: Iterable[Report], max_listed: int) -> list[Report]:
+    """The reports a verify report lists: sorted by _sort_key, the first
+    max_listed of each (name, hypothesis_met) pool.  The listing of the
+    listings of some parts is the listing of their union: the first
+    max_listed of a union are among the first max_listed of its parts."""
+    seen = defaultdict(count)  # per pool, how many reports came before
+    return [report for report in sorted(reports, key=_sort_key)
+            if next(seen[report.name, report.hypothesis_met]) < max_listed]
+
+
 def _sweep(name: str, k: int, config: VerifyRunConfig) -> SweepOutcome:
-    """One (name, k) task, each failure pool cut to its first max_listed
-    reports: the first max_listed of a union are among those of its parts."""
+    """One (name, k) task, its failures cut to their listing."""
     outcome = CATALOG[name](SequenceParams(k), config.max_index)
-    outcome.violations = sorted(outcome.violations, key=_sort_key)[: config.max_listed]
-    outcome.expected_failures = sorted(outcome.expected_failures,
-                                       key=_sort_key)[: config.max_listed]
+    outcome.failures = _listed(outcome.failures, config.max_listed)
     return outcome
 
 
@@ -472,11 +482,8 @@ def run_verify(config: VerifyRunConfig, *, workers: int = 1) -> VerifyReport:
     for outcome in done:
         outcomes[outcome.name].merge(outcome)
 
-    results: list[Report] = []
-    for outcome in outcomes.values():
-        for pool in (outcome.violations, outcome.expected_failures):
-            results.extend(sorted(pool, key=_sort_key)[: config.max_listed])
-    results.sort(key=_sort_key)
+    results = _listed([report for outcome in outcomes.values() for report in outcome.failures],
+                      config.max_listed)
 
     per_identity = {name: {key: getattr(outcome, key) for key in COUNTS}
                     for name, outcome in outcomes.items()}

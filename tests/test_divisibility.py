@@ -136,7 +136,7 @@ class TestResidueSweeps:
     @pytest.mark.parametrize("k", GOOD_K)
     def test_hypothesis_met_box_40_holds(self, name, k):
         outcome = CATALOG[name](SequenceParams(k), 40)
-        assert outcome.failed == 0, outcome.violations[:3]
+        assert outcome.failed == 0, outcome.failures[:3]
         assert outcome.hypothesis_not_met == 0
         assert residue_hypothesis(SequenceParams(k))
 
@@ -147,11 +147,12 @@ class TestResidueSweeps:
         outcome = CATALOG[name](SequenceParams(k), 10)
         assert outcome.failed == 0          # never counted as violations
         assert outcome.hypothesis_not_met == outcome.checked
-        assert len(outcome.expected_failures) >= 1, name
+        assert len([r for r in outcome.failures if r.hypothesis_met is False]) >= 1, name
 
     def test_specific_counterexample_listed(self):
         outcome = CATALOG["consecutive-gcd-b"](SequenceParams(4), 10)
-        found = [r for r in outcome.expected_failures if r.inputs["n"] == 2]
+        found = [r for r in outcome.failures
+                 if r.hypothesis_met is False and r.inputs["n"] == 2]
         assert found and found[0].lhs == 3
 
     def test_lucas_hypothesis_is_the_residue_condition(self):

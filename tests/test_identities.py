@@ -240,7 +240,7 @@ class TestFullSweep:
     @pytest.mark.parametrize("k", range(1, 13))
     def test_box_60_everything_holds(self, name, k):
         outcome = CATALOG[name](SequenceParams(k), 60)
-        assert outcome.failed == 0, outcome.violations[:3]
+        assert outcome.failed == 0, outcome.failures[:3]
         assert outcome.hypothesis_not_met == 0
         assert outcome.held == outcome.checked
 
@@ -297,7 +297,8 @@ class TestFullSweep:
             outcome = sweep(params, 12)
             assert outcome.failed == len(expected), name
             assert outcome.held == outcome.checked - len(expected), name
-            assert [(v.inputs, v.lhs, v.rhs) for v in outcome.violations] == expected, name
+            violations = [r for r in outcome.failures if r.hypothesis_met is True]
+            assert [(v.inputs, v.lhs, v.rhs) for v in violations] == expected, name
             if not expected:
                 clean.add(name)
         # only the rows that never read B miss the planted error; at k = 1
@@ -323,14 +324,16 @@ class TestFullSweep:
                     if not report.holds:
                         expected.append(report)
             outcome = sweep(params, 14)
+            violations = [r for r in outcome.failures if r.hypothesis_met is True]
+            expected_failures = [r for r in outcome.failures if r.hypothesis_met is False]
             if name == "index-divisibility" or residue_hypothesis(params):
-                assert outcome.violations == expected, name
+                assert violations == expected, name
                 assert outcome.failed == len(expected), name
                 assert outcome.held == outcome.checked - len(expected), name
-                assert outcome.hypothesis_not_met == 0 and not outcome.expected_failures
+                assert outcome.hypothesis_not_met == 0 and not expected_failures
             else:
-                assert outcome.expected_failures == expected, name
-                assert outcome.failed == 0 and not outcome.violations, name
+                assert expected_failures == expected, name
+                assert outcome.failed == 0 and not violations, name
                 assert outcome.hypothesis_not_met == outcome.checked, name
                 assert outcome.held == 0, name
             if expected:

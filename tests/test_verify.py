@@ -117,6 +117,24 @@ class TestDeclarations:
         with pytest.raises(ValueError, match=rf"^cassini-b\(n={shown}\) takes integer indices$"):
             CATALOG["cassini-b"].at(SequenceParams(3), n=value)
 
+    @pytest.mark.parametrize("value", [2.5, True, -3, "4", None])
+    def test_bad_max_index_rejected(self, value):
+        # 2.5 once raised the engines' "n must be an int", True swept as 1,
+        # -3 returned 0 checks that held, and "4" raised a bare TypeError
+        shown = re.escape(repr(value))
+        with pytest.raises(ValueError,
+                           match=rf"^cassini-b sweeps to an int max index >= 0, got {shown}$"):
+            CATALOG["cassini-b"](SequenceParams(2), value)
+
+    @pytest.mark.parametrize("name", list(CATALOG))
+    def test_every_row_sweeps_from_max_index_0(self, name):
+        row = CATALOG[name]
+        outcome = row(SequenceParams(2), 0)
+        assert outcome.checked == sum(len(last) for *_, last in row.domain(0))
+        assert outcome.failed == 0
+        with pytest.raises(ValueError, match=rf"^{name} sweeps to an int max index >= 0, got -1$"):
+            row(SequenceParams(2), -1)
+
 
 # the JSON keys of a report entry, by kind
 ENTRY_KEYS = {
@@ -195,7 +213,6 @@ class TestConfigValidation:
 class TestRunVerify:
     def test_clean_run_exits_zero(self):
         report = run_verify(VerifyRunConfig(2, 3, 12))
-        assert report.exit_code == 0
         assert report.summary["all_held"]
         assert report.summary["total_failed"] == 0
         assert report.summary["total_hypothesis_not_met"] == 0
@@ -204,7 +221,7 @@ class TestRunVerify:
     def test_residue_violators_are_pooled_not_failed(self):
         config = VerifyRunConfig(4, 4, 10, tuple(resolve_identities("consecutive-gcd")))
         report = run_verify(config)
-        assert report.exit_code == 0
+        assert report.summary["all_held"]
         assert report.summary["total_hypothesis_not_met"] > 0
         listed = [r for r in report.results if not r.hypothesis_met and not r.holds]
         assert listed
@@ -250,13 +267,58 @@ class TestFailurePoolHeads:
             merged = SweepOutcome(name)
             for k in range(1, 13):
                 merged.merge(CATALOG[name](SequenceParams(k), 9))
-            for pool in (merged.violations, merged.expected_failures):
+            for met in (True, False):
+                pool = [r for r in merged.failures if r.hypothesis_met is met]
                 expected += sorted(pool, key=verify._sort_key)[:max_listed]
         expected.sort(key=verify._sort_key)
         report = run_verify(config)
         assert report.summary["total_failed"] > 0
         assert report.summary["total_hypothesis_not_met"] > 0
         assert report.results == expected
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("max_listed", [1, 3])
+    def test_cut_listings_through_forked_workers(self, planted_b7, forks, max_listed, workers):
+        # each child cuts its tasks' listings before it pickles them, and
+        # the parent lists the merged cuts again
+        config = VerifyRunConfig(1, 12, 9, max_listed=max_listed)
+        serial = run_verify(config)
+        assert not forks
+        assert serial.summary["total_failed"] > 0
+        assert serial.summary["total_hypothesis_not_met"] > 0
+        assert run_verify(config, workers=workers) == serial
+        assert len(forks) == workers - 1 and no_child_left()
+        for counts in serial.summary["per_identity"].values():
+            assert counts["held"] == (counts["checked"] - counts["failed"]
+                                      - counts["hypothesis_not_met"])
+
+
+# failing reports with distinct (name, inputs), as a sweep makes them
+LISTED_REPORTS = st.lists(
+    st.builds(Report, name=st.sampled_from(["cassini-b", "strong-gcd", "vajda-1"]),
+              inputs=st.dictionaries(st.sampled_from(["k", "m", "n"]), st.integers(0, 4),
+                                     min_size=1),
+              lhs=st.integers(0, 3), rhs=st.integers(0, 3), holds=st.just(False),
+              hypothesis_met=st.booleans(), kind=st.sampled_from(list(KIND_KEYS))),
+    max_size=40, unique_by=lambda r: (r.name, tuple(sorted(r.inputs.items()))),
+)
+
+
+class TestListed:
+    @settings(max_examples=300, deadline=None)
+    @given(reports=LISTED_REPORTS, max_listed=st.integers(1, 5), data=st.data())
+    def test_listing_of_listings_is_the_listing(self, reports, max_listed, data):
+        seats = data.draw(st.lists(st.integers(0, 3), min_size=len(reports),
+                                   max_size=len(reports)))
+        parts = [[r for r, seat in zip(reports, seats) if seat == part] for part in range(4)]
+        ordered = sorted(reports, key=lambda r: (r.name, sorted(r.inputs.items())))
+        oracle = [r for i, r in enumerate(ordered)
+                  if sum((s.name, s.hypothesis_met) == (r.name, r.hypothesis_met)
+                         for s in ordered[:i]) < max_listed]
+        whole = verify._listed(reports, max_listed)
+        assert whole == oracle
+        listings = [r for part in parts for r in verify._listed(part, max_listed)]
+        assert verify._listed(listings, max_listed) == whole
 
 
 class TestWorkers:
