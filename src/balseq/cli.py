@@ -11,8 +11,9 @@ limit, so the CLI neither reads nor changes that process-wide setting.
 `term` on the three logarithmic engines, `table` and `series` compute in
 exact `decimal.Decimal` (the library's `one=Decimal(1)` form), which
 multiplies big terms faster than int and prints them in linear time;
-`term --engine iterative` computes in int, and `bench` times each engine in
-the number type `term` computes in on it.  The caller's decimal context is
+`term --engine iterative` computes in int.  `term` and `bench` compute a
+term through one helper, `_term`, so `bench` times each engine in the
+number type `term` computes in on it.  The caller's decimal context is
 left as it was.  `table` computes and holds one k's terms at a time, for the
 n window asked only, and writes every format a row at a time; `series`
 writes every format a coefficient at a time.  CSV lines are joined
@@ -168,22 +169,24 @@ def _write_json_items(head: str, items, tail: str) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _one(engine: Engine) -> int | Decimal:
-    """The `one` that `term` and `bench` compute with on an engine.
+def _term(seq, params, n, engine, iterative_cap) -> int | Decimal:
+    """The term that `term` prints and `bench` times: `term_b` or `term_c`,
+    read from this module when called, in int on the iterative engine and
+    in exact Decimal on the others.
 
     Iterative stays on int: its n small-by-big multiply-adds are cheaper in
     int. At k 5, n = 10^5 the recurrence took 3.3-3.7 s on int against
     6.4-7.6 s on Decimal (2-core x86-64, Python 3.11).
     """
-    return 1 if engine is Engine.ITERATIVE else Decimal(1)
+    fn = term_b if seq == "B" else term_c
+    one = 1 if engine is Engine.ITERATIVE else Decimal(1)
+    return fn(params, n, engine, iterative_cap=iterative_cap, one=one)
 
 
 def cmd_term(args) -> int:
     params = SequenceParams(args.k)
-    engine = ENGINES[args.engine]
-    fn = term_b if args.seq == "B" else term_c
-    value = decimal_str(fn(params, args.n, engine, iterative_cap=args.iterative_cap,
-                           one=_one(engine)))
+    value = decimal_str(_term(args.seq, params, args.n, ENGINES[args.engine],
+                              args.iterative_cap))
     if args.format == "plain":
         print(value)
     elif args.format == "csv":
@@ -340,7 +343,6 @@ def cmd_bench(args) -> int:
     for name in engine_names:
         if name not in ENGINES:
             raise ValueError(f"unknown engine {name!r}")
-    fn = term_b if args.seq == "B" else term_c
 
     rows = []
     for n in dict.fromkeys(args.n):  # an n listed twice, too, is timed once
@@ -349,7 +351,7 @@ def cmd_bench(args) -> int:
         best, values = {}, {}
         for name in engine_names:
             try:
-                runs = [_timed(fn, params, n, ENGINES[name], args.iterative_cap)
+                runs = [_timed(args.seq, params, n, ENGINES[name], args.iterative_cap)
                         for _ in range(args.reps)]
             except IterativeCapError:
                 continue
@@ -384,10 +386,10 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _timed(fn, params, n, engine, iterative_cap) -> tuple[float, int | Decimal]:
-    """One timed term, computed as `term` computes it on the engine."""
+def _timed(*term_args) -> tuple[float, int | Decimal]:
+    """One timed `_term(*term_args)`."""
     start = time.perf_counter()
-    value = fn(params, n, engine, iterative_cap=iterative_cap, one=_one(engine))
+    value = _term(*term_args)
     return time.perf_counter() - start, value
 
 

@@ -20,11 +20,13 @@ uniformly.  The iterative engine runs C's own recurrence from the seeds
 doubling reduce C to B: C_n = u + 3v for alpha^n = u + v*alpha, and
 C_n = B_{n+1} + 3(1-k)*B_n.
 
-`term_b` and `term_c` on the three logarithmic engines power only to
-m = n >> 1 and then compute the one term they return, because that last
-squaring has the largest operands and costs about as much as all the steps
-before it.  Each engine takes the entry it needs from the general product of
-its own representation, restricted to that entry:
+`term_b` and `term_c` are one body, `_term`, which differs between B and C
+only in the iterative seeds and in each engine's last step.  On the three
+logarithmic engines it powers only to m = n >> 1 and then computes the one
+term it returns, because that last squaring has the largest operands and
+costs about as much as all the steps before it.  Each engine takes the entry
+it needs from the general product of its own representation, restricted to
+that entry, for B and for C side by side:
 
   matrix     - the a21 entry of P@P (B_{2m}) or P@P@A (B_{2m+1}) for
                P = A^m, and of R@P@P or R@P@P@A for C;
@@ -65,7 +67,8 @@ so the caller's decimal context can never round a term.
 start..n_max is seeded from the doubling pair at `start`, so the terms
 below it are neither computed nor held.  A caller that builds both windows
 at one `start` computes that pair once, with `window_pair`, and hands it to
-both as `pair`.
+both as `pair`.  Both tables are one body, `_window`, which runs B's
+recurrence from that pair, or C's from the two C terms it gives.
 """
 
 from __future__ import annotations
@@ -216,12 +219,7 @@ def b_table(
     type of `one`; at start 0 that pair is (0, 1) and costs no product.  The
     terms are of the type of the pair.
     """
-    _check_window(start, n_max)
-    if pair is None:
-        pair = window_pair(params, start, one=one)
-    # the generator is drained inside the context, where its terms are made
-    with arithmetic_context(pair[1]):
-        return list(islice(_recurrence(params.k, *pair), n_max - start + 1))
+    return _window("B", params, n_max, start, one, pair)
 
 
 def c_table(
@@ -233,13 +231,21 @@ def c_table(
     start + 1, from `pair` = (B_start, B_start+1) as `b_table` is, and its
     terms are of the type of that pair.
     """
+    return _window("C", params, n_max, start, one, pair)
+
+
+def _window(seq: str, params: SequenceParams, n_max: int, start: int, one, pair) -> list[int]:
+    """The body of `b_table` (seq "B") and `c_table` (seq "C")."""
     _check_window(start, n_max)
     k = params.k
-    b_n, b_next = window_pair(params, start, one=one) if pair is None else pair
-    with arithmetic_context(b_next):
-        b_after = 3 * k * b_next + (1 - k) * b_n
-        seeds = (b_next + 3 * (1 - k) * b_n, b_after + 3 * (1 - k) * b_next)
-        return list(islice(_recurrence(k, *seeds), n_max - start + 1))
+    x0, x1 = window_pair(params, start, one=one) if pair is None else pair
+    # the generator is drained inside the context, where its terms are made
+    with arithmetic_context(x1):
+        if seq == "C":
+            # C_n = B_{n+1} + 3(1-k)*B_n at n = start and start + 1
+            b_after = 3 * k * x1 + (1 - k) * x0
+            x0, x1 = x1 + 3 * (1 - k) * x0, b_after + 3 * (1 - k) * x1
+        return list(islice(_recurrence(k, x0, x1), n_max - start + 1))
 
 
 def window_pair(params: SequenceParams, start: int, *, one=1) -> tuple[int, int]:
@@ -277,32 +283,7 @@ def term_b(
     one=1,
 ) -> int:
     """Exact B_{k,n} for n >= 0 via the chosen engine, of the type of `one`."""
-    _check_term(n, engine, iterative_cap)
-    k = params.k
-    m, odd = n >> 1, n & 1
-    with arithmetic_context(one):
-        if engine is Engine.ITERATIVE:
-            return next(islice(_recurrence(k, 0 * one, one), n, None))
-        if engine is Engine.MATRIX:
-            # the a21 entry of P@P, or of P@P@A, for P = A^m
-            p = mat_pow(a_matrix(params, one), m)
-            t = p.a11 + p.a22
-            if odd:
-                return p.a21 * (3 * k * t + p.a12) + p.a22 * p.a22
-            return p.a21 * t
-        if engine is Engine.BINET:
-            # the alpha coordinate of (u + v*alpha)^2, or of that times alpha
-            u, v = alpha_power_components(params, m, one)
-            if odd:
-                w = u + 3 * k * v
-                return w * w - (k - 1) * (v * v)
-            return v * (2 * u + 3 * k * v)
-        if engine is Engine.FAST_DOUBLING:
-            a, b = _doubling_pair(k, m, one)
-            if odd:
-                return b * b + (1 - k) * (a * a)
-            return a * (2 * b - 3 * k * a)
-    raise ValueError(f"unknown engine {engine!r}")
+    return _term("B", params, n, engine, iterative_cap, one)
 
 
 def term_c(
@@ -314,31 +295,49 @@ def term_c(
     one=1,
 ) -> int:
     """Exact C_{k,n} for n >= 0 via the chosen engine, of the type of `one`."""
+    return _term("C", params, n, engine, iterative_cap, one)
+
+
+def _term(seq: str, params: SequenceParams, n: int, engine: Engine, iterative_cap: int,
+          one) -> int:
+    """The body of `term_b` (seq "B") and `term_c` (seq "C"): each engine's
+    power to m = n >> 1, then the B or the C last step."""
     _check_term(n, engine, iterative_cap)
     k = params.k
     m, odd = n >> 1, n & 1
     with arithmetic_context(one):
         if engine is Engine.ITERATIVE:
-            return next(islice(_recurrence(k, one, 3 * one), n, None))
+            seeds = (0 * one, one) if seq == "B" else (one, 3 * one)
+            return next(islice(_recurrence(k, *seeds), n, None))
         if engine is Engine.MATRIX:
-            # the a21 entry of R@P@P, or of R@P@P@A, for P = A^m
+            # the a21 entry of P@P or P@P@A for B, and of R@P@P or R@P@P@A
+            # for C, where P = A^m
             p = mat_pow(a_matrix(params, one), m)
             t = p.a11 + p.a22
+            if seq == "B":
+                return p.a21 * (3 * k * t + p.a12) + p.a22 * p.a22 if odd else p.a21 * t
             if odd:
                 return (3 * k * (p.a11 * p.a11) + 3 * (1 - k) * (p.a22 * p.a22)
                         + p.a12 * (3 * p.a21 + t) + 9 * k * (1 - k) * (p.a21 * t))
             return p.a11 * p.a11 + p.a21 * (p.a12 + 3 * (1 - k) * t)
         if engine is Engine.BINET:
-            # C_n is u + 3v for alpha^n = u + v*alpha (u = (1-k)*B_{n-1}), here
-            # of (u + v*alpha)^2, or of that times alpha
+            # the alpha coordinate (B) or u + 3v (C) of (u + v*alpha)^2, or of
+            # that times alpha, where u + v*alpha = alpha^m
             u, v = alpha_power_components(params, m, one)
+            if seq == "B":
+                if odd:
+                    w = u + 3 * k * v
+                    return w * w - (k - 1) * (v * v)
+                return v * (2 * u + 3 * k * v)
             if odd:
                 return u * (3 * u + 2 * (8 * k + 1) * v) + (24 * k * k + 3) * (v * v)
             w = u + 3 * v
             return w * w + 8 * (k - 1) * (v * v)
         if engine is Engine.FAST_DOUBLING:
-            # C_m = B_{m+1} + 3(1-k)*B_m, then C_{2m} or C_{2m+1} from it
             a, b = _doubling_pair(k, m, one)
+            if seq == "B":
+                return b * b + (1 - k) * (a * a) if odd else a * (2 * b - 3 * k * a)
+            # C_m = B_{m+1} + 3(1-k)*B_m, then C_{2m} or C_{2m+1} from it
             c = b + 3 * (1 - k) * a
             if odd:
                 return c * (3 * b + (1 - k) * a) + 8 * (k - 1) * (a * b)

@@ -5,13 +5,16 @@ oracles or is a frozen value that was computed with them (or taken from the
 published value table where that table is consistent with the recurrence).
 The planted_b7 fixture plants one wrong term, so tests can watch the
 failure path.  The forks fixture makes every verify run fork its workers
-from the first sweep and records each fork.  counting_type makes a number
-type that logs each product of two of its values, for the tests that count
-an engine's full-size products.
+from the first sweep and records each fork; second_fork_fails does the
+same but makes the second fork fail as a full process table would, and
+open_fds counts this process's file descriptors.  counting_type makes a
+number type that logs each product of two of its values, for the tests
+that count an engine's full-size products.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 from fractions import Fraction
 
@@ -113,6 +116,30 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     return made
+
+
+@pytest.fixture
+def second_fork_fails(forks, monkeypatch):
+    """As forks, but the second os.fork raises EAGAIN; returns the pids made."""
+    counting_fork, calls = os.fork, []
+
+    def fork():
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return counting_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def open_fds() -> int | None:
+    """The number of file descriptors this process has open, or None where
+    /proc/self/fd is missing."""
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
 
 
 def no_child_left() -> bool:

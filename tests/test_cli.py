@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import decimal
+import errno
 import hashlib
 import io
 import json
@@ -21,7 +22,7 @@ from balseq.genfunc import b_series
 from balseq.ring import SequenceParams
 from balseq.verify import CATALOG
 
-from conftest import no_child_left, oracle_b, oracle_c
+from conftest import no_child_left, open_fds, oracle_b, oracle_c
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +264,16 @@ class TestTable:
     def test_bad_range_reason_is_printed(self, capsys):
         assert main(["table", "--k", "1..x", "--n", "0..3"]) == 2
         assert "invalid range '1..x', expected 'lo..hi' or an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    @pytest.mark.parametrize("argv,reason", [
+        (("--k", "0..3", "--n", "0..2"), "k must be >= 1"),
+        # with the "=", argparse reads -1..2 as the value, not as an option
+        (("--k", "1..2", "--n=-1..2"), "n must be >= 0"),
+    ])
+    def test_range_below_its_floor_writes_nothing(self, capsys, fmt, argv, reason):
+        # checked before the header is written
+        assert run_cli(capsys, "table", *argv, "--format", fmt) == (2, "", f"error: {reason}\n")
 
     # sha256 of `table` stdout per (argv, format), taken from the code that
     # computed the whole table in int and wrote CSV through csv.writer
@@ -701,6 +712,15 @@ class TestVerifyWorkers:
         assert path.read_text(encoding="utf-8") == (
             "before the run\n"
             "verify: all held (checked=10362, failed=0, hypothesis_not_met=182)\n")
+
+    def test_failed_fork_exits_2_with_one_line(self, capsys, second_fork_fails, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        fds = open_fds()
+        code, out, err = run_cli(capsys, *self.ARGV, "--threads", "3")
+        assert code == 2 and out == ""
+        assert err == f"error: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"
+        assert len(second_fork_fails) == 1 and no_child_left()
+        assert open_fds() == fds
 
     def test_failing_child_exits_2_with_one_line(self, capsys, forks, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

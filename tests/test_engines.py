@@ -103,6 +103,12 @@ class TestTermB:
         with pytest.raises(ValueError, match=r"^n must be an int, got "):
             fn(SequenceParams(2), n, engine)
 
+    @pytest.mark.parametrize("fn", [term_b, term_c])
+    def test_engine_value_is_not_an_engine(self, fn):
+        # each engine is matched by identity, so its name falls through
+        with pytest.raises(ValueError, match=r"^unknown engine 'doubling'$"):
+            fn(SequenceParams(2), 5, "doubling")
+
     @pytest.mark.parametrize("table", [b_table, c_table])
     def test_non_int_table_bounds_rejected(self, table):
         with pytest.raises(ValueError, match="n must be an int"):

@@ -235,6 +235,13 @@ class TestPowerSumAndCFromB:
         assert CATALOG["c-from-b"].at(SequenceParams(3), n=2).holds
 
 
+def test_context_seq_names_b_or_c():
+    ctx = TermContext(SequenceParams(3)).ensure(4)
+    assert ctx.seq("B") is ctx.b and ctx.seq("C") is ctx.c
+    with pytest.raises(ValueError, match=r"^seq must be 'B' or 'C', got 'b'$"):
+        ctx.seq("b")
+
+
 class TestFullSweep:
     @pytest.mark.parametrize("name", IDENTITY_NAMES)
     @pytest.mark.parametrize("k", range(1, 13))

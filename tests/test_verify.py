@@ -1,4 +1,5 @@
 import decimal
+import errno
 import json
 import os
 import re
@@ -27,7 +28,7 @@ from balseq.verify import (
 )
 from balseq.ring import SequenceParams
 
-from conftest import no_child_left
+from conftest import no_child_left, open_fds
 
 
 def exact_from_str(text: str) -> int | Fraction:
@@ -355,6 +356,16 @@ class TestWorkers:
         monkeypatch.setattr(verify, "SERIAL_BUDGET_S", 60)
         run_verify(self.CONFIG, workers=4)
         assert not forks
+
+    def test_failed_fork_closes_its_pipe_and_reaps(self, second_fork_fails):
+        # the first child is killed and reaped, and the pipe made for the
+        # second is closed; the error is the fork's own
+        fds = open_fds()
+        with pytest.raises(OSError) as caught:
+            run_verify(self.CONFIG, workers=3)
+        assert caught.value.errno == errno.EAGAIN
+        assert len(second_fork_fails) == 1 and no_child_left()
+        assert open_fds() == fds
 
     @pytest.mark.parametrize("workers", [0, -1, 2.0, True, "2"])
     def test_bad_workers_rejected(self, workers):
