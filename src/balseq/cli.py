@@ -58,7 +58,6 @@ from .engines import (
     IterativeCapError,
     b_table,
     c_table,
-    check_iterative_cap,
     term_b,
     term_c,
     window_pair,
@@ -126,11 +125,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("plain", "csv", "json"), default="plain",
         help="output format (default plain)",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true",
-        help="read by verify only: plain output keeps just the verdict line,"
-        " and no errata note goes to stderr",
     )
 
 
@@ -227,13 +221,11 @@ def _table_rows(k_range, n_range, seqs):
     (k_lo, k_hi), (n_lo, n_hi) = k_range, n_range
     if n_lo > n_hi:
         return
-    one = Decimal(1)
     for k in range(k_lo, k_hi + 1):
         params = SequenceParams(k)
-        # B and C are seeded from one doubling pair
-        pair = window_pair(params, n_lo, one=one)
-        tables = ((b_table if seq == "B" else c_table)(params, n_hi, start=n_lo, one=one,
-                                                       pair=pair)
+        # B and C are seeded from one doubling pair, which makes them Decimal
+        pair = window_pair(params, n_lo, one=Decimal(1))
+        tables = ((b_table if seq == "B" else c_table)(params, n_hi, start=n_lo, pair=pair)
                   for seq in seqs)
         # only the loop holds this k's terms, so they are freed before the
         # next k's are computed
@@ -333,7 +325,6 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     if args.reps < 1:
         raise ValueError("reps must be >= 1")
-    check_iterative_cap(args.iterative_cap)
     params = SequenceParams(args.k)
     # a name listed twice is timed once, at its first place
     engine_names = (
@@ -461,6 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
                           default=None, metavar="PATH",
                           help="also write the machine-checked errata document")
     _add_common(p_verify)
+    p_verify.add_argument("--quiet", action="store_true",
+                          help="plain output keeps just the verdict line, and no errata"
+                          " note goes to stderr")
     p_verify.set_defaults(handler=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="time the engines against each other")

@@ -41,11 +41,10 @@ that entry, for B and for C side by side:
                numbers).
 
 The step makes 1-4 products of full size on matrix and 1-2 on binet and
-doubling, where the whole final state took 5 and 3.  A small constant
-multiplies a square once it is taken, as in (1-k)*(a*a): a product of one
-value with itself is a squaring, which libmpdec (like CPython's int) runs
-faster than a general product: 27 ms against 39 ms for a 350k-digit Decimal
-on a 2-core x86-64 machine.
+doubling.  A small constant multiplies a square once it is taken, as in
+(1-k)*(a*a): a product of one value with itself is a squaring, which
+libmpdec (like CPython's int) runs faster than a general product: 27 ms
+against 39 ms for a 350k-digit Decimal on a 2-core x86-64 machine.
 
 None of these formulas assumes anything of A^m or alpha^m beyond
 alpha^2 = 3k*alpha - (k-1), and no engine borrows another's recurrence, so
@@ -55,19 +54,22 @@ so a Decimal step cannot meet the non-terminating quotient that
 
 Every engine is generic over the number type: its loop uses only + - * with
 small int constants, and its seeds are built from the `one` that `term_b`,
-`term_c`, `b_table` and `c_table` take, so the terms come back as the type
-of `one`.  The default is int.  With `one=Decimal(1)` the multiplications
-run in libmpdec (number-theoretic transforms for big operands, where
-CPython's int uses Karatsuba) and the result prints in linear time.  Every
-function here that takes its number type from `one`, from a `pair` or from
-a matrix's entries computes Decimals inside `decimal_io.exact_context()`,
-so the caller's decimal context can never round a term.
+`term_c` and `window_pair` take, so the terms come back as the type of
+`one`.  The default is int.  `b_table` and `c_table` take their number type
+from their seed pair, not from a `one`.  With `one=Decimal(1)` the
+multiplications run in libmpdec (number-theoretic transforms for big
+operands, where CPython's int uses Karatsuba) and the result prints in
+linear time.  Every function here that takes its number type from `one`,
+from a `pair` or from a matrix's entries computes Decimals inside
+`decimal_io.exact_context()`, so the caller's decimal context can never
+round a term.
 
-`b_table` and `c_table` also take a keyword-only `start`: a window
+`b_table` and `c_table` take a keyword-only `start`: a window
 start..n_max is seeded from the doubling pair at `start`, so the terms
 below it are neither computed nor held.  A caller that builds both windows
-at one `start` computes that pair once, with `window_pair`, and hands it to
-both as `pair`.  Both tables are one body, `_window`, which runs B's
+at one `start`, or wants Decimal terms, computes that pair once with
+`window_pair` and hands it to both as `pair`; without one the window is
+seeded in int.  Both tables are one body, `_window`, which runs B's
 recurrence from that pair, or C's from the two C terms it gives.
 """
 
@@ -164,15 +166,6 @@ def r_base_matrix(params: SequenceParams) -> Mat2:
     return Mat2(3, 1 - k, 1, 3 * (1 - k))
 
 
-def check_iterative_cap(cap: int) -> None:
-    """Reject an iterative cap that is not an int (a bool included), or is
-    negative, which no index could satisfy."""
-    if not is_int(cap):
-        raise ValueError(f"iterative cap must be an int, got {cap!r}")
-    if cap < 0:
-        raise ValueError("iterative cap must be >= 0")
-
-
 def _check_n(n: int) -> None:
     if not is_int(n):
         raise ValueError(f"n must be an int, got {n!r}")
@@ -181,9 +174,13 @@ def _check_n(n: int) -> None:
 
 
 def _check_term(n: int, engine: Engine, iterative_cap: int) -> None:
-    """The argument checks of `term_b` and `term_c`: the cap, then n, then n
-    against the cap on the iterative engine."""
-    check_iterative_cap(iterative_cap)
+    """The argument checks of `term_b` and `term_c`: the cap, which must be
+    an int >= 0 (a bool is not), then n, then n against the cap on the
+    iterative engine."""
+    if not is_int(iterative_cap):
+        raise ValueError(f"iterative cap must be an int, got {iterative_cap!r}")
+    if iterative_cap < 0:
+        raise ValueError("iterative cap must be >= 0")
     _check_n(n)
     if engine is Engine.ITERATIVE and n > iterative_cap:
         raise IterativeCapError(f"n={n} exceeds iterative cap {iterative_cap}")
@@ -209,36 +206,32 @@ def _check_window(start: int, n_max: int) -> None:
         raise ValueError(f"start must be in 0..n_max, got {start} for n_max {n_max}")
 
 
-def b_table(
-    params: SequenceParams, n_max: int, *, start: int = 0, one=1, pair=None
-) -> list[int]:
+def b_table(params: SequenceParams, n_max: int, *, start: int = 0, pair=None) -> list[int]:
     """B_{k,start..n_max} by the defining recurrence (the iterative engine in bulk).
 
     The recurrence starts from `pair` = (B_start, B_start+1) when the caller
-    has it already, at any start, and otherwise from `window_pair` of the
-    type of `one`; at start 0 that pair is (0, 1) and costs no product.  The
-    terms are of the type of the pair.
+    has it already, at any start, and otherwise from the int `window_pair`;
+    at start 0 that pair is (0, 1) and costs no product.  The terms are of
+    the type of the pair.
     """
-    return _window("B", params, n_max, start, one, pair)
+    return _window("B", params, n_max, start, pair)
 
 
-def c_table(
-    params: SequenceParams, n_max: int, *, start: int = 0, one=1, pair=None
-) -> list[int]:
+def c_table(params: SequenceParams, n_max: int, *, start: int = 0, pair=None) -> list[int]:
     """C_{k,start..n_max} by the defining recurrence.
 
     The window is seeded with C_n = B_{n+1} + 3(1-k)*B_n at n = start and
     start + 1, from `pair` = (B_start, B_start+1) as `b_table` is, and its
     terms are of the type of that pair.
     """
-    return _window("C", params, n_max, start, one, pair)
+    return _window("C", params, n_max, start, pair)
 
 
-def _window(seq: str, params: SequenceParams, n_max: int, start: int, one, pair) -> list[int]:
+def _window(seq: str, params: SequenceParams, n_max: int, start: int, pair) -> list[int]:
     """The body of `b_table` (seq "B") and `c_table` (seq "C")."""
     _check_window(start, n_max)
     k = params.k
-    x0, x1 = window_pair(params, start, one=one) if pair is None else pair
+    x0, x1 = window_pair(params, start) if pair is None else pair
     # the generator is drained inside the context, where its terms are made
     with arithmetic_context(x1):
         if seq == "C":

@@ -30,7 +30,7 @@ from typing import Callable
 from .engines import term_b_negative
 from .genfunc import c_series
 from .ring import SequenceParams
-from .verify import CATALOG, Sides, SweepOutcome
+from .verify import CATALOG, Sides, SweepOutcome, _row
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,12 @@ def _printed(row: Sides, rhs: Callable[..., list]) -> tuple[Sides, Sides]:
     return replace(row, name=f"{row.name} as printed", sides=sides), row
 
 
-def _column(name: str, lo: int, hi: float, lhs: Callable, verified: Callable,
+def _column(name: str, lo: int, lhs: Callable, verified: Callable,
             printed: Callable) -> tuple[Sides, Sides]:
-    """(printed row, verified row) over one index lo <= n <= hi, each side a
-    function of (ctx, n): lhs against printed, and lhs against verified."""
-    row = Sides(name, lambda n: n, lambda m: [(range(lo, min(m, hi) + 1),)],
-                lambda n: lo <= n <= hi,
+    """(printed row, verified row) over one index n >= lo, each side a
+    function of (ctx, n): lhs against printed, and lhs against verified.
+    The entry's max_index bounds n."""
+    row = Sides(name, lambda n: n, *_row(lo),
                 lambda ctx, ns: ([lhs(ctx, n) for n in ns], [verified(ctx, n) for n in ns]))
     return _printed(row, lambda ctx, ns: [printed(ctx, n) for n in ns])
 
@@ -104,7 +104,7 @@ ERRATA: tuple[Erratum, ...] = (
         "k = 1 column of the reference value table",
         "B_(1,n) = 3^n for n >= 2 (column 9, 27, 81, 243)",
         "B_(1,n) = 3^(n-1), which the recurrence B_(1,n) = 3*B_(1,n-1) with B_(1,1) = 1 forces",
-        _column("b1-column", 2, math.inf, lambda ctx, n: ctx.b[n],
+        _column("b1-column", 2, lambda ctx, n: ctx.b[n],
                 lambda ctx, n: 3 ** (n - 1), lambda ctx, n: 3**n),
         ks=range(1, 2),
     ),
@@ -113,7 +113,7 @@ ERRATA: tuple[Erratum, ...] = (
         "k = 2 column, rows n = 4 and n = 5",
         "B_(2,4) = 1189 and B_(2,5) = 6930",
         "204 and 1189; the printed values are B_(2,5) and B_(2,6), one row too early",
-        _column("b2-row-shift", 4, 5, lambda ctx, n: ctx.b[n],
+        _column("b2-row-shift", 4, lambda ctx, n: ctx.b[n],
                 lambda ctx, n: {4: 204, 5: 1189}[n], lambda ctx, n: {4: 1189, 5: 6930}[n]),
         ks=range(2, 3), max_index=5,
     ),
@@ -122,7 +122,7 @@ ERRATA: tuple[Erratum, ...] = (
         "general-column polynomial for C_(k,4)",
         "C_(k,4) = 27k^3 - 8k^2 + 16k + 1",
         "C_(k,4) = 72k^3 - 8k^2 + 16k + 1 (matches the table's own 577, 1921, 4545)",
-        _column("c4-polynomial", 4, 4, lambda ctx, n: ctx.c[n], _c4(72), _c4(27)),
+        _column("c4-polynomial", 4, lambda ctx, n: ctx.c[n], _c4(72), _c4(27)),
         max_index=4,
     ),
     Erratum(
@@ -131,7 +131,7 @@ ERRATA: tuple[Erratum, ...] = (
         "B_(k,-n) = -(1-k)^(-n) * B_(k,n)",
         "B_(k,-n) = -(k-1)^(-n) * B_(k,n) (engines.term_b_negative), the form the"
         " backward recurrence satisfies; undefined at k = 1",
-        _column("negative-index-sign-base", 1, math.inf, _b_backward,
+        _column("negative-index-sign-base", 1, _b_backward,
                 lambda ctx, n: term_b_negative(ctx.params, n),
                 lambda ctx, n: Fraction(-ctx.b[n], (1 - ctx.params.k) ** n)),
         "exactly at even n", lambda k, n: n % 2 == 0, ks=range(2, 13),
@@ -141,7 +141,7 @@ ERRATA: tuple[Erratum, ...] = (
         "numerator of the C generating function",
         "1 + 3x(1+k)",
         "1 + 3x(1-k), since c_1 must be 3k*C_0 + num_1 = C_1 = 3",
-        _column("c-series-numerator", 0, math.inf, lambda ctx, n: ctx.c[n],
+        _column("c-series-numerator", 0, lambda ctx, n: ctx.c[n],
                 lambda ctx, n: c_series(ctx.params, n).expansion[n],
                 lambda ctx, n: c_series(ctx.params, n, variant="printed").expansion[n]),
         "exactly at n = 0", lambda k, n: n == 0,

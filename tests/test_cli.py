@@ -4,9 +4,11 @@ import csv
 import decimal
 import errno
 import hashlib
+import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1041,6 +1043,29 @@ class TestSharedParser:
             assert (code, out) == (proc.returncode, proc.stdout), argv
             # usage lines wrap at the terminal's width; the last line is the reason
             assert err.splitlines()[-1:] == proc.stderr.splitlines()[-1:], argv
+
+
+class TestOptions:
+    def test_every_option_is_read_by_its_handler(self):
+        # an option its handler never reads is a setting that changes nothing
+        (commands,) = [action.choices for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        for command, parser in commands.items():
+            source = inspect.getsource(parser.get_default("handler"))
+            unread = [action.dest for action in parser._actions if action.dest != "help"
+                      and not re.search(rf"\bargs\.{action.dest}\b", source)]
+            assert unread == [], command
+
+    @pytest.mark.parametrize("argv", [
+        ("term", "--seq", "B", "--k", "2", "--n", "5"),
+        ("table", "--k", "2", "--n", "0..3"),
+        ("series", "--seq", "B", "--k", "2", "--N", "3"),
+        ("bench", "--k", "2", "--n", "5", "--reps", "1"),
+    ])
+    def test_quiet_is_a_verify_flag_only(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--quiet")
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == "balseq: error: unrecognized arguments: --quiet"
 
 
 class TestExitCodeContract:

@@ -453,7 +453,7 @@ class TestTables:
     def test_decimal_text_equals_int_path(self, fn, k):
         params = SequenceParams(k)
         want = fn(params, 3000)
-        got = fn(params, 3000, one=Decimal(1))
+        got = fn(params, 3000, pair=window_pair(params, 0, one=Decimal(1)))
         assert [decimal_str(x) for x in got] == [decimal_str(x) for x in want]
 
     @pytest.mark.parametrize("fn", [b_table, c_table])
@@ -465,16 +465,18 @@ class TestTables:
             assert fn(params, 3000, start=start) == full[start:3001], start
             assert fn(params, start + 5, start=start) == full[start:start + 6], start
             assert fn(params, start, start=start) == [full[start]], start
-        window = fn(params, 3000, start=2999, one=Decimal(1))
+        window = fn(params, 3000, start=2999, pair=window_pair(params, 2999, one=Decimal(1)))
         assert [decimal_str(x) for x in window] == [decimal_str(x) for x in full[2999:3001]]
 
     @pytest.mark.parametrize("fn", [b_table, c_table])
     @pytest.mark.parametrize("start", [0, 1])
     def test_type_follows_one(self, fn, start):
+        # the number type is the seed pair's, and int without a pair
         params = SequenceParams(3)
         for n_max in (start, 1):
             assert {type(x) for x in fn(params, n_max, start=start)} == {int}
-            decimals = fn(params, n_max, start=start, one=Decimal(1))
+            pair = window_pair(params, start, one=Decimal(1))
+            decimals = fn(params, n_max, start=start, pair=pair)
             assert {type(x) for x in decimals} == {Decimal}
 
     @pytest.mark.parametrize("fn", [b_table, c_table])
@@ -496,8 +498,8 @@ class TestTables:
                 pair = window_pair(params, start, one=one)
                 assert pair == (b[start], b[start + 1])
                 assert {type(x) for x in pair} == {type(one)}
-                window = fn(params, start + 2, start=start, one=one, pair=pair)
-                assert window == fn(params, start + 2, start=start, one=one)
+                window = fn(params, start + 2, start=start, pair=pair)
+                assert window == fn(params, start + 2, start=start)
                 assert {type(x) for x in window} == {type(one)}
 
     def test_window_pair_rejects_a_negative_start(self):
@@ -507,11 +509,13 @@ class TestTables:
     @pytest.mark.parametrize("fn, oracle", [(b_table, oracle_b), (c_table, oracle_c)])
     @pytest.mark.parametrize("k", [1, 2, 7])
     def test_start_zero_seed_multiplies_no_two_terms(self, fn, oracle, k):
-        # a one-term window is its seed alone: at start 0 the seed costs no
-        # product, where a later start pays for its doubling pair
+        # a one-term window is its seed alone: at start 0 the seed pair and
+        # the table together cost no product, where a later start pays for
+        # its doubling pair
         for start, products_made in ((0, False), (40, True)):
             counted, products = counting_type()
-            (term,) = fn(SequenceParams(k), start, start=start, one=counted(1))
+            pair = window_pair(SequenceParams(k), start, one=counted(1))
+            (term,) = fn(SequenceParams(k), start, start=start, pair=pair)
             assert term.value == oracle(k, start)[start]
             assert bool(products) is products_made, start
 

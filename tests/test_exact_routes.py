@@ -6,8 +6,9 @@ The guard finds, by signature, every public function of `balseq.engines`,
 `one=Decimal(1)` inside a 9-digit decimal context, at sizes whose values
 have more than 9 digits.  The values must equal the int route's, come back
 as Decimals, and leave no flag in the caller's context.  The same holds for
-`mat_pow` and the matrix product, whose number type is their entries', and
-for `b_table`/`c_table` given a Decimal `pair`.  A new function that takes
+the routes whose number type is that of their arguments' values: `mat_pow`
+and the matrix product, typed by their entries, and `b_table`/`c_table`,
+typed by their seed `pair`, which take no `one`.  A new function that takes
 `one` fails the guard until it has a sample call here.  Every route refuses
 a float or complex `one`, or values of those types, in one line: a float
 term is rounded.
@@ -43,10 +44,8 @@ ONE_TAKERS = {
     "a_matrix": lambda one: a_matrix(HUGE_K, one),
     "alpha_power_components": lambda one: alpha_power_components(P, 200, one),
     "b_series": lambda one: b_series(P, 60, one=one).expansion,
-    "b_table": lambda one: b_table(P, 300, start=100, one=one),
     "c_series": lambda one: [c_series(P, 60, variant, one=one).expansion
                              for variant in ("corrected", "printed")],
-    "c_table": lambda one: c_table(P, 300, start=100, one=one),
     "expand": lambda one: expand([1, 7], [1, -15, 4], 60, one=one),
     "term_b": lambda one: [term_b(P, 201, engine, one=one) for engine in Engine],
     "term_c": lambda one: [term_c(P, 201, engine, one=one) for engine in Engine],
