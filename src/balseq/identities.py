@@ -13,12 +13,21 @@ ar_commute_sides) read an engine: the matrices whose representation they
 check.  Every verify identity row's arithmetic lives here.  A caller builds
 one TermContext for a k and calls the *_sides functions on it, a whole row
 of the last index at a time: the verify sweeps, and verify.Sides.at, which
-answers one point of a catalog row with a one-element range.  This module builds no report: verify turns the two side
-lists into a verify.Report where one is asked for.  The vajda-1 sweep also
-shares a table of products of B terms on its context, stored by diagonal
-(diagonals[d][a] = B_a*B_{a+d}), so that both products of a row over n are
-runs of two diagonals and a check costs one subtraction and one
-multiplication by k - 1; a single point builds no table.
+answers one point of a catalog row with a one-element range.  This module
+builds no report: verify turns the two side lists into a verify.Report
+where one is asked for.  The vajda sides raise ValueError on a row outside
+their domain.
+
+The vajda-1 sweep also shares a table of products of B terms on its
+context, stored by diagonal (diagonals[d][a] = B_a*B_{a+d}), so that both
+products of a row over n are runs of two diagonals and a check costs one
+subtraction and one multiplication by k - 1; a single point builds no
+table.  Rows (i, j) and (j, i) have equal sides, and the sweep runs them
+one after the other, so the context keeps the last row's lists and the
+mirrored row reuses them.  A full vajda-2 row likewise computes ell <=
+(m - n)/2 and fills in the rest from the mirror, ell <-> m - n - ell.  The
+caller still compares, counts and reports every point under its own
+inputs; a single point never reuses a row.
 """
 
 from __future__ import annotations
@@ -47,15 +56,18 @@ class TermContext:
     b[i] = B_{k,i}, c[i] = C_{k,i}, pk[i] = (k-1)^i, all empty until the
     first `ensure`.  A sweep that reads the same products of B terms many
     times may also share diagonals[d][a] = b[a]*b[a+d], built by
-    share_diagonals to the width each diagonal d is read at; growing b
-    drops it.
+    share_diagonals to the width each diagonal d is read at.  row_key and
+    row_sides hold the last vajda-1 row vajda1_sides computed, so that its
+    mirror, the next row, reuses its lists.  Growing b drops the product
+    table and the row.
     """
 
-    __slots__ = ("params", "b", "c", "pk", "diagonals")
+    __slots__ = ("params", "b", "c", "pk", "diagonals", "row_key", "row_sides")
 
     def __init__(self, params: SequenceParams) -> None:
         self.params = params
         self.b, self.c, self.pk, self.diagonals = [], [], [], []
+        self.row_key = self.row_sides = None
 
     def ensure(self, hi: int) -> TermContext:
         if hi >= len(self.b):
@@ -67,6 +79,7 @@ class TermContext:
                 pk.append(pk[-1] * norm)
             self.pk = pk
             self.diagonals = []
+            self.row_key = self.row_sides = None
         return self
 
     def share_diagonals(self, widths: Iterable[int]) -> None:
@@ -145,26 +158,55 @@ def vajda1_sides(ctx: TermContext, i: int, j: int, ns: range) -> SideLists:
     sequence parameter k is a separate quantity (statements of this identity
     sometimes reuse the letter k for an index).  The two lhs products are
     runs of diagonals |j - i| and i + j of ctx.diagonal, and each rhs is the
-    one before it times k - 1.
+    one before it times k - 1.  Rows (i, j) and (j, i) read the same
+    diagonals and the same B_i*B_j, so they have equal sides: a row whose
+    mirror (or itself) was the last row computed on ctx returns that row's
+    lists, which the caller must not change.
     """
     lo, hi = ns.start, ns.stop
-    a, b = min(i, j), ctx.b
+    if min(i, j, lo) < 0:
+        raise ValueError(f"vajda-1 row (i={i}, j={j}, n in {ns!r}) is outside the domain"
+                         " i, j, n >= 0")
+    key = (i, j, lo, hi) if i <= j else (j, i, lo, hi)
+    if ctx.row_key == key:
+        return ctx.row_sides
+    a, b = key[0], ctx.b
     lhs = list(map(sub, ctx.diagonal(abs(j - i), a + lo, a + hi),
                    ctx.diagonal(i + j, lo, hi)))
     first = ctx.pk[lo] * b[i] * b[j]
     rhs = list(islice(accumulate(repeat(ctx.params.norm), mul, initial=first), hi - lo))
+    ctx.row_key, ctx.row_sides = key, (lhs, rhs)
     return lhs, rhs
+
+
+def _mirrored(half: list, t: int) -> list:
+    """The values at ell = 0 .. t - 1, from half, those at ell <= t/2: the
+    value at ell > t/2 is the one at t - ell."""
+    return half + half[t - t // 2 - 1:0:-1]
 
 
 def vajda2_sides(ctx: TermContext, n: int, m: int, ells: range) -> SideLists:
     """Vajda, second form: B_{n+ell}*B_{m-ell} - B_n*B_m against
     (k-1)^n * B_{m-n-ell}*B_ell, for n, ell >= 0 and m > n + ell; k is the
     sequence parameter, as in the first form.  At (n, m, ell) both sides are
-    those of the first form at i = ell, j = m - n - ell and the same n."""
+    those of the first form at i = ell, j = m - n - ell and the same n.
+
+    ell and m - n - ell read the same products for 0 < ell < m - n, so a
+    full row (ells = range(m - n), with a mirrored pair in it) computes ell
+    <= (m - n)/2 and fills in the rest; any other range is computed as it is.
+    """
+    t = m - n
+    if n < 0 or ells and (min(ells[0], ells[-1]) < 0 or max(ells[0], ells[-1]) >= t):
+        raise ValueError(f"vajda-2 row (n={n}, m={m}, ell in {ells!r}) is outside the domain"
+                         " n, ell >= 0, m > n + ell")
     b = ctx.b
     bn_bm, pkn = b[n] * b[m], ctx.pk[n]
-    lhs = [b[n + ell] * b[m - ell] - bn_bm for ell in ells]
-    rhs = [pkn * b[m - n - ell] * b[ell] for ell in ells]
+    full = t > 2 and ells == range(t)
+    half = range(t // 2 + 1) if full else ells
+    lhs = [b[n + ell] * b[m - ell] - bn_bm for ell in half]
+    rhs = [pkn * b[t - ell] * b[ell] for ell in half]
+    if full:
+        return _mirrored(lhs, t), _mirrored(rhs, t)
     return lhs, rhs
 
 

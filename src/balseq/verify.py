@@ -228,6 +228,17 @@ def _triangle(lo: int) -> tuple[Callable[[int], Iterable[tuple[int, range]]],
             lambda x, y: x >= lo and y <= x)
 
 
+def _mirrored_pairs(m: int) -> Iterable[tuple[int, int, range]]:
+    """The vajda-1 rows (i, j, range(m + 1)) for i, j <= m, each (j, i) right
+    after (i, j), whose sides vajda1_sides then reuses."""
+    ns = range(m + 1)
+    for i in range(m + 1):
+        yield i, i, ns
+        for j in range(i + 1, m + 1):
+            yield i, j, ns
+            yield j, i, ns
+
+
 def _twins(family: str, reach: Callable[..., int], domain: Callable[[int], Iterable[tuple]],
            where: Callable[..., bool], sides: Callable[..., SideLists],
            *fields, **named) -> list[Sides]:
@@ -244,8 +255,7 @@ CATALOG: dict[str, Sides] = {row.name: row for row in [
     *_twins("catalan", lambda n, r: n + max(r, 1), *_triangle(1), catalan_sides, ("n", "r")),
     *_twins("cassini", lambda n: n + 1, *_row(1), cassini_sides),
     *_twins("docagne", lambda m, n: m + 1, *_triangle(0), docagne_sides, ("m", "n")),
-    Sides("vajda-1", lambda i, j, n: n + i + j,
-          lambda m: product(range(m + 1), range(m + 1), [range(m + 1)]),
+    Sides("vajda-1", lambda i, j, n: n + i + j, _mirrored_pairs,
           lambda i, j, n: True, vajda1_sides, ("i", "j", "n"),
           # row (i, j) reads diagonal |j - i| <= m at a <= 2m - |j - i|, and
           # diagonal i + j <= 2m at a <= m

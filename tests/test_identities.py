@@ -1,10 +1,12 @@
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from balseq import identities
 from balseq.divisibility import residue_hypothesis
 from balseq.identities import (
     TermContext,
@@ -13,6 +15,7 @@ from balseq.identities import (
     catalan_sides,
     doubling_sides,
     vajda1_sides,
+    vajda2_sides,
 )
 from balseq.ring import SequenceParams
 from balseq.verify import CATALOG
@@ -492,6 +495,136 @@ class TestFullSweep:
                 assert CATALOG["catalan-c"].at(params, n=n, r=r).holds
                 assert CATALOG["docagne-c"].at(params, m=m, n=nn).holds
                 assert CATALOG["addition"].at(params, m=m, n=nn).holds
+
+
+def _tables(k: int, top: int):
+    """The B tables b[0..top] the mirrored-row tests read at k: the clean
+    one, then each entry corrupted in turn by +1 and by x7 (adding 1 is a
+    weak mutation where it keeps a product's factors coprime)."""
+    clean = oracle_b(k, top)
+    yield clean
+    for index in range(top + 1):
+        for corrupt in (lambda v: v + 1, lambda v: 7 * v):
+            table = list(clean)
+            table[index] = corrupt(table[index])
+            yield table
+
+
+def _fresh(params: SequenceParams, b: list[int], max_index: int) -> TermContext:
+    """A new context on table b, with the product table the vajda-1 sweep
+    at max_index shares, built from b."""
+    ctx = TermContext(params).ensure(len(b) - 1)
+    ctx.b = b
+    ctx.share_diagonals(CATALOG["vajda-1"].diagonals(max_index))
+    return ctx
+
+
+class TestMirroredVajdaRows:
+    """The symmetry the vajda sweeps reuse: vajda-1 rows (i, j) and (j, i),
+    and vajda-2 points ell and m - n - ell, have equal sides on any table,
+    so a sweep that computes one of them checks the same equation."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_vajda1_mirrored_rows_equal_on_fresh_contexts(self, k):
+        params, m = SequenceParams(k), 8
+        rows = [(i, j, ns) for i, j, ns in CATALOG["vajda-1"].domain(m) if i < j]
+        assert len(rows) == m * (m + 1) // 2
+        for b in _tables(k, 3 * m):
+            for i, j, ns in rows:
+                assert (vajda1_sides(_fresh(params, b, m), i, j, ns)
+                        == vajda1_sides(_fresh(params, b, m), j, i, ns)), (b, i, j)
+
+    def test_vajda1_domain_puts_mirrors_side_by_side(self):
+        rows = [(i, j) for i, j, _ in CATALOG["vajda-1"].domain(5)]
+        assert sorted(rows) == [(i, j) for i in range(6) for j in range(6)]
+        for (i, j), after in zip(rows, rows[1:] + [None]):
+            if i < j:
+                assert after == (j, i)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_full_vajda2_rows_equal_their_points(self, k, monkeypatch):
+        params, m = SequenceParams(k), 8
+        mirrored, fills = identities._mirrored, []
+
+        def spy(half, t):
+            fills.append(t)
+            return mirrored(half, t)
+
+        monkeypatch.setattr(identities, "_mirrored", spy)
+        for b in _tables(k, m):
+            ctx = TermContext(params).ensure(m)
+            ctx.b = b
+            for n, top, ells in CATALOG["vajda-2"].domain(m):
+                assert ells == range(top - n)
+                points = [vajda2_sides(ctx, n, top, range(ell, ell + 1)) for ell in ells]
+                lhs, rhs = vajda2_sides(ctx, n, top, ells)
+                assert (lhs, rhs) == ([p[0][0] for p in points], [p[1][0] for p in points])
+        # both sides of every row with a mirrored pair (m - n >= 3) filled
+        assert sorted(set(fills)) == list(range(3, m + 1))
+
+    def test_single_points_never_reuse(self, monkeypatch):
+        # Sides.at computes its one point: vajda-1 on a context holding no
+        # row, vajda-2 without filling from a mirror; the sweeps do both
+        params, m = SequenceParams(3), 6
+        entries, fills, mirrored = [], [], identities._mirrored
+
+        def vajda1_spy(ctx, i, j, ns):
+            entries.append((ctx.row_key, (min(i, j), max(i, j), ns.start, ns.stop)))
+            return vajda1_sides(ctx, i, j, ns)
+
+        def fill_spy(half, t):
+            fills.append(t)
+            return mirrored(half, t)
+
+        monkeypatch.setattr(identities, "_mirrored", fill_spy)
+        vajda1 = replace(CATALOG["vajda-1"], sides=vajda1_spy)
+        for name, row in (("vajda-1", vajda1), ("vajda-2", CATALOG["vajda-2"])):
+            for *lead, last in row.domain(m):
+                for x in last:
+                    assert row.at(params, **dict(zip(row.keys, (*lead, x)))).holds, name
+        assert len(entries) == (m + 1) ** 3
+        assert all(held is None for held, _ in entries)
+        assert fills == []
+        entries.clear()
+        assert vajda1(params, m).held == (m + 1) ** 3
+        assert sum(held == key for held, key in entries) == m * (m + 1) // 2
+        assert CATALOG["vajda-2"](params, m).held == m * (m + 1) * (m + 2) // 6
+        assert fills
+
+    def test_growing_the_tables_drops_the_row(self):
+        ctx = CATALOG["vajda-1"].context(SequenceParams(4), 3)
+        sides = vajda1_sides(ctx, 1, 2, range(4))
+        assert ctx.row_key == (1, 2, 0, 4) and ctx.row_sides == sides
+        mirror = vajda1_sides(ctx, 2, 1, range(4))
+        assert mirror is ctx.row_sides and mirror[0] is sides[0] and mirror[1] is sides[1]
+        ctx.ensure(20)
+        assert ctx.row_key is None and ctx.row_sides is None and ctx.diagonals == []
+
+    def test_planted_failures_are_closed_under_the_mirror(self, planted_b7):
+        outcome = CATALOG["vajda-1"](SequenceParams(2), 12)
+        failing = {(r.inputs["i"], r.inputs["j"], r.inputs["n"]): (r.lhs, r.rhs)
+                   for r in outcome.failures}
+        assert failing and len(failing) == outcome.failed
+        for (i, j, n), sides in failing.items():
+            assert failing[j, i, n] == sides, (i, j, n)
+
+    def test_vajda1_rejects_negative_indices(self):
+        ctx = CATALOG["vajda-1"].context(SequenceParams(5), 3)
+        for i, j, ns in ((-1, 2, range(3)), (2, -1, range(3)), (1, 1, range(-1, 2))):
+            with pytest.raises(ValueError, match=r"^vajda-1 row \(i=.*\) is outside the domain"
+                                                 r" i, j, n >= 0$"):
+                vajda1_sides(ctx, i, j, ns)
+        assert vajda1_sides(ctx, 0, 3, range(0, 1)) == ([0], [0])
+
+    def test_vajda2_rejects_rows_outside_the_domain(self):
+        ctx = TermContext(SequenceParams(5)).ensure(10)
+        for n, m, ells in ((-1, 4, range(2)), (1, 4, range(-1, 2)), (1, 4, range(4)),
+                           (2, 2, range(1)), (0, 5, range(-10**18, 3))):
+            with pytest.raises(ValueError, match=r"^vajda-2 row \(n=.*\) is outside the domain"
+                                                 r" n, ell >= 0, m > n \+ ell$"):
+                vajda2_sides(ctx, n, m, ells)
+        lhs, rhs = vajda2_sides(ctx, 1, 4, range(3))
+        assert vajda2_sides(ctx, 1, 4, range(2, 3)) == ([lhs[2]], [rhs[2]])
 
 
 class TestDeepSweep:

@@ -4,8 +4,9 @@ Runs a fixed list of `balseq` requests, each in a fresh interpreter on the
 `src/` tree beside this script, and prints one tab-separated line per
 request: the argv, the sha256 of stdout, the sha256 of stderr and the exit
 code.  The list covers every subcommand in every format, `table` windows
-from 0 and from 900, `verify --threads 2`, `--help` and `--version`, and
-the usage errors of `tests/test_cli.py`.  `bench` timings are masked in
+from 0 and from 900, `verify --threads 2` (the vajda rows, whose mirrored
+rows share their sides, among them), `--help` and `--version`, and the
+usage errors of `tests/test_cli.py`.  `bench` timings are masked in
 stdout before it is hashed, so two runs of one tree print the same lines.
 
 Run it on two trees and diff the outputs to compare their CLI contracts:
@@ -57,6 +58,8 @@ def _requests() -> list[list[str]]:
             [*verify, "--format", fmt],
             [*verify, "--identity", "catalan,strong-gcd", "--format", fmt],
             ["verify", "--k", "1..6", "--max-index", "20", "--threads", "2", "--format", fmt],
+            ["verify", "--identity", "vajda", "--k", "1..12", "--max-index", "20",
+             "--threads", "2", "--format", fmt],
             [*bench, "--format", fmt],
             ["bench", "--k", "5", "--n", "1000", "--engines", "matrix,doubling",
              "--seq", "C", "--reps", "2", "--format", fmt],
