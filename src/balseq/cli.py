@@ -37,8 +37,9 @@ what parsing, `term`, `table` and `bench` run: argparse, decimal, and the
 is imported by `_json`, which writes the JSON of `term`, `table`, `series`
 and `bench`.  `verify`'s report is written by `verify.report_to_json`, which
 takes only json's string escaper and runs none of its encoders.  So a `term`
-or `table` run loads neither `verify` nor `dataclasses`, and one that writes
-no JSON loads no `json` either.
+or `table` run loads no `verify`, one that writes no JSON loads no `json`
+either, and no run loads `dataclasses`: every record in the package is a
+named tuple.
 """
 
 from __future__ import annotations

@@ -23,18 +23,16 @@ The rendered document is a generated artifact (`balseq verify --emit-errata`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .engines import term_b_negative
 from .genfunc import c_series
 from .ring import SequenceParams
-from .verify import CATALOG, Sides, SweepOutcome, _row
+from .verify import CATALOG, Sides, SweepOutcome, _row, merge_outcomes
 
 
-@dataclass(frozen=True)
-class Erratum:
+class Erratum(NamedTuple):
     """A printed variant against the form this package implements.
 
     rows is (printed row, verified row).  holds says where on the box the
@@ -59,7 +57,7 @@ def _printed(row: Sides, rhs: Callable[..., list]) -> tuple[Sides, Sides]:
     """(printed row, row): row's lhs against rhs(ctx, *domain row), then row."""
     def sides(ctx, *args):
         return row.sides(ctx, *args)[0], rhs(ctx, *args)
-    return replace(row, name=f"{row.name} as printed", sides=sides), row
+    return row._replace(name=f"{row.name} as printed", sides=sides), row
 
 
 def _column(name: str, lo: int, lhs: Callable, verified: Callable,
@@ -185,13 +183,9 @@ ERRATA: tuple[Erratum, ...] = (
 
 def sweep(erratum: Erratum) -> tuple[SweepOutcome, SweepOutcome]:
     """The printed and the verified row's outcomes, each merged over the box."""
-    outcomes = []
-    for row in erratum.rows:
-        total = SweepOutcome(row.name)
-        for k in erratum.ks:
-            total.merge(row(SequenceParams(k), erratum.max_index))
-        outcomes.append(total)
-    return outcomes[0], outcomes[1]
+    printed, verified = (merge_outcomes(row(SequenceParams(k), erratum.max_index)
+                                        for k in erratum.ks) for row in erratum.rows)
+    return printed, verified
 
 
 def _evidence(erratum: Erratum) -> tuple[bool, list[str]]:

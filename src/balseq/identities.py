@@ -164,7 +164,7 @@ def vajda1_sides(ctx: TermContext, i: int, j: int, ns: range) -> SideLists:
     lists, which the caller must not change.
     """
     lo, hi = ns.start, ns.stop
-    if min(i, j, lo) < 0:
+    if min(i, j, lo) < 0 or ns.step != 1:
         raise ValueError(f"vajda-1 row (i={i}, j={j}, n in {ns!r}) is outside the domain"
                          " i, j, n >= 0")
     key = (i, j, lo, hi) if i <= j else (j, i, lo, hi)

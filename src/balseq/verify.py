@@ -13,7 +13,9 @@ is one list of rows keyed by name, each B/C family declared once for its -b
 and -c rows, and the per-identity counts are named once, in COUNTS.  Each row also
 states, per point, whether the point is in its domain and the largest term
 index its sides read there, so that the same row answers a single point
-(Sides.at) as well as a sweep.
+(Sides.at) as well as a sweep.  Every record here (Report, Sides,
+SweepOutcome, VerifyRunConfig, VerifyReport) is a named tuple, as the rest
+of the package's records are, so no verify run imports dataclasses.
 
 A gcd row carries its theorem's hypothesis.  When the hypothesis fails at a
 k (gcd(3k, k - 1) = 1, i.e. k % 3 != 1), every check of that k is counted as
@@ -25,9 +27,9 @@ what is left after a short serial start to forked children.  One rule,
 _listed, picks the reports a report lists: canonically sorted (by name,
 then by inputs in key-name order), the first max_listed of each (name,
 hypothesis_met) pool.  A task keeps only its own listing, and the outcomes
-are merged by name in whatever order they come back (the counts are sums)
-and listed once more, so the emitted JSON is byte-identical from one run to
-the next, whatever the number of workers.
+are merged by name with merge_outcomes, in whatever order they come back
+(the counts are sums), and listed once more, so the emitted JSON is
+byte-identical from one run to the next, whatever the number of workers.
 
 report_to_json writes the bytes json.dumps(doc, indent=2, sort_keys=True)
 would, but without json's encoder, which with an indent always runs in
@@ -42,7 +44,6 @@ from __future__ import annotations
 import os
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, product
 from json.encoder import encode_basestring_ascii
@@ -85,10 +86,10 @@ class Report(NamedTuple):
 
     kind is "identity" for an identity row and "gcd" for a gcd theorem row,
     whose lhs is the computed gcd and rhs the expected value; it picks the
-    keys in KIND_KEYS.  A named tuple, as `Mat2` and `SequenceParams` are:
-    a sweep builds one per failing point, and a tuple is built in about a
-    third of a frozen dataclass's time (0.7 against 2.3 us, 2-core x86-64,
-    Python 3.11).  It equals the plain tuple of its fields.
+    keys in KIND_KEYS.  A sweep builds one per failing point, and a named
+    tuple is built in about a third of a frozen dataclass's time (0.7
+    against 2.3 us, 2-core x86-64, Python 3.11).  It equals the plain tuple
+    of its fields.
     """
 
     name: str
@@ -108,32 +109,33 @@ KIND_KEYS = {
 }
 
 
-@dataclass
-class SweepOutcome:
+class SweepOutcome(NamedTuple):
     """Aggregate of one identity swept over one or more parameter boxes.
 
-    failures holds the failing reports of both pools; a report's
-    hypothesis_met says which.
+    Its fields are name, the COUNTS in order, and failures, which holds the
+    failing reports of both pools; a report's hypothesis_met says which.
+    Built once, by a sweep or by merge_outcomes, and never changed.
     """
 
     name: str
-    checked: int = 0
-    held: int = 0
-    failed: int = 0
-    hypothesis_not_met: int = 0
-    failures: list[Report] = field(default_factory=list)
+    checked: int
+    held: int
+    failed: int
+    hypothesis_not_met: int
+    failures: list[Report]
 
-    def merge(self, other: SweepOutcome) -> None:
-        for key in COUNTS:
-            setattr(self, key, getattr(self, key) + getattr(other, key))
-        self.failures.extend(other.failures)
+
+def merge_outcomes(outcomes: Iterable[SweepOutcome]) -> SweepOutcome:
+    """One name's outcomes, one or more, as one outcome: their COUNTS summed
+    and their failures joined, in the order given."""
+    (name, *_), *counts, failures = zip(*outcomes)
+    return SweepOutcome(name, *map(sum, counts), [report for part in failures for report in part])
 
 
 # ---------------------------------------------------------------------------
 # table-driven sweeps
 
-@dataclass(frozen=True)
-class Sides:
+class Sides(NamedTuple):
     """One catalog row: compares sides(ctx, *row) -> (lhs list, rhs list).
 
     A point gives one value to each of keys, in that order.  where(*point)
@@ -192,10 +194,9 @@ class Sides:
     def __call__(self, params: SequenceParams, max_index: int) -> SweepOutcome:
         if not is_int(max_index) or max_index < 0:
             raise ValueError(f"{self.name} sweeps to an int max index >= 0, got {max_index!r}")
-        out = SweepOutcome(self.name)
         ctx = self.context(params, max_index)
         met = self.hypothesis is None or self.hypothesis(params)
-        checked = 0
+        checked, failures = 0, []
         for row in self.domain(max_index):
             lhs, rhs = self.sides(ctx, *row)
             checked += len(lhs)
@@ -204,14 +205,11 @@ class Sides:
             *lead, last = row
             for index, left, right in zip(last, lhs, rhs):
                 if left != right:
-                    out.failures.append(self._report(params, (*lead, index), left, right, met))
-        out.checked = checked
-        if met:
-            out.failed = len(out.failures)
-            out.held = checked - out.failed
-        else:
-            out.hypothesis_not_met = checked
-        return out
+                    failures.append(self._report(params, (*lead, index), left, right, met))
+        if not met:
+            return SweepOutcome(self.name, checked, 0, 0, checked, failures)
+        failed = len(failures)
+        return SweepOutcome(self.name, checked, checked - failed, failed, 0, failures)
 
 
 def _row(lo: int) -> tuple[Callable[[int], Iterable[tuple[range]]], Callable[[int], bool]]:
@@ -316,43 +314,51 @@ def resolve_identities(selection: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # run configuration, runner, JSON schema
 
-@dataclass(frozen=True)
-class VerifyRunConfig:
-    k_lo: int = 1
-    k_hi: int = 12
-    max_index: int = 40
-    identities: tuple[str, ...] = tuple(CATALOG)
-    max_listed: int = 25
+class VerifyRunConfig(NamedTuple("VerifyRunConfig", [
+        ("k_lo", int), ("k_hi", int), ("max_index", int), ("identities", tuple[str, ...]),
+        ("max_listed", int)])):
+    """What a verify run sweeps and lists.  Like `SequenceParams`, rebuilt
+    through `__new__`, so checked again, when copied, replaced or
+    unpickled."""
 
-    def __post_init__(self) -> None:
-        for name in ("k_lo", "k_hi", "max_index", "max_listed"):
-            value = getattr(self, name)
+    __slots__ = ()
+
+    def __new__(cls, k_lo: int = 1, k_hi: int = 12, max_index: int = 40,
+                identities: tuple[str, ...] = tuple(CATALOG),
+                max_listed: int = 25) -> VerifyRunConfig:
+        for name, value in (("k_lo", k_lo), ("k_hi", k_hi), ("max_index", max_index),
+                            ("max_listed", max_listed)):
             if not is_int(value):
                 raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.k_lo < 1:
+        if k_lo < 1:
             raise ValueError("k must be >= 1")
-        if self.k_hi < self.k_lo:
+        if k_hi < k_lo:
             raise ValueError("empty k range")
-        if self.max_index < 1:
+        if max_index < 1:
             raise ValueError("max index must be >= 1")
-        if self.max_listed < 1:
+        if max_listed < 1:
             raise ValueError("max listed must be >= 1")
-        if not isinstance(self.identities, tuple):
+        if not isinstance(identities, tuple):
             raise ValueError(f"identities must be a tuple of catalog names,"
-                             f" got {self.identities!r}")
-        if not self.identities:
+                             f" got {identities!r}")
+        if not identities:
             raise ValueError("no identity selected")
         seen: set[str] = set()
-        for name in self.identities:
+        for name in identities:
             if name not in CATALOG:
                 raise ValueError(f"unknown identity {name!r}")
             if name in seen:
                 raise ValueError(f"identity {name!r} selected more than once")
             seen.add(name)
+        return super().__new__(cls, k_lo, k_hi, max_index, identities, max_listed)
+
+    @classmethod
+    def _make(cls, iterable) -> VerifyRunConfig:
+        # through __new__, so _make and _replace check the fields as well
+        return cls(*iterable)
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     tool_version: str
     config: VerifyRunConfig
     results: list[Report]
@@ -381,9 +387,10 @@ def _listed(reports: Iterable[Report], max_listed: int) -> list[Report]:
 
 def _sweep(name: str, k: int, config: VerifyRunConfig) -> SweepOutcome:
     """One (name, k) task, its failures cut to their listing."""
-    outcome = CATALOG[name](SequenceParams(k), config.max_index)
-    outcome.failures = _listed(outcome.failures, config.max_listed)
-    return outcome
+    *counts, failures = CATALOG[name](SequenceParams(k), config.max_index)
+    # rebuilt, not _replace'd: _replace shrinks a 10-slot tuple to 6, and
+    # 2,000 tasks of a process filled CPython's free list of 6-tuples (175 KiB)
+    return SweepOutcome(*counts, _listed(failures, config.max_listed))
 
 
 def _child(tasks: list[tuple[str, int]], config: VerifyRunConfig, read_end: int,
@@ -488,15 +495,16 @@ def run_verify(config: VerifyRunConfig, *, workers: int = 1) -> VerifyReport:
             break
         done.append(_sweep(name, k, config))
 
-    outcomes = {name: SweepOutcome(name) for name in config.identities}
+    groups: dict[str, list[SweepOutcome]] = {name: [] for name in config.identities}
     for outcome in done:
-        outcomes[outcome.name].merge(outcome)
+        groups[outcome.name].append(outcome)
+    outcomes = [merge_outcomes(group) for group in groups.values()]
 
-    results = _listed([report for outcome in outcomes.values() for report in outcome.failures],
+    results = _listed([report for outcome in outcomes for report in outcome.failures],
                       config.max_listed)
 
-    per_identity = {name: {key: getattr(outcome, key) for key in COUNTS}
-                    for name, outcome in outcomes.items()}
+    per_identity = {outcome.name: {key: getattr(outcome, key) for key in COUNTS}
+                    for outcome in outcomes}
     summary: dict = {"per_identity": per_identity}
     for key in COUNTS:
         summary[f"total_{key}"] = sum(counts[key] for counts in per_identity.values())
@@ -582,7 +590,7 @@ def report_to_json(report: VerifyReport) -> str:
         _json_text(entry.hypothesis_met))
         for entry in report.results]
     results = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
-    return (f'{{\n  "config": {_json_text(vars(report.config), "  ")},\n'
+    return (f'{{\n  "config": {_json_text(report.config._asdict(), "  ")},\n'
             f'  "results": {results},\n'
             f'  "summary": {_json_text(report.summary, "  ")},\n'
             f'  "tool_version": {_json_text(report.tool_version)}\n}}')

@@ -1,6 +1,6 @@
 import random
+import re
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -577,7 +577,7 @@ class TestMirroredVajdaRows:
             return mirrored(half, t)
 
         monkeypatch.setattr(identities, "_mirrored", fill_spy)
-        vajda1 = replace(CATALOG["vajda-1"], sides=vajda1_spy)
+        vajda1 = CATALOG["vajda-1"]._replace(sides=vajda1_spy)
         for name, row in (("vajda-1", vajda1), ("vajda-2", CATALOG["vajda-2"])):
             for *lead, last in row.domain(m):
                 for x in last:
@@ -615,6 +615,18 @@ class TestMirroredVajdaRows:
                                                  r" i, j, n >= 0$"):
                 vajda1_sides(ctx, i, j, ns)
         assert vajda1_sides(ctx, 0, 3, range(0, 1)) == ([0], [0])
+
+    def test_vajda1_rejects_stepped_ranges(self):
+        # range(0, 6, 2) was once checked at every n in 0..5, 6 values per
+        # side, and after row (2, 1, range(6)) it got that row's cached sides
+        ctx = CATALOG["vajda-1"].context(SequenceParams(5), 4)
+        vajda1_sides(ctx, 2, 1, range(6))
+        for ns in (range(0, 6, 2), range(5, -1, -1)):
+            with pytest.raises(ValueError, match=rf"^vajda-1 row \(i=1, j=2, n in"
+                                                 rf" {re.escape(repr(ns))}\) is outside the"
+                                                 r" domain i, j, n >= 0$"):
+                vajda1_sides(ctx, 1, 2, ns)
+        assert ctx.row_key == (1, 2, 0, 6)
 
     def test_vajda2_rejects_rows_outside_the_domain(self):
         ctx = TermContext(SequenceParams(5)).ensure(10)

@@ -62,3 +62,11 @@ def test_verify_loads_errata_only_to_emit_it(tmp_path):
     assert loaded_after(argv, names) == ["balseq.verify"]
     assert loaded_after([*argv, "--quiet", "--emit-errata", "E.md"], names,
                         cwd=tmp_path) == list(names)
+
+
+@pytest.mark.parametrize("extra", [[], ["--quiet", "--emit-errata", "E.md"]],
+                         ids=["verify", "emit-errata"])
+def test_no_run_loads_dataclasses_or_inspect(tmp_path, extra):
+    # every balseq record is a named tuple, so no run needs either module
+    argv = ["verify", "--k", "1..2", "--max-index", "4", "--threads", "1", *extra]
+    assert loaded_after(argv, ("dataclasses", "inspect"), cwd=tmp_path) == []

@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 import textwrap
-from dataclasses import asdict
 from fractions import Fraction
 from itertools import product
 
@@ -23,7 +22,6 @@ from balseq.verify import (
     VerifyRunConfig,
     exact_to_str,
     report_to_json,
-    SweepOutcome,
     resolve_identities,
     run_verify,
 )
@@ -219,6 +217,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=rf"^{field} must be an int, got {value!r}$"):
             VerifyRunConfig(**{field: value})
 
+    def test_named_tuple_constructors_check_the_fields(self):
+        # _make and _replace would build the tuple past __new__'s checks
+        with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+            VerifyRunConfig()._replace(k_lo=0)
+        with pytest.raises(ValueError, match=r"^unknown identity 'nope'$"):
+            VerifyRunConfig()._replace(identities=("nope",))
+        with pytest.raises(ValueError, match=r"^max index must be >= 1$"):
+            VerifyRunConfig._make([1, 12, 0, ("cassini-b",), 25])
+        assert (VerifyRunConfig._make([2, 3, 5, ("cassini-b",), 25])
+                == VerifyRunConfig()._replace(k_lo=2, k_hi=3, max_index=5,
+                                              identities=("cassini-b",))
+                == VerifyRunConfig(2, 3, 5, ("cassini-b",)))
+
 
 class TestRunVerify:
     def test_clean_run_exits_zero(self):
@@ -274,11 +285,10 @@ class TestFailurePoolHeads:
         config = VerifyRunConfig(1, 12, 9, max_listed=max_listed)
         expected = []
         for name in config.identities:
-            merged = SweepOutcome(name)
-            for k in range(1, 13):
-                merged.merge(CATALOG[name](SequenceParams(k), 9))
+            failures = [r for k in range(1, 13)
+                        for r in CATALOG[name](SequenceParams(k), 9).failures]
             for met in (True, False):
-                pool = [r for r in merged.failures if r.hypothesis_met is met]
+                pool = [r for r in failures if r.hypothesis_met is met]
                 expected += sorted(pool, key=verify._sort_key)[:max_listed]
         expected.sort(key=verify._sort_key)
         report = run_verify(config)
@@ -489,7 +499,7 @@ def dumped_report(report: VerifyReport) -> str:
 
     return json.dumps({
         "tool_version": report.tool_version,
-        "config": asdict(report.config),
+        "config": report.config._asdict(),
         "results": [entry(r) for r in report.results],
         "summary": report.summary,
     }, indent=2, sort_keys=True)

@@ -3,11 +3,13 @@
 Runs a fixed list of `balseq` requests, each in a fresh interpreter on the
 `src/` tree beside this script, and prints one tab-separated line per
 request: the argv, the sha256 of stdout, the sha256 of stderr and the exit
-code.  The list covers every subcommand in every format, `table` windows
-from 0 and from 900, `verify --threads 2` (the vajda rows, whose mirrored
-rows share their sides, among them), `--help` and `--version`, and the
-usage errors of `tests/test_cli.py`.  `bench` timings are masked in
-stdout before it is hashed, so two runs of one tree print the same lines.
+code, and for an `--emit-errata` request the sha256 of the file it wrote (or
+"-" where it wrote none).  The list covers every subcommand in every
+format, `table` windows from 0 and from 900, `verify --threads 2` (the
+vajda rows, whose mirrored rows share their sides, among them), `--help`
+and `--version`, and the usage errors of `tests/test_cli.py`.  `bench`
+timings are masked in stdout before it is hashed, so two runs of one tree
+print the same lines.
 
 Run it on two trees and diff the outputs to compare their CLI contracts:
 
@@ -123,11 +125,15 @@ def main() -> None:
         with tempfile.TemporaryDirectory() as cwd:
             proc = subprocess.run([sys.executable, "-m", "balseq.cli", *argv],
                                   capture_output=True, cwd=cwd, env=env)
+            written = []
+            if "--emit-errata" in argv:
+                path = Path(cwd, argv[argv.index("--emit-errata") + 1])
+                written.append(_sha256(path.read_bytes()) if path.is_file() else "-")
         out = proc.stdout
         if argv[0] == "bench":
             out = TIMING.sub("T", out.decode()).encode()
         print("\t".join([shlex.join(argv), _sha256(out), _sha256(proc.stderr),
-                         str(proc.returncode)]))
+                         str(proc.returncode), *written]))
 
 
 if __name__ == "__main__":
