@@ -72,13 +72,16 @@ def decimal_str(n: int | decimal.Decimal) -> str:
     """str(n) for an int of any size, or a Decimal holding an exact integer.
 
     The Decimal must have exponent 0 and must not be a negative zero, so
-    that its text is plain digits; any other Decimal raises ValueError.
+    that its text is plain digits; any other Decimal raises ValueError, as
+    does a bool or any value that is neither an int nor a Decimal.
     """
     if isinstance(n, decimal.Decimal):
         # same_quantum compares exponents without unpacking the digits
         if not n.same_quantum(_UNIT) or (n.is_zero() and n.is_signed()):
             raise ValueError(f"not an exact integer Decimal: {n!r}")
         return str(n)
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"not an int or a Decimal: {n!r}")
     if n.bit_length() < _STR_BITS:
         try:
             return str(n)

@@ -1,22 +1,25 @@
 """Exact two-sided evaluation of the closed-form identities.
 
-Every *_sides function computes both sides of its identity as exact integers
-(or exact rationals where a closed form divides), for its caller to compare.
-There is deliberately no tolerance anywhere: the domain is exact arithmetic,
-and an inexact comparison would mask the very transcription errors this
-package pins down.
+Each identity's arithmetic is written once, as a private side kernel that
+computes both sides as exact integers (or exact rationals where a closed
+form divides), for its caller to compare.  There is deliberately no
+tolerance anywhere: the domain is exact arithmetic, and an inexact
+comparison would mask the very transcription errors this package pins down.
 
 Terms are always recomputed from the iterative recurrence, never from the
 engine a caller might be trying to validate, so identity checks and engine
-checks fail independently.  Only the matrix rows (matrix_sides,
-ar_commute_sides) read an engine: the matrices whose representation they
-check.  Every verify identity row's arithmetic lives here.  A caller builds
-one TermContext for a k and calls the *_sides functions on it, a whole row
-of the last index at a time: the verify sweeps, and verify.Sides.at, which
-answers one point of a catalog row with a one-element range.  This module
-builds no report: verify turns the two side lists into a verify.Report
-where one is asked for.  The vajda sides raise ValueError on a row outside
-their domain.
+checks fail independently.  Only the matrix rows (_matrix, _ar_commute)
+read an engine: the matrices whose representation they check.  The one
+caller of the kernels is the verify catalog: each CATALOG row holds its
+kernel and calls it on one TermContext per k, a whole row of the last index
+at a time, from its sweep, CATALOG[name](params, max_index), and from its
+single point, CATALOG[name].at(params, **point), a one-element range.
+Those two are the public ways to evaluate an identity, and they check
+their own input: the sweep builds its rows from the row's domain, and `at`
+refuses a point outside it.  A kernel checks nothing, so a row outside its
+domain would read terms at negative list indices.  TermContext is this
+module's one public name.  It builds no report: verify turns the two side
+lists into a verify.Report where one is asked for.
 
 The vajda-1 sweep also shares a table of products of B terms on its
 context, stored by diagonal (diagonals[d][a] = B_a*B_{a+d}), so that both
@@ -57,7 +60,7 @@ class TermContext:
     first `ensure`.  A sweep that reads the same products of B terms many
     times may also share diagonals[d][a] = b[a]*b[a+d], built by
     share_diagonals to the width each diagonal d is read at.  row_key and
-    row_sides hold the last vajda-1 row vajda1_sides computed, so that its
+    row_sides hold the last vajda-1 row _vajda1 computed, so that its
     mirror, the next row, reuses its lists.  Growing b drops the product
     table and the row.
     """
@@ -110,12 +113,13 @@ class TermContext:
 #
 # Each takes its last index as a range and returns the (lhs, rhs) lists over
 # it, so a sweep evaluates a whole row per call and a single point
-# (verify.Sides.at) is a one-element range.
+# (verify.Sides.at) is a one-element range.  The catalog row that holds a
+# kernel keeps its input in the domain.
 
-SideLists = tuple[list[int], list[Exact]]
+_SideLists = tuple[list[int], list[Exact]]
 
 
-def catalan_sides(ctx: TermContext, seq: str, n: int, rs: range) -> SideLists:
+def _catalan(ctx: TermContext, seq: str, n: int, rs: range) -> _SideLists:
     """X_{n+r}*X_{n-r} - X_n^2 against -(k-1)^{n-r}*B_r^2 (B) or
     8(k-1)^{n-r+1}*B_r^2 (C), for n >= 1 and 0 <= r <= n."""
     x, b, pk = ctx.seq(seq), ctx.b, ctx.pk
@@ -128,7 +132,7 @@ def catalan_sides(ctx: TermContext, seq: str, n: int, rs: range) -> SideLists:
     return lhs, rhs
 
 
-def cassini_sides(ctx: TermContext, seq: str, ns: range) -> SideLists:
+def _cassini(ctx: TermContext, seq: str, ns: range) -> _SideLists:
     """X_n^2 - X_{n-1}*X_{n+1} against (k-1)^{n-1} (B) or -8(k-1)^n (C), for
     n >= 1."""
     x, pk = ctx.seq(seq), ctx.pk
@@ -137,7 +141,7 @@ def cassini_sides(ctx: TermContext, seq: str, ns: range) -> SideLists:
     return lhs, rhs
 
 
-def docagne_sides(ctx: TermContext, seq: str, m: int, ns: range) -> SideLists:
+def _docagne(ctx: TermContext, seq: str, m: int, ns: range) -> _SideLists:
     """X_m*X_{n+1} - X_n*X_{m+1} against (k-1)^n*B_{m-n} (B) or
     -8(k-1)^{n+1}*B_{m-n} (C), for m >= n >= 0."""
     x, b, pk = ctx.seq(seq), ctx.b, ctx.pk
@@ -150,7 +154,7 @@ def docagne_sides(ctx: TermContext, seq: str, m: int, ns: range) -> SideLists:
     return lhs, rhs
 
 
-def vajda1_sides(ctx: TermContext, i: int, j: int, ns: range) -> SideLists:
+def _vajda1(ctx: TermContext, i: int, j: int, ns: range) -> _SideLists:
     """Vajda, first form: B_{n+i}*B_{n+j} - B_n*B_{n+i+j} against
     (k-1)^n * B_i*B_j, for n, i, j >= 0, ns a step-1 range.
 
@@ -164,9 +168,6 @@ def vajda1_sides(ctx: TermContext, i: int, j: int, ns: range) -> SideLists:
     lists, which the caller must not change.
     """
     lo, hi = ns.start, ns.stop
-    if min(i, j, lo) < 0 or ns.step != 1:
-        raise ValueError(f"vajda-1 row (i={i}, j={j}, n in {ns!r}) is outside the domain"
-                         " i, j, n >= 0")
     key = (i, j, lo, hi) if i <= j else (j, i, lo, hi)
     if ctx.row_key == key:
         return ctx.row_sides
@@ -185,7 +186,7 @@ def _mirrored(half: list, t: int) -> list:
     return half + half[t - t // 2 - 1:0:-1]
 
 
-def vajda2_sides(ctx: TermContext, n: int, m: int, ells: range) -> SideLists:
+def _vajda2(ctx: TermContext, n: int, m: int, ells: range) -> _SideLists:
     """Vajda, second form: B_{n+ell}*B_{m-ell} - B_n*B_m against
     (k-1)^n * B_{m-n-ell}*B_ell, for n, ell >= 0 and m > n + ell; k is the
     sequence parameter, as in the first form.  At (n, m, ell) both sides are
@@ -196,9 +197,6 @@ def vajda2_sides(ctx: TermContext, n: int, m: int, ells: range) -> SideLists:
     <= (m - n)/2 and fills in the rest; any other range is computed as it is.
     """
     t = m - n
-    if n < 0 or ells and (min(ells[0], ells[-1]) < 0 or max(ells[0], ells[-1]) >= t):
-        raise ValueError(f"vajda-2 row (n={n}, m={m}, ell in {ells!r}) is outside the domain"
-                         " n, ell >= 0, m > n + ell")
     b = ctx.b
     bn_bm, pkn = b[n] * b[m], ctx.pk[n]
     full = t > 2 and ells == range(t)
@@ -214,7 +212,7 @@ def _exact(value: Fraction) -> Exact:
     return value if value.denominator != 1 else value.numerator
 
 
-def sum_sides(ctx: TermContext, seq: str, ns: range) -> SideLists:
+def _sum(ctx: TermContext, seq: str, ns: range) -> _SideLists:
     """X_0 + ... + X_n summed directly against the closed form
     (-(2k+1)*X_n + (k-1)*X_{n-1} + c) / -2k, c = 1 (B) or 4 - 3k (C), an
     exact division, for n >= 1.
@@ -232,7 +230,7 @@ def sum_sides(ctx: TermContext, seq: str, ns: range) -> SideLists:
     return lhs, rhs
 
 
-def addition_sides(ctx: TermContext, m: int, ns: range) -> SideLists:
+def _addition(ctx: TermContext, m: int, ns: range) -> _SideLists:
     """B_{m+n} against B_m*B_{n+1} + (1-k)*B_{m-1}*B_n, for m >= 1, n >= 0."""
     b = ctx.b
     bm, bm1 = b[m], (1 - ctx.params.k) * b[m - 1]
@@ -241,7 +239,7 @@ def addition_sides(ctx: TermContext, m: int, ns: range) -> SideLists:
     return lhs, rhs
 
 
-def doubling_sides(ctx: TermContext, ns: range) -> SideLists:
+def _doubling(ctx: TermContext, ns: range) -> _SideLists:
     """Both index-doubling identities, one pair of sides per n >= 1.
 
     B_{2n} = B_n*(B_{n+1} + (1-k)*B_{n-1}) and B_{2n-1} = B_n^2 + (1-k)*B_{n-1}^2
@@ -255,7 +253,7 @@ def doubling_sides(ctx: TermContext, ns: range) -> SideLists:
     return [s[0] for s in shown], [s[1] for s in shown]
 
 
-def power_sum_sides(ctx: TermContext, ns: range) -> SideLists:
+def _power_sum(ctx: TermContext, ns: range) -> _SideLists:
     """alpha^n + beta^n (ring route) against B_{n+1} - (k-1)*B_{n-1}, for
     n >= 1."""
     params, b = ctx.params, ctx.b
@@ -265,7 +263,7 @@ def power_sum_sides(ctx: TermContext, ns: range) -> SideLists:
     return lhs, rhs
 
 
-def c_from_b_sides(ctx: TermContext, ns: range) -> SideLists:
+def _c_from_b(ctx: TermContext, ns: range) -> _SideLists:
     """C_n against B_{n+1} + 3(1-k)*B_n, for n >= 0."""
     b, c = ctx.b, 3 * (1 - ctx.params.k)
     lhs = [ctx.c[n] for n in ns]
@@ -273,7 +271,7 @@ def c_from_b_sides(ctx: TermContext, ns: range) -> SideLists:
     return lhs, rhs
 
 
-def matrix_sides(ctx: TermContext, seq: str, n: int, entries: range) -> SideLists:
+def _matrix(ctx: TermContext, seq: str, n: int, entries: range) -> _SideLists:
     """Row-major entries of A^n (B) or R*A^n (C) against the iterative terms."""
     x, k = ctx.seq(seq), ctx.params.k
     got = matrix_power(ctx.params, n) if seq == "B" else r_matrix(ctx.params, n)
@@ -281,7 +279,7 @@ def matrix_sides(ctx: TermContext, seq: str, n: int, entries: range) -> SideList
     return [got[e] for e in entries], [want[e] for e in entries]
 
 
-def ar_commute_sides(ctx: TermContext, entries: range) -> SideLists:
+def _ar_commute(ctx: TermContext, entries: range) -> _SideLists:
     """Row-major entries of A*R against R*A."""
     a, r = a_matrix(ctx.params), r_base_matrix(ctx.params)
     ar, ra = a @ r, r @ a

@@ -2,20 +2,24 @@
 
 Each catalog entry sweeps its whole in-domain tuple set up to a max index
 and returns counts plus the failing reports.  Every entry is a `Sides` row,
-run by one driver: it calls a *_sides function once per domain row (the
+run by one driver: it calls its side kernel once per domain row (the
 leading indices and a range of the last one), compares the two side lists
 it returns, and builds a report only for a failing element; so each
-identity's and each theorem's arithmetic is written once, in the identities
-and divisibility modules; this module imports no engine.  Every check, of an
-identity or of a gcd theorem, gives one Report named tuple, defined here and
-built nowhere else; its kind picks the JSON keys of its name and sides.  CATALOG
-is one list of rows keyed by name, each B/C family declared once for its -b
-and -c rows, and the per-identity counts are named once, in COUNTS.  Each row also
-states, per point, whether the point is in its domain and the largest term
-index its sides read there, so that the same row answers a single point
-(Sides.at) as well as a sweep.  Every record here (Report, Sides,
-SweepOutcome, VerifyRunConfig, VerifyReport) is a named tuple, as the rest
-of the package's records are, so no verify run imports dataclasses.
+identity's and each theorem's arithmetic is written once, as a private
+kernel of the identities or divisibility module; this module imports no
+engine.  A row's sweep and its single point (Sides.at) are the public
+ways to run a kernel, and each keeps the kernel's input in the domain: the
+sweep runs the rows of `domain`, and `at` refuses a point outside it.
+Every check, of an identity or of a gcd theorem, gives one Report named
+tuple, defined here and built nowhere else; its kind picks the JSON keys of
+its name and sides.  CATALOG is one list of rows keyed by name, each B/C
+family declared once for its -b and -c rows, and the per-identity counts
+are named once, in COUNTS.  Each row also states, per point, whether the
+point is in its domain and the largest term index its sides read there, so
+that the same row answers a single point (Sides.at) as well as a sweep.
+Every record here (Report, Sides, SweepOutcome, VerifyRunConfig,
+VerifyReport) is a named tuple, as the rest of the package's records are,
+so no verify run imports dataclasses.
 
 A gcd row carries its theorem's hypothesis.  When the hypothesis fails at a
 k (gcd(3k, k - 1) = 1, i.e. k % 3 != 1), every check of that k is counted as
@@ -52,28 +56,28 @@ from typing import Callable, Iterable, NamedTuple, NoReturn
 from . import __version__
 from .decimal_io import decimal_str
 from .divisibility import (
-    b_c_coprime_sides,
-    consecutive_gcd_sides,
-    coprime_norm_sides,
+    _b_c_coprime,
+    _consecutive_gcd,
+    _coprime_norm,
+    _strong_gcd,
     residue_hypothesis,
-    strong_gcd_sides,
 )
 from .identities import (
     Exact,
-    SideLists,
     TermContext,
-    addition_sides,
-    ar_commute_sides,
-    c_from_b_sides,
-    cassini_sides,
-    catalan_sides,
-    docagne_sides,
-    doubling_sides,
-    matrix_sides,
-    power_sum_sides,
-    sum_sides,
-    vajda1_sides,
-    vajda2_sides,
+    _SideLists,
+    _addition,
+    _ar_commute,
+    _c_from_b,
+    _cassini,
+    _catalan,
+    _docagne,
+    _doubling,
+    _matrix,
+    _power_sum,
+    _sum,
+    _vajda1,
+    _vajda2,
 )
 from .ring import SequenceParams, is_int
 
@@ -155,7 +159,7 @@ class Sides(NamedTuple):
     reach: Callable[..., int]
     domain: Callable[[int], Iterable[tuple]]
     where: Callable[..., bool]
-    sides: Callable[..., SideLists]
+    sides: Callable[..., _SideLists]
     keys: tuple[str, ...] = ("n",)  # input names of an index tuple
     hypothesis: Callable[[SequenceParams], bool] | None = None
     diagonals: Callable[[int], Iterable[int]] | None = None
@@ -228,7 +232,7 @@ def _triangle(lo: int) -> tuple[Callable[[int], Iterable[tuple[int, range]]],
 
 def _mirrored_pairs(m: int) -> Iterable[tuple[int, int, range]]:
     """The vajda-1 rows (i, j, range(m + 1)) for i, j <= m, each (j, i) right
-    after (i, j), whose sides vajda1_sides then reuses."""
+    after (i, j), whose sides identities._vajda1 then reuses."""
     ns = range(m + 1)
     for i in range(m + 1):
         yield i, i, ns
@@ -238,7 +242,7 @@ def _mirrored_pairs(m: int) -> Iterable[tuple[int, int, range]]:
 
 
 def _twins(family: str, reach: Callable[..., int], domain: Callable[[int], Iterable[tuple]],
-           where: Callable[..., bool], sides: Callable[..., SideLists],
+           where: Callable[..., bool], sides: Callable[..., _SideLists],
            *fields, **named) -> list[Sides]:
     """The -b and -c rows of a B/C family: sides(ctx, seq, *row) with seq "B"
     and "C", other fields as given.  seq is bound as a default argument: a
@@ -250,41 +254,41 @@ def _twins(family: str, reach: Callable[..., int], domain: Callable[[int], Itera
 
 CATALOG: dict[str, Sides] = {row.name: row for row in [
     # catalan-c reads (k-1)^(n-r+1), so its tables reach n + 1 at r = 0
-    *_twins("catalan", lambda n, r: n + max(r, 1), *_triangle(1), catalan_sides, ("n", "r")),
-    *_twins("cassini", lambda n: n + 1, *_row(1), cassini_sides),
-    *_twins("docagne", lambda m, n: m + 1, *_triangle(0), docagne_sides, ("m", "n")),
+    *_twins("catalan", lambda n, r: n + max(r, 1), *_triangle(1), _catalan, ("n", "r")),
+    *_twins("cassini", lambda n: n + 1, *_row(1), _cassini),
+    *_twins("docagne", lambda m, n: m + 1, *_triangle(0), _docagne, ("m", "n")),
     Sides("vajda-1", lambda i, j, n: n + i + j, _mirrored_pairs,
-          lambda i, j, n: True, vajda1_sides, ("i", "j", "n"),
+          lambda i, j, n: True, _vajda1, ("i", "j", "n"),
           # row (i, j) reads diagonal |j - i| <= m at a <= 2m - |j - i|, and
           # diagonal i + j <= 2m at a <= m
           diagonals=lambda m: [2 * m + 1 - d if d <= m else m + 1 for d in range(2 * m + 1)]),
     Sides("vajda-2", lambda n, m, ell: m,
           lambda m: ((n, x, range(x - n)) for x in range(1, m + 1) for n in range(x)),
-          lambda n, m, ell: m > n + ell, vajda2_sides, ("n", "m", "ell")),
-    *_twins("sum", lambda n: n, *_row(1), sum_sides),
+          lambda n, m, ell: m > n + ell, _vajda2, ("n", "m", "ell")),
+    *_twins("sum", lambda n: n, *_row(1), _sum),
     Sides("addition", lambda m, n: m + n, lambda m: product(range(1, m + 1), [range(m + 1)]),
-          lambda m, n: m >= 1, addition_sides, ("m", "n")),
-    Sides("doubling", lambda n: 2 * n + 1, *_row(1), doubling_sides),
-    Sides("power-sum", lambda n: n + 1, *_row(1), power_sum_sides),
-    Sides("c-from-b", lambda n: n + 1, *_row(0), c_from_b_sides),
+          lambda m, n: m >= 1, _addition, ("m", "n")),
+    Sides("doubling", lambda n: 2 * n + 1, *_row(1), _doubling),
+    Sides("power-sum", lambda n: n + 1, *_row(1), _power_sum),
+    Sides("c-from-b", lambda n: n + 1, *_row(0), _c_from_b),
     *_twins("matrix", lambda n, entry: n + 1, lambda m: product(range(1, m + 1), [range(4)]),
-            lambda n, entry: n >= 1 and entry < 4, matrix_sides, ("n", "entry")),
+            lambda n, entry: n >= 1 and entry < 4, _matrix, ("n", "entry")),
     Sides("ar-commute", lambda entry: 0, lambda m: [(range(4),)], lambda entry: entry < 4,
-          ar_commute_sides, ("entry",)),
+          _ar_commute, ("entry",)),
     # strong-gcd on m | n, where B_gcd(m,n) is B_m, so it holds for every k
     Sides("index-divisibility", lambda m, n: n,
           lambda m: ((d, range(d, m + 1, d)) for d in range(1, m + 1)),
           lambda m, n: m >= 1 and n >= 1 and n % m == 0,
-          strong_gcd_sides, ("m", "n"), lambda params: True),
-    *_twins("coprime-norm", lambda n: n, *_row(1), coprime_norm_sides,
+          _strong_gcd, ("m", "n"), lambda params: True),
+    *_twins("coprime-norm", lambda n: n, *_row(1), _coprime_norm,
             hypothesis=residue_hypothesis),
-    *_twins("consecutive-gcd", lambda n: n + 1, *_row(1), consecutive_gcd_sides,
+    *_twins("consecutive-gcd", lambda n: n + 1, *_row(1), _consecutive_gcd,
             hypothesis=residue_hypothesis),
-    Sides("b-c-coprime", lambda n: n, *_row(0), b_c_coprime_sides,
+    Sides("b-c-coprime", lambda n: n, *_row(0), _b_c_coprime,
           hypothesis=residue_hypothesis),
     Sides("strong-gcd", lambda m, n: max(m, n),
           lambda m: ((x, range(x, m + 1)) for x in range(1, m + 1)),
-          lambda m, n: 1 <= m <= n, strong_gcd_sides, ("m", "n"), residue_hypothesis),
+          lambda m, n: 1 <= m <= n, _strong_gcd, ("m", "n"), residue_hypothesis),
 ]}
 
 

@@ -83,6 +83,12 @@ class TestDecimalInput:
         with pytest.raises(ValueError, match="not an exact integer"):
             decimal_str(Decimal(text))
 
+    @pytest.mark.parametrize("value", [True, 2.5, "7"])
+    def test_other_types_rejected(self, value):
+        # a bool passes isinstance(value, int), but its str is 'True'
+        with pytest.raises(ValueError, match=rf"^not an int or a Decimal: {value!r}$"):
+            decimal_str(value)
+
 
 class TestExactContext:
     def test_traps_a_lost_digit(self):

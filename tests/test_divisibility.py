@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -129,6 +130,16 @@ def test_check_functions_are_catalog_points():
     assert divisibility.check_b_c_coprime(params, 0) == CATALOG["b-c-coprime"].at(params, n=0)
     assert divisibility.check_strong_gcd(params, 4, 6) == CATALOG["strong-gcd"].at(
         params, m=4, n=6)
+
+
+@pytest.mark.parametrize("seq", ["X", "b", None])
+@pytest.mark.parametrize("check", [divisibility.check_coprime_norm,
+                                   divisibility.check_consecutive_coprime])
+def test_check_functions_refuse_other_sequences(check, seq):
+    # seq names the catalog row, so it is checked before the lookup
+    expected = rf"^seq must be 'B' or 'C', got {re.escape(repr(seq))}$"
+    with pytest.raises(ValueError, match=expected):
+        check(seq, SequenceParams(3), 3)
 
 
 class TestResidueSweeps:

@@ -1,21 +1,21 @@
 import random
-import re
 import tracemalloc
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balseq import identities
+from balseq import divisibility, identities
 from balseq.divisibility import residue_hypothesis
 from balseq.identities import (
     TermContext,
-    addition_sides,
-    cassini_sides,
-    catalan_sides,
-    doubling_sides,
-    vajda1_sides,
-    vajda2_sides,
+    _addition,
+    _cassini,
+    _catalan,
+    _doubling,
+    _vajda1,
+    _vajda2,
 )
 from balseq.ring import SequenceParams
 from balseq.verify import CATALOG
@@ -245,6 +245,20 @@ def test_context_seq_names_b_or_c():
         ctx.seq("b")
 
 
+@pytest.mark.parametrize("module, names", [
+    (identities, {"TermContext"}),
+    (divisibility, {"residue_hypothesis", "check_index_divisibility", "check_coprime_norm",
+                    "check_consecutive_coprime", "check_b_c_coprime", "check_strong_gcd"}),
+], ids=["identities", "divisibility"])
+def test_public_surface(module, names):
+    # the side kernels are private to their catalog rows, whose sweep and
+    # at are the public ways to evaluate an identity or a theorem
+    public = {name for name, value in vars(module).items()
+              if not name.startswith("_") and isinstance(value, (type, types.FunctionType))
+              and value.__module__ == module.__name__}
+    assert public == names
+
+
 class TestFullSweep:
     @pytest.mark.parametrize("name", IDENTITY_NAMES)
     @pytest.mark.parametrize("k", range(1, 13))
@@ -416,11 +430,11 @@ class TestFullSweep:
 
         # past the height: diagonal 10 of a table with diagonals 0..8
         assert ctx.diagonal(10, 0, 3) == computed(10, 0, 3)
-        lhs, rhs = vajda1_sides(ctx, 0, 10, range(3))
+        lhs, rhs = _vajda1(ctx, 0, 10, range(3))
         assert list(zip(lhs, rhs)) == evaluated(0, 10, range(3))
         # past the width: diagonals 2 and 4 end at a = 6 and a = 4
         assert ctx.diagonal(2, 6, 10) == computed(2, 6, 10)
-        lhs, rhs = vajda1_sides(ctx, 1, 3, range(5, 9))
+        lhs, rhs = _vajda1(ctx, 1, 3, range(5, 9))
         assert list(zip(lhs, rhs)) == evaluated(1, 3, range(5, 9))
         # past the width of a table cut to a = 0..2 under a longer b
         with pytest.raises(TypeError):  # the tables are not arguments
@@ -434,7 +448,7 @@ class TestFullSweep:
         assert ctx.diagonals == [] and len(ctx.b) == 31
         with pytest.raises(IndexError):   # past b itself: no short list either
             ctx.diagonal(3, 20, 29)
-        lhs, rhs = vajda1_sides(ctx, 8, 8, range(15))
+        lhs, rhs = _vajda1(ctx, 8, 8, range(15))
         assert len(lhs) == len(rhs) == 15 and lhs == rhs == [
             CATALOG["vajda-1"].at(params, n=n, i=8, j=8).lhs for n in range(15)]
 
@@ -451,17 +465,17 @@ class TestFullSweep:
         j = data.draw(st.integers(0, top - 1 - i))
         lo = data.draw(st.integers(1, top - i - j))
         ns = range(lo, data.draw(st.integers(lo, top - i - j + 1)))
-        lhs, rhs = vajda1_sides(ctx, i, j, ns)
+        lhs, rhs = _vajda1(ctx, i, j, ns)
         assert lhs == [bo[n + i] * bo[n + j] - bo[n] * bo[n + i + j] for n in ns]
         assert rhs == [(k - 1) ** n * bo[i] * bo[j] for n in ns]
-        assert vajda1_sides(ctx, i, j, range(lo, lo)) == ([], [])
+        assert _vajda1(ctx, i, j, range(lo, lo)) == ([], [])
 
     def test_vajda1_at_k1_takes_zero_to_the_zero_as_one(self):
         # beta = 0 at k = 1: the rhs is B_i*B_j at n = 0 and 0 after it
         ctx = CATALOG["vajda-1"].context(SequenceParams(1), 6)
         bo = oracle_b(1, 18)
         for i, j in ((0, 0), (2, 5), (6, 6)):
-            lhs, rhs = vajda1_sides(ctx, i, j, range(7))
+            lhs, rhs = _vajda1(ctx, i, j, range(7))
             assert rhs == [bo[i] * bo[j]] + [0] * 6
             assert lhs == [bo[n + i] * bo[n + j] - bo[n] * bo[n + i + j] for n in range(7)]
 
@@ -478,7 +492,7 @@ class TestFullSweep:
         assert peak < 8 << 20
 
     def test_sweeps_agree_with_evaluators(self):
-        # sweeps call each *_sides function a row at a time, at one point at
+        # sweeps call each side kernel a row at a time, at one point at
         # a time; pin the one-point path at random in-domain tuples
         params = SequenceParams(4)
         rng = random.Random(99)
@@ -531,8 +545,8 @@ class TestMirroredVajdaRows:
         assert len(rows) == m * (m + 1) // 2
         for b in _tables(k, 3 * m):
             for i, j, ns in rows:
-                assert (vajda1_sides(_fresh(params, b, m), i, j, ns)
-                        == vajda1_sides(_fresh(params, b, m), j, i, ns)), (b, i, j)
+                assert (_vajda1(_fresh(params, b, m), i, j, ns)
+                        == _vajda1(_fresh(params, b, m), j, i, ns)), (b, i, j)
 
     def test_vajda1_domain_puts_mirrors_side_by_side(self):
         rows = [(i, j) for i, j, _ in CATALOG["vajda-1"].domain(5)]
@@ -556,8 +570,8 @@ class TestMirroredVajdaRows:
             ctx.b = b
             for n, top, ells in CATALOG["vajda-2"].domain(m):
                 assert ells == range(top - n)
-                points = [vajda2_sides(ctx, n, top, range(ell, ell + 1)) for ell in ells]
-                lhs, rhs = vajda2_sides(ctx, n, top, ells)
+                points = [_vajda2(ctx, n, top, range(ell, ell + 1)) for ell in ells]
+                lhs, rhs = _vajda2(ctx, n, top, ells)
                 assert (lhs, rhs) == ([p[0][0] for p in points], [p[1][0] for p in points])
         # both sides of every row with a mirrored pair (m - n >= 3) filled
         assert sorted(set(fills)) == list(range(3, m + 1))
@@ -570,7 +584,7 @@ class TestMirroredVajdaRows:
 
         def vajda1_spy(ctx, i, j, ns):
             entries.append((ctx.row_key, (min(i, j), max(i, j), ns.start, ns.stop)))
-            return vajda1_sides(ctx, i, j, ns)
+            return _vajda1(ctx, i, j, ns)
 
         def fill_spy(half, t):
             fills.append(t)
@@ -593,9 +607,9 @@ class TestMirroredVajdaRows:
 
     def test_growing_the_tables_drops_the_row(self):
         ctx = CATALOG["vajda-1"].context(SequenceParams(4), 3)
-        sides = vajda1_sides(ctx, 1, 2, range(4))
+        sides = _vajda1(ctx, 1, 2, range(4))
         assert ctx.row_key == (1, 2, 0, 4) and ctx.row_sides == sides
-        mirror = vajda1_sides(ctx, 2, 1, range(4))
+        mirror = _vajda1(ctx, 2, 1, range(4))
         assert mirror is ctx.row_sides and mirror[0] is sides[0] and mirror[1] is sides[1]
         ctx.ensure(20)
         assert ctx.row_key is None and ctx.row_sides is None and ctx.diagonals == []
@@ -608,39 +622,29 @@ class TestMirroredVajdaRows:
         for (i, j, n), sides in failing.items():
             assert failing[j, i, n] == sides, (i, j, n)
 
-    def test_vajda1_rejects_negative_indices(self):
-        ctx = CATALOG["vajda-1"].context(SequenceParams(5), 3)
-        for i, j, ns in ((-1, 2, range(3)), (2, -1, range(3)), (1, 1, range(-1, 2))):
-            with pytest.raises(ValueError, match=r"^vajda-1 row \(i=.*\) is outside the domain"
-                                                 r" i, j, n >= 0$"):
-                vajda1_sides(ctx, i, j, ns)
-        assert vajda1_sides(ctx, 0, 3, range(0, 1)) == ([0], [0])
-
-    def test_vajda1_rejects_stepped_ranges(self):
-        # range(0, 6, 2) was once checked at every n in 0..5, 6 values per
-        # side, and after row (2, 1, range(6)) it got that row's cached sides
-        ctx = CATALOG["vajda-1"].context(SequenceParams(5), 4)
-        vajda1_sides(ctx, 2, 1, range(6))
-        for ns in (range(0, 6, 2), range(5, -1, -1)):
-            with pytest.raises(ValueError, match=rf"^vajda-1 row \(i=1, j=2, n in"
-                                                 rf" {re.escape(repr(ns))}\) is outside the"
-                                                 r" domain i, j, n >= 0$"):
-                vajda1_sides(ctx, 1, 2, ns)
-        assert ctx.row_key == (1, 2, 0, 6)
-
-    def test_vajda2_rejects_rows_outside_the_domain(self):
-        ctx = TermContext(SequenceParams(5)).ensure(10)
-        for n, m, ells in ((-1, 4, range(2)), (1, 4, range(-1, 2)), (1, 4, range(4)),
-                           (2, 2, range(1)), (0, 5, range(-10**18, 3))):
-            with pytest.raises(ValueError, match=r"^vajda-2 row \(n=.*\) is outside the domain"
-                                                 r" n, ell >= 0, m > n \+ ell$"):
-                vajda2_sides(ctx, n, m, ells)
-        lhs, rhs = vajda2_sides(ctx, 1, 4, range(3))
-        assert vajda2_sides(ctx, 1, 4, range(2, 3)) == ([lhs[2]], [rhs[2]])
+    def test_points_outside_the_domain_are_refused(self):
+        # a kernel checks nothing; its catalog row refuses such a point
+        params = SequenceParams(5)
+        for point in ({"i": -1, "j": 2, "n": 0}, {"i": 2, "j": -1, "n": 0},
+                      {"i": 1, "j": 1, "n": -1}):
+            with pytest.raises(ValueError, match=r"^vajda-1\(.*\) is outside the domain$"):
+                CATALOG["vajda-1"].at(params, **point)
+        for n, m, ell in ((-1, 4, 0), (1, 4, -1), (1, 4, 3), (2, 2, 0), (0, 5, -10**18)):
+            with pytest.raises(ValueError, match=rf"^vajda-2\(n={n}, m={m}, ell={ell}\) is"
+                                                 r" outside the domain$"):
+                CATALOG["vajda-2"].at(params, n=n, m=m, ell=ell)
+        # the points at the edges of those domains answer
+        report = CATALOG["vajda-1"].at(params, i=0, j=3, n=0)
+        assert (report.lhs, report.rhs, report.holds) == (0, 0, True)
+        ctx = TermContext(params).ensure(10)
+        lhs, rhs = _vajda2(ctx, 1, 4, range(3))
+        assert _vajda2(ctx, 1, 4, range(2, 3)) == ([lhs[2]], [rhs[2]])
+        report = CATALOG["vajda-2"].at(params, n=1, m=4, ell=2)
+        assert (report.lhs, report.rhs) == (lhs[2], rhs[2])
 
 
 class TestDeepSweep:
-    """n up to 1000 on one shared TermContext, through the *_sides functions;
+    """n up to 1000 on one shared TermContext, through the side kernels;
     the second index of the two-index identities is sampled."""
 
     @pytest.mark.parametrize("k", range(1, 6))
@@ -648,12 +652,12 @@ class TestDeepSweep:
         ctx = TermContext(SequenceParams(k)).ensure(2002)
         rng = random.Random(1000 + k)
         ns = range(1, 1001)
-        for lhs, rhs in (cassini_sides(ctx, "B", ns), doubling_sides(ctx, ns)):
+        for lhs, rhs in (_cassini(ctx, "B", ns), _doubling(ctx, ns)):
             assert lhs == rhs
         for n in ns:
             for r in {0, 1, n // 2, n, rng.randint(0, n)}:
-                lhs, rhs = catalan_sides(ctx, "B", n, range(r, r + 1))
+                lhs, rhs = _catalan(ctx, "B", n, range(r, r + 1))
                 assert lhs == rhs, (n, r)
             for m in {1, n, rng.randint(1, n)}:
-                lhs, rhs = addition_sides(ctx, m, range(n, n + 1))
+                lhs, rhs = _addition(ctx, m, range(n, n + 1))
                 assert lhs == rhs, (m, n)

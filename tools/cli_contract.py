@@ -6,7 +6,8 @@ request: the argv, the sha256 of stdout, the sha256 of stderr and the exit
 code, and for an `--emit-errata` request the sha256 of the file it wrote (or
 "-" where it wrote none).  The list covers every subcommand in every
 format, `table` windows from 0 and from 900, `verify --threads 2` (the
-vajda rows, whose mirrored rows share their sides, among them), `--help`
+vajda rows, whose mirrored rows share their sides, among them), `verify
+--max-listed 1`, whose listing keeps the first failure of each pool, `--help`
 and `--version`, and the usage errors of `tests/test_cli.py`.  `bench`
 timings are masked in stdout before it is hashed, so two runs of one tree
 print the same lines.
@@ -59,6 +60,7 @@ def _requests() -> list[list[str]]:
              "--format", fmt],
             [*verify, "--format", fmt],
             [*verify, "--identity", "catalan,strong-gcd", "--format", fmt],
+            [*verify, "--max-listed", "1", "--format", fmt],
             ["verify", "--k", "1..6", "--max-index", "20", "--threads", "2", "--format", fmt],
             ["verify", "--identity", "vajda", "--k", "1..12", "--max-index", "20",
              "--threads", "2", "--format", fmt],
@@ -95,6 +97,7 @@ def _requests() -> list[list[str]]:
         ["series", "--seq", "B", "--k", "2", "--N", "-1"],
         ["verify", "--identity", "no-such-name"],
         ["verify", "--k", "2..3", "--threads", "0"],
+        [*verify, "--max-listed", "0"],
         ["verify", "--k", "2..2", "--max-index", "4", "--emit-errata", "missing/E.md"],
         ["bench", "--k", "2", "--n", "10", "--reps", "0"],
         ["bench", "--k", "2", "--n", "10", "--engines", "iterative", "--iterative-cap", "-5"],
