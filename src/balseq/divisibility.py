@@ -16,14 +16,17 @@ as the theorems themselves.
 
 Each theorem is written once, as a private side kernel that takes its last
 index as a range and returns the computed gcds and the expected values over
-it.  Its one caller is its verify catalog row, which carries the theorem's
-hypothesis: the row's sweep, CATALOG[name](params, max_index), calls it a
-row of its domain at a time, and the row's single point,
-CATALOG[name].at(params, **point), which refuses a point outside the
-domain, calls it on a one-element range to answer with a verify.Report of
-kind "gcd", whose lhs is the computed gcd and rhs the expected value.  The
-five check_* functions are such single points under their historical
-names.  A kernel checks nothing itself.
+it.  Its one caller is its row in ROWS, declared after the kernels: an
+identities.Sides that carries the theorem's hypothesis and is run by the
+one row driver there.  The row's sweep, ROWS[name](params, max_index),
+calls the kernel a row of its domain at a time, and the row's single
+point, ROWS[name].at(params, **point), which refuses a point outside the
+domain, calls it on a one-element range to answer with an
+identities.Report of kind "gcd", whose lhs is the computed gcd and rhs the
+expected value.  verify.CATALOG lists these rows after the identity rows.
+The five check_* functions are such single points under their historical
+names.  They read ROWS, not verify.CATALOG, so they still answer while a
+caller has replaced catalog entries.  A kernel checks nothing itself.
 
 gcd is always taken on magnitudes with gcd(0, x) = |x|, since 1 - k is
 negative for k >= 2.
@@ -32,13 +35,10 @@ negative for k >= 2.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
-from .identities import TermContext, _SideLists
+from .identities import Report, Sides, TermContext, _SideLists, _row, _twins
 from .ring import SequenceParams
 
-if TYPE_CHECKING:  # verify imports this module
-    from .verify import Report, Sides
 
 def residue_hypothesis(params: SequenceParams) -> bool:
     """gcd(P, Q) = 1 for the Lucas parameters P = 3k, Q = k - 1 of B.
@@ -88,23 +88,41 @@ def _strong_gcd(ctx: TermContext, m: int, ns: range) -> _SideLists:
 
 
 # ---------------------------------------------------------------------------
+# the gcd rows, in report order
+
+ROWS: dict[str, Sides] = {row.name: row for row in [
+    # strong-gcd on m | n, where B_gcd(m,n) is B_m, so it holds for every k
+    Sides("index-divisibility", lambda m, n: n,
+          lambda m: ((d, range(d, m + 1, d)) for d in range(1, m + 1)),
+          lambda m, n: m >= 1 and n >= 1 and n % m == 0,
+          _strong_gcd, ("m", "n"), lambda params: True),
+    *_twins("coprime-norm", lambda n: n, *_row(1), _coprime_norm,
+            hypothesis=residue_hypothesis),
+    *_twins("consecutive-gcd", lambda n: n + 1, *_row(1), _consecutive_gcd,
+            hypothesis=residue_hypothesis),
+    Sides("b-c-coprime", lambda n: n, *_row(0), _b_c_coprime,
+          hypothesis=residue_hypothesis),
+    Sides("strong-gcd", lambda m, n: max(m, n),
+          lambda m: ((x, range(x, m + 1)) for x in range(1, m + 1)),
+          lambda m, n: 1 <= m <= n, _strong_gcd, ("m", "n"), residue_hypothesis),
+]}
+
+
+# ---------------------------------------------------------------------------
 # single points of the theorems, by their historical names
 #
-# Each is CATALOG[name].at; the benchmark's tracer (perfbench/tracing.py)
-# wraps these names, so they stay until it changes.  verify imports this
-# module, hence the deferred imports.
+# Each is ROWS[name].at; the benchmark's tracer (perfbench/tracing.py)
+# wraps these names, so they stay until it changes.
 
 def _twin(family: str, seq: str) -> Sides:
-    """The -b or -c catalog row of a B/C family, for seq "B" or "C"."""
+    """The -b or -c row of a B/C family, for seq "B" or "C"."""
     if seq not in ("B", "C"):
         raise ValueError(f"seq must be 'B' or 'C', got {seq!r}")
-    from .verify import CATALOG
-    return CATALOG[f"{family}-{seq.lower()}"]
+    return ROWS[f"{family}-{seq.lower()}"]
 
 
 def check_index_divisibility(params: SequenceParams, m: int, n: int) -> Report:
-    from .verify import CATALOG
-    return CATALOG["index-divisibility"].at(params, m=m, n=n)
+    return ROWS["index-divisibility"].at(params, m=m, n=n)
 
 
 def check_coprime_norm(seq: str, params: SequenceParams, n: int) -> Report:
@@ -116,10 +134,8 @@ def check_consecutive_coprime(seq: str, params: SequenceParams, n: int) -> Repor
 
 
 def check_b_c_coprime(params: SequenceParams, n: int) -> Report:
-    from .verify import CATALOG
-    return CATALOG["b-c-coprime"].at(params, n=n)
+    return ROWS["b-c-coprime"].at(params, n=n)
 
 
 def check_strong_gcd(params: SequenceParams, m: int, n: int) -> Report:
-    from .verify import CATALOG
-    return CATALOG["strong-gcd"].at(params, m=m, n=n)
+    return ROWS["strong-gcd"].at(params, m=m, n=n)

@@ -2,8 +2,8 @@
 
 Several identities and table values for these sequences circulate in print
 in forms that exact arithmetic refutes.  Each entry pairs the printed variant
-with the form this package implements as two verify.Sides rows with the same
-lhs: the printed row's rhs is the printed form, the verified row's the
+with the form this package implements as two identities.Sides rows with the
+same lhs: the printed row's rhs is the printed form, the verified row's the
 implemented one.  The Sides driver sweeps both over the entry's box (k in
 ks, indices up to max_index), and an entry is refuted only when its printed
 row fails at least once there and its verified row never does.  Each entry
@@ -11,11 +11,13 @@ also declares where on its box the printed form still holds, in words and
 as a predicate that the tests check point by point against the sweep.
 
 Where the verified form is a catalog identity (catalan-c, vajda-2, sum-c),
-the verified row is that verify.CATALOG row and the printed row reads its
-lhs, so each identity's arithmetic stays in one place.  The errata rows stay
-out of CATALOG, so they never change a verify report.  The gcd product rule
-is a claim about all integers, not about the sequences, so it stays a
-one-point counterexample.
+the verified row is that identities.ROWS row and the printed row reads its
+lhs, so each identity's arithmetic stays in one place.  This module takes
+only rows and the row driver from identities, no kernel and no TermContext.
+The errata rows stay out of verify.CATALOG, so they never change a verify
+report.  The gcd product rule is a claim about all integers, not about the
+sequences, so it stays a one-point counterexample, and it has no rows to
+sweep.
 
 The rendered document is a generated artifact (`balseq verify --emit-errata`).
 """
@@ -28,8 +30,8 @@ from typing import Callable, NamedTuple
 
 from .engines import term_b_negative
 from .genfunc import c_series
+from .identities import ROWS, Sides, SweepOutcome, _row, merge_outcomes
 from .ring import SequenceParams
-from .verify import CATALOG, Sides, SweepOutcome, _row, merge_outcomes
 
 
 class Erratum(NamedTuple):
@@ -149,7 +151,7 @@ ERRATA: tuple[Erratum, ...] = (
         "last factor of the C Catalan identity",
         "8(k-1)^(n-r+1) * B_n^2 (as in the derivation's final line)",
         "8(k-1)^(n-r+1) * B_r^2 (the stated form, catalog row catalan-c)",
-        _printed(CATALOG["catalan-c"],
+        _printed(ROWS["catalan-c"],
                  lambda ctx, n, rs: [8 * ctx.pk[n - r + 1] * ctx.b[n] ** 2 for r in rs]),
         "exactly where k = 1 or r = n", lambda k, n, r: k == 1 or r == n,
     ),
@@ -158,7 +160,7 @@ ERRATA: tuple[Erratum, ...] = (
         "sign base of the second Vajda formulation",
         "(1-k)^n (as in the derivation's final line)",
         "(k-1)^n, matching formulation 1 (catalog row vajda-2)",
-        _printed(CATALOG["vajda-2"],
+        _printed(ROWS["vajda-2"],
                  lambda ctx, n, m, ells: [(1 - ctx.params.k) ** n * ctx.b[m - n - ell] * ctx.b[ell]
                                           for ell in ells]),
         "exactly where k = 1, n is even or ell = 0",
@@ -169,7 +171,7 @@ ERRATA: tuple[Erratum, ...] = (
         "additive constant in the C partial-sum closed form",
         "4(1-k)",
         "4 - 3k (fold C_0 + C_1 = 4 into the n>=2 sum to see it; catalog row sum-c)",
-        _printed(CATALOG["sum-c"], _sum_c_printed),
+        _printed(ROWS["sum-c"], _sum_c_printed),
     ),
     Erratum(
         "gcd-product-rule",
@@ -183,6 +185,9 @@ ERRATA: tuple[Erratum, ...] = (
 
 def sweep(erratum: Erratum) -> tuple[SweepOutcome, SweepOutcome]:
     """The printed and the verified row's outcomes, each merged over the box."""
+    if erratum.rows is None:
+        raise ValueError(f"erratum {erratum.name!r} has no rows to sweep;"
+                         " its counterexample refutes it")
     printed, verified = (merge_outcomes(row(SequenceParams(k), erratum.max_index)
                                         for k in erratum.ks) for row in erratum.rows)
     return printed, verified

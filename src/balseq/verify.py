@@ -1,33 +1,24 @@
 """Sweep runner: every identity and gcd theorem over a (k, index) box.
 
-Each catalog entry sweeps its whole in-domain tuple set up to a max index
-and returns counts plus the failing reports.  Every entry is a `Sides` row,
-run by one driver: it calls its side kernel once per domain row (the
-leading indices and a range of the last one), compares the two side lists
-it returns, and builds a report only for a failing element; so each
-identity's and each theorem's arithmetic is written once, as a private
-kernel of the identities or divisibility module; this module imports no
-engine.  A row's sweep and its single point (Sides.at) are the public
-ways to run a kernel, and each keeps the kernel's input in the domain: the
-sweep runs the rows of `domain`, and `at` refuses a point outside it.
-Every check, of an identity or of a gcd theorem, gives one Report named
-tuple, defined here and built nowhere else; its kind picks the JSON keys of
-its name and sides.  CATALOG is one list of rows keyed by name, each B/C
-family declared once for its -b and -c rows, and the per-identity counts
-are named once, in COUNTS.  Each row also states, per point, whether the
-point is in its domain and the largest term index its sides read there, so
-that the same row answers a single point (Sides.at) as well as a sweep.
-Every record here (Report, Sides, SweepOutcome, VerifyRunConfig,
-VerifyReport) is a named tuple, as the rest of the package's records are,
-so no verify run imports dataclasses.
+CATALOG is every row, in report order: the identity rows that
+identities.ROWS declares beside their kernels, then the gcd rows of
+divisibility.ROWS.  Each row is an identities.Sides, run by the one driver
+there: calling a row sweeps its whole in-domain tuple set up to a max index
+and returns an identities.SweepOutcome of counts plus the failing reports,
+and Sides.at answers a single point.  This module declares no row and
+imports no kernel and no engine; it holds the run configuration, the
+runner and the JSON writer.  The per-identity counts are named once, as
+the fields of SweepOutcome between its name and its failures (COUNTS).
+Every record here (VerifyRunConfig, VerifyReport, and the Report, Sides and
+SweepOutcome it imports) is a named tuple, as the rest of the package's
+records are, so no verify run imports dataclasses.
 
-A gcd row carries its theorem's hypothesis.  When the hypothesis fails at a
-k (gcd(3k, k - 1) = 1, i.e. k % 3 != 1), every check of that k is counted as
-hypothesis_not_met, not as failed.  A sweep keeps its failing reports in one
-list, and each report's hypothesis_met names its pool: the violations
-(True) or the expected failures (False).  Each (name, k) sweep is one task;
-run_verify runs them in the calling process, and with workers > 1 it hands
-what is left after a short serial start to forked children.  One rule,
+A sweep keeps its failing reports in one list, and each report's
+hypothesis_met names its pool: the violations (True) or, where a gcd row's
+hypothesis fails at k, the expected failures (False).  Each (name, k)
+sweep is one task; run_verify runs them in the calling process, and with
+workers > 1 it hands what is left after a short serial start to forked
+children.  One rule,
 _listed, picks the reports a report lists: canonically sorted (by name,
 then by inputs in key-name order), the first max_listed of each (name,
 hypothesis_met) pool.  A task keeps only its own listing, and the outcomes
@@ -49,61 +40,17 @@ import os
 import time
 from collections import defaultdict
 from fractions import Fraction
-from itertools import count, product
+from itertools import count
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, NamedTuple, NoReturn
+from typing import Iterable, NamedTuple, NoReturn
 
-from . import __version__
+from . import __version__, divisibility, identities
 from .decimal_io import decimal_str
-from .divisibility import (
-    _b_c_coprime,
-    _consecutive_gcd,
-    _coprime_norm,
-    _strong_gcd,
-    residue_hypothesis,
-)
-from .identities import (
-    Exact,
-    TermContext,
-    _SideLists,
-    _addition,
-    _ar_commute,
-    _c_from_b,
-    _cassini,
-    _catalan,
-    _docagne,
-    _doubling,
-    _matrix,
-    _power_sum,
-    _sum,
-    _vajda1,
-    _vajda2,
-)
+from .identities import Report, Sides, SweepOutcome, merge_outcomes
 from .ring import SequenceParams, is_int
 
 # per-identity counts, in report order; the summary adds total_<count> for each
-COUNTS = ("checked", "held", "failed", "hypothesis_not_met")
-
-
-class Report(NamedTuple):
-    """Both sides of one catalog row at one point.
-
-    kind is "identity" for an identity row and "gcd" for a gcd theorem row,
-    whose lhs is the computed gcd and rhs the expected value; it picks the
-    keys in KIND_KEYS.  A sweep builds one per failing point, and a named
-    tuple is built in about a third of a frozen dataclass's time (0.7
-    against 2.3 us, 2-core x86-64, Python 3.11).  It equals the plain tuple
-    of its fields.
-    """
-
-    name: str
-    inputs: dict[str, int]
-    lhs: Exact
-    rhs: Exact
-    holds: bool
-    hypothesis_met: bool
-    kind: str
-
+COUNTS = SweepOutcome._fields[1:-1]
 
 # per report kind: the JSON keys of the name and of the two sides, then the
 # labels of the two sides in the plain listing
@@ -113,183 +60,7 @@ KIND_KEYS = {
 }
 
 
-class SweepOutcome(NamedTuple):
-    """Aggregate of one identity swept over one or more parameter boxes.
-
-    Its fields are name, the COUNTS in order, and failures, which holds the
-    failing reports of both pools; a report's hypothesis_met says which.
-    Built once, by a sweep or by merge_outcomes, and never changed.
-    """
-
-    name: str
-    checked: int
-    held: int
-    failed: int
-    hypothesis_not_met: int
-    failures: list[Report]
-
-
-def merge_outcomes(outcomes: Iterable[SweepOutcome]) -> SweepOutcome:
-    """One name's outcomes, one or more, as one outcome: their COUNTS summed
-    and their failures joined, in the order given."""
-    (name, *_), *counts, failures = zip(*outcomes)
-    return SweepOutcome(name, *map(sum, counts), [report for part in failures for report in part])
-
-
-# ---------------------------------------------------------------------------
-# table-driven sweeps
-
-class Sides(NamedTuple):
-    """One catalog row: compares sides(ctx, *row) -> (lhs list, rhs list).
-
-    A point gives one value to each of keys, in that order.  where(*point)
-    says whether it is in the domain, where every key must also be >= 0, and
-    reach(*point) is the largest term index the sides read at it.
-    domain(max_index) lists the domain's points with every index at most
-    max_index as rows, each the leading indices and a range of the last one;
-    the sides come back as one list per side over that range.  A sweep builds
-    its term tables to reach at the corner point whose every key is
-    max_index.  diagonals, if set, gives the width of each diagonal of the
-    shared table of B-term products the sides read.  A gcd row carries its
-    theorem's hypothesis, and an identity row none; that sets the kind of
-    the row's reports.
-    """
-
-    name: str
-    reach: Callable[..., int]
-    domain: Callable[[int], Iterable[tuple]]
-    where: Callable[..., bool]
-    sides: Callable[..., _SideLists]
-    keys: tuple[str, ...] = ("n",)  # input names of an index tuple
-    hypothesis: Callable[[SequenceParams], bool] | None = None
-    diagonals: Callable[[int], Iterable[int]] | None = None
-
-    def context(self, params: SequenceParams, max_index: int) -> TermContext:
-        """The term tables (and product table, if any) the sweep reads."""
-        ctx = TermContext(params).ensure(self.reach(*[max_index] * len(self.keys)))
-        if self.diagonals is not None:
-            ctx.share_diagonals(self.diagonals(max_index))
-        return ctx
-
-    def _report(self, params: SequenceParams, point: tuple, lhs, rhs, met: bool) -> Report:
-        """The report of the sides at one point; met is the hypothesis at k."""
-        inputs = {"k": params.k, **dict(zip(self.keys, point))}
-        return Report(self.name, inputs, lhs, rhs, lhs == rhs, met,
-                      "identity" if self.hypothesis is None else "gcd")
-
-    def at(self, params: SequenceParams, **inputs: int) -> Report:
-        """The report at one point of the domain, named by keys, e.g.
-        CATALOG["catalan-b"].at(params, n=3, r=1), on term tables built to
-        the point's reach (and no product table)."""
-        given = ", ".join(f"{key}={value!r}" for key, value in inputs.items())
-        if inputs.keys() != set(self.keys):
-            raise ValueError(f"{self.name}({given}) takes {', '.join(self.keys)}")
-        point = tuple(inputs[key] for key in self.keys)
-        if not all(map(is_int, point)):
-            raise ValueError(f"{self.name}({given}) takes integer indices")
-        if min(point) < 0 or not self.where(*point):
-            raise ValueError(f"{self.name}({given}) is outside the domain")
-        *lead, last = point
-        ctx = TermContext(params).ensure(self.reach(*point))
-        (lhs,), (rhs,) = self.sides(ctx, *lead, range(last, last + 1))
-        return self._report(params, point, lhs, rhs,
-                           self.hypothesis is None or self.hypothesis(params))
-
-    def __call__(self, params: SequenceParams, max_index: int) -> SweepOutcome:
-        if not is_int(max_index) or max_index < 0:
-            raise ValueError(f"{self.name} sweeps to an int max index >= 0, got {max_index!r}")
-        ctx = self.context(params, max_index)
-        met = self.hypothesis is None or self.hypothesis(params)
-        checked, failures = 0, []
-        for row in self.domain(max_index):
-            lhs, rhs = self.sides(ctx, *row)
-            checked += len(lhs)
-            if lhs == rhs:
-                continue
-            *lead, last = row
-            for index, left, right in zip(last, lhs, rhs):
-                if left != right:
-                    failures.append(self._report(params, (*lead, index), left, right, met))
-        if not met:
-            return SweepOutcome(self.name, checked, 0, 0, checked, failures)
-        failed = len(failures)
-        return SweepOutcome(self.name, checked, checked - failed, failed, 0, failures)
-
-
-def _row(lo: int) -> tuple[Callable[[int], Iterable[tuple[range]]], Callable[[int], bool]]:
-    """The domain of one index n >= lo, and its rows up to a max index as
-    one row."""
-    return lambda m: [(range(lo, m + 1),)], lambda n: n >= lo
-
-
-def _triangle(lo: int) -> tuple[Callable[[int], Iterable[tuple[int, range]]],
-                                Callable[[int, int], bool]]:
-    """The domain of points (x, y) with x >= lo and y <= x, and its rows
-    (x, range(x + 1)) for lo <= x <= max index."""
-    return (lambda m: ((x, range(x + 1)) for x in range(lo, m + 1)),
-            lambda x, y: x >= lo and y <= x)
-
-
-def _mirrored_pairs(m: int) -> Iterable[tuple[int, int, range]]:
-    """The vajda-1 rows (i, j, range(m + 1)) for i, j <= m, each (j, i) right
-    after (i, j), whose sides identities._vajda1 then reuses."""
-    ns = range(m + 1)
-    for i in range(m + 1):
-        yield i, i, ns
-        for j in range(i + 1, m + 1):
-            yield i, j, ns
-            yield j, i, ns
-
-
-def _twins(family: str, reach: Callable[..., int], domain: Callable[[int], Iterable[tuple]],
-           where: Callable[..., bool], sides: Callable[..., _SideLists],
-           *fields, **named) -> list[Sides]:
-    """The -b and -c rows of a B/C family: sides(ctx, seq, *row) with seq "B"
-    and "C", other fields as given.  seq is bound as a default argument: a
-    closure would read it after the loop, and both rows would sweep C."""
-    return [Sides(f"{family}-{seq.lower()}", reach, domain, where,
-                  lambda ctx, *row, seq=seq: sides(ctx, seq, *row), *fields, **named)
-            for seq in "BC"]
-
-
-CATALOG: dict[str, Sides] = {row.name: row for row in [
-    # catalan-c reads (k-1)^(n-r+1), so its tables reach n + 1 at r = 0
-    *_twins("catalan", lambda n, r: n + max(r, 1), *_triangle(1), _catalan, ("n", "r")),
-    *_twins("cassini", lambda n: n + 1, *_row(1), _cassini),
-    *_twins("docagne", lambda m, n: m + 1, *_triangle(0), _docagne, ("m", "n")),
-    Sides("vajda-1", lambda i, j, n: n + i + j, _mirrored_pairs,
-          lambda i, j, n: True, _vajda1, ("i", "j", "n"),
-          # row (i, j) reads diagonal |j - i| <= m at a <= 2m - |j - i|, and
-          # diagonal i + j <= 2m at a <= m
-          diagonals=lambda m: [2 * m + 1 - d if d <= m else m + 1 for d in range(2 * m + 1)]),
-    Sides("vajda-2", lambda n, m, ell: m,
-          lambda m: ((n, x, range(x - n)) for x in range(1, m + 1) for n in range(x)),
-          lambda n, m, ell: m > n + ell, _vajda2, ("n", "m", "ell")),
-    *_twins("sum", lambda n: n, *_row(1), _sum),
-    Sides("addition", lambda m, n: m + n, lambda m: product(range(1, m + 1), [range(m + 1)]),
-          lambda m, n: m >= 1, _addition, ("m", "n")),
-    Sides("doubling", lambda n: 2 * n + 1, *_row(1), _doubling),
-    Sides("power-sum", lambda n: n + 1, *_row(1), _power_sum),
-    Sides("c-from-b", lambda n: n + 1, *_row(0), _c_from_b),
-    *_twins("matrix", lambda n, entry: n + 1, lambda m: product(range(1, m + 1), [range(4)]),
-            lambda n, entry: n >= 1 and entry < 4, _matrix, ("n", "entry")),
-    Sides("ar-commute", lambda entry: 0, lambda m: [(range(4),)], lambda entry: entry < 4,
-          _ar_commute, ("entry",)),
-    # strong-gcd on m | n, where B_gcd(m,n) is B_m, so it holds for every k
-    Sides("index-divisibility", lambda m, n: n,
-          lambda m: ((d, range(d, m + 1, d)) for d in range(1, m + 1)),
-          lambda m, n: m >= 1 and n >= 1 and n % m == 0,
-          _strong_gcd, ("m", "n"), lambda params: True),
-    *_twins("coprime-norm", lambda n: n, *_row(1), _coprime_norm,
-            hypothesis=residue_hypothesis),
-    *_twins("consecutive-gcd", lambda n: n + 1, *_row(1), _consecutive_gcd,
-            hypothesis=residue_hypothesis),
-    Sides("b-c-coprime", lambda n: n, *_row(0), _b_c_coprime,
-          hypothesis=residue_hypothesis),
-    Sides("strong-gcd", lambda m, n: max(m, n),
-          lambda m: ((x, range(x, m + 1)) for x in range(1, m + 1)),
-          lambda m, n: 1 <= m <= n, _strong_gcd, ("m", "n"), residue_hypothesis),
-]}
+CATALOG: dict[str, Sides] = {**identities.ROWS, **divisibility.ROWS}
 
 
 def resolve_identities(selection: str) -> list[str]:

@@ -108,6 +108,13 @@ def test_erratum_gcd_product_rule():
     assert math.gcd(2, 2 * 2) == 2 != math.gcd(2, 2) * math.gcd(2, 2)
 
 
+def test_an_entry_without_rows_is_not_swept():
+    rowless = ERRATA[-1]
+    assert rowless.rows is None
+    with pytest.raises(ValueError, match=r"^erratum 'gcd-product-rule' has no rows to sweep;"):
+        sweep(rowless)
+
+
 class TestRenderedDocument:
     def test_contains_every_entry(self, document):
         for erratum in ERRATA:

@@ -260,8 +260,28 @@ def test_series_oracle_imports_no_engine():
     assert not imported & {"engines", "identities"}, imported
 
 
-def test_errata_imports_no_identities():
-    # errata reads each verified identity through its catalog row (Sides.at),
-    # so only verify sizes the term tables of a single point
-    imported = imported_modules("errata")
-    assert "verify" in imported and "identities" not in imported, imported
+def names_taken(module: str) -> list[tuple[str | None, str]]:
+    """The (module, name) of every `from ... import name` in
+    src/balseq/<module>.py, module as written after the dots."""
+    source = Path(__file__).resolve().parent.parent / "src" / "balseq" / f"{module}.py"
+    return [(node.module, alias.name)
+            for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def test_errata_takes_only_rows_from_identities():
+    # errata reads each verified identity through its row (Sides.at), so
+    # it builds no TermContext and calls no side kernel of its own
+    taken = {name for module, name in names_taken("errata") if module == "identities"}
+    assert taken and taken <= {"ROWS", "Sides", "SweepOutcome", "merge_outcomes", "_row",
+                               "_triangle", "_twins", "_mirrored_pairs", "Report"}, taken
+
+
+def test_rows_sit_below_the_runner():
+    # each layer imports only the layers below it: the row modules never
+    # import verify, and verify takes no private name (__version__ is a
+    # dunder, not a private name)
+    assert "verify" not in imported_modules("identities") | imported_modules("divisibility")
+    private = [name for _, name in names_taken("verify")
+               if name.startswith("_") and not name.endswith("__")]
+    assert private == []

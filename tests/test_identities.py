@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 import types
 from fractions import Fraction
@@ -245,8 +246,30 @@ def test_context_seq_names_b_or_c():
         ctx.seq("b")
 
 
+@pytest.mark.parametrize("params", [5, None, (5,), "5"])
+def test_context_takes_sequence_params(params):
+    message = rf"^TermContext takes a SequenceParams, got {re.escape(repr(params))}$"
+    with pytest.raises(ValueError, match=message):
+        TermContext(params)
+    # so does every row, through the context it builds
+    with pytest.raises(ValueError, match=message):
+        CATALOG["cassini-b"](params, 10)
+    with pytest.raises(ValueError, match=message):
+        CATALOG["cassini-b"].at(params, n=3)
+    with pytest.raises(ValueError, match=message):
+        divisibility.check_strong_gcd(params, 2, 4)
+
+
+@pytest.mark.parametrize("hi", ["3", -1, 2.0, True, None])
+def test_ensure_takes_an_int_index(hi):
+    ctx = TermContext(SequenceParams(3))
+    with pytest.raises(ValueError, match=r"^ensure takes an int index >= 0, got "):
+        ctx.ensure(hi)
+    assert ctx.ensure(0).b == [0] and ctx.ensure(2).b == [0, 1, 9]
+
+
 @pytest.mark.parametrize("module, names", [
-    (identities, {"TermContext"}),
+    (identities, {"TermContext", "Report", "Sides", "SweepOutcome", "merge_outcomes"}),
     (divisibility, {"residue_hypothesis", "check_index_divisibility", "check_coprime_norm",
                     "check_consecutive_coprime", "check_b_c_coprime", "check_strong_gcd"}),
 ], ids=["identities", "divisibility"])

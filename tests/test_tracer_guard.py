@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 from balseq import cli, divisibility, identities, verify
+from balseq.identities import Report
+from balseq.ring import SequenceParams
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from tracing import Tracer, install  # noqa: E402
@@ -41,3 +43,24 @@ def test_tracer_wraps_and_restores_every_binding(capsys):
     after = _bindings()
     assert after.keys() == before.keys()
     assert [key for key, value in after.items() if value is not before[key]] == []
+
+
+def test_checks_answer_while_the_tracer_is_installed():
+    # the check_* read divisibility's own rows, not the catalog entries the
+    # tracer replaces with plain functions
+    params = SequenceParams(4)
+    tracer = Tracer()
+    install(tracer)
+    try:
+        reports = [
+            divisibility.check_index_divisibility(params, 2, 4),
+            divisibility.check_coprime_norm("B", params, 3),
+            divisibility.check_consecutive_coprime("C", params, 3),
+            divisibility.check_b_c_coprime(params, 3),
+            divisibility.check_strong_gcd(params, 2, 4),
+        ]
+    finally:
+        tracer.uninstall()
+    assert [type(report) for report in reports] == [Report] * 5
+    assert [report.name for report in reports] == [
+        "index-divisibility", "coprime-norm-b", "consecutive-gcd-c", "b-c-coprime", "strong-gcd"]

@@ -12,9 +12,16 @@ and `--version`, and the usage errors of `tests/test_cli.py`.  `bench`
 timings are masked in stdout before it is hashed, so two runs of one tree
 print the same lines.
 
-Run it on two trees and diff the outputs to compare their CLI contracts:
+Its first line names the Python minor version it ran on, since `--help`
+text differs between argparse versions.  Run it on two trees and diff the
+outputs to compare their CLI contracts:
 
     python tools/cli_contract.py > contract.txt
+
+`tools/cli_contract.txt` is the committed corpus, and
+`tests/test_cli_contract.py` runs this script and compares every line with
+it.  A change that moves a line regenerates the file and states the line
+and the reason in CHANGES.md.
 
 It imports only the standard library.  Requests run with COLUMNS=80, so
 argparse wraps usage lines the same way on every terminal, and in a
@@ -123,6 +130,7 @@ def _sha256(data: bytes) -> str:
 
 
 def main() -> None:
+    print(f"# python {sys.version_info.major}.{sys.version_info.minor}")
     env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
     for argv in _requests():
         with tempfile.TemporaryDirectory() as cwd:
