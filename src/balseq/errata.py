@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 from .engines import term_b_negative
 from .genfunc import c_series
-from .identities import ROWS, Sides, SweepOutcome, _row, merge_outcomes
+from .identities import ROWS, Sides, SweepOutcome, merge_outcomes
 from .ring import SequenceParams
 
 
@@ -63,11 +63,13 @@ def _printed(row: Sides, rhs: Callable[..., list]) -> tuple[Sides, Sides]:
 
 
 def _column(name: str, lo: int, lhs: Callable, verified: Callable,
-            printed: Callable) -> tuple[Sides, Sides]:
-    """(printed row, verified row) over one index n >= lo, each side a
+            printed: Callable, hi: float = math.inf) -> tuple[Sides, Sides]:
+    """(printed row, verified row) over one index lo <= n <= hi, each side a
     function of (ctx, n): lhs against printed, and lhs against verified.
-    The entry's max_index bounds n."""
-    row = Sides(name, lambda n: n, *_row(lo),
+    The entry's max_index bounds n too; hi is for sides that hold values
+    for a few n only."""
+    row = Sides(name, lambda n: n, lambda m: [(range(lo, min(m, hi) + 1),)],
+                lambda n: lo <= n <= hi,
                 lambda ctx, ns: ([lhs(ctx, n) for n in ns], [verified(ctx, n) for n in ns]))
     return _printed(row, lambda ctx, ns: [printed(ctx, n) for n in ns])
 
@@ -76,6 +78,8 @@ def _b_backward(ctx, n: int) -> Fraction:
     """B_(k,-n) by the recurrence run backward from (B_1, B_0) = (1, 0):
     B_(m-2) = (B_m - 3k*B_(m-1)) / (1-k)."""
     k = ctx.params.k
+    if k == 1:
+        raise ValueError("negative indices are undefined for k=1 (division by k-1)")
     upper, lower = Fraction(1), Fraction(0)
     for _ in range(n):
         upper, lower = lower, (upper - 3 * k * lower) / (1 - k)
@@ -114,7 +118,7 @@ ERRATA: tuple[Erratum, ...] = (
         "B_(2,4) = 1189 and B_(2,5) = 6930",
         "204 and 1189; the printed values are B_(2,5) and B_(2,6), one row too early",
         _column("b2-row-shift", 4, lambda ctx, n: ctx.b[n],
-                lambda ctx, n: {4: 204, 5: 1189}[n], lambda ctx, n: {4: 1189, 5: 6930}[n]),
+                lambda ctx, n: {4: 204, 5: 1189}[n], lambda ctx, n: {4: 1189, 5: 6930}[n], 5),
         ks=range(2, 3), max_index=5,
     ),
     Erratum(
@@ -122,7 +126,7 @@ ERRATA: tuple[Erratum, ...] = (
         "general-column polynomial for C_(k,4)",
         "C_(k,4) = 27k^3 - 8k^2 + 16k + 1",
         "C_(k,4) = 72k^3 - 8k^2 + 16k + 1 (matches the table's own 577, 1921, 4545)",
-        _column("c4-polynomial", 4, lambda ctx, n: ctx.c[n], _c4(72), _c4(27)),
+        _column("c4-polynomial", 4, lambda ctx, n: ctx.c[n], _c4(72), _c4(27), 4),
         max_index=4,
     ),
     Erratum(
@@ -152,7 +156,8 @@ ERRATA: tuple[Erratum, ...] = (
         "8(k-1)^(n-r+1) * B_n^2 (as in the derivation's final line)",
         "8(k-1)^(n-r+1) * B_r^2 (the stated form, catalog row catalan-c)",
         _printed(ROWS["catalan-c"],
-                 lambda ctx, n, rs: [8 * ctx.pk[n - r + 1] * ctx.b[n] ** 2 for r in rs]),
+                 lambda ctx, n, rs: [8 * ctx.params.norm * ctx.pk[n - r] * ctx.b[n] ** 2
+                                     for r in rs]),
         "exactly where k = 1 or r = n", lambda k, n, r: k == 1 or r == n,
     ),
     Erratum(

@@ -7,6 +7,12 @@ form divides), for its caller to compare.  There is deliberately no
 tolerance anywhere: the domain is exact arithmetic, and an inexact
 comparison would mask the very transcription errors this package pins down.
 
+The Catalan, Cassini and d'Ocagne kernels serve both twins, B and C, with
+one right side each.  Each of those rows is the generalized Vajda form
+X_{n+i}X_{n+j} - X_nX_{n+i+j} = e_X*(k-1)^n*B_iB_j at one point, and a C
+row differs from its B row only in e_X: 1 for B, -8(k-1) for C (Vajda,
+*Fibonacci & Lucas Numbers, and the Golden Section*, 1989).
+
 Terms are always recomputed from the iterative recurrence, never from the
 engine a caller might be trying to validate, so identity checks and engine
 checks fail independently.  Only the matrix rows (_matrix, _ar_commute)
@@ -292,38 +298,38 @@ def _twins(family: str, reach: Callable[..., int], domain: Callable[[int], Itera
 # keeps its input in the domain.
 
 
+def _e(ctx: TermContext, seq: str) -> int:
+    """e_X of the generalized Vajda form X_{n+i}*X_{n+j} - X_n*X_{n+i+j} =
+    e_X*(k-1)^n*B_i*B_j: 1 for B and -8(k-1) for C."""
+    return 1 if seq == "B" else -8 * ctx.params.norm
+
+
 def _catalan(ctx: TermContext, seq: str, n: int, rs: range) -> _SideLists:
-    """X_{n+r}*X_{n-r} - X_n^2 against -(k-1)^{n-r}*B_r^2 (B) or
-    8(k-1)^{n-r+1}*B_r^2 (C), for n >= 1 and 0 <= r <= n."""
-    x, b, pk = ctx.seq(seq), ctx.b, ctx.pk
+    """X_{n+r}*X_{n-r} - X_n^2 against -e_X*(k-1)^{n-r}*B_r^2, for n >= 1 and
+    0 <= r <= n: the Vajda form at (n - r, r, r), negated."""
+    x, b, pk, e = ctx.seq(seq), ctx.b, ctx.pk, _e(ctx, seq)
     xn2 = x[n] * x[n]
     lhs = [x[n + r] * x[n - r] - xn2 for r in rs]
-    if seq == "B":
-        rhs = [-pk[n - r] * b[r] * b[r] for r in rs]
-    else:
-        rhs = [8 * pk[n - r + 1] * b[r] * b[r] for r in rs]
+    rhs = [-e * pk[n - r] * b[r] * b[r] for r in rs]
     return lhs, rhs
 
 
 def _cassini(ctx: TermContext, seq: str, ns: range) -> _SideLists:
-    """X_n^2 - X_{n-1}*X_{n+1} against (k-1)^{n-1} (B) or -8(k-1)^n (C), for
-    n >= 1."""
-    x, pk = ctx.seq(seq), ctx.pk
+    """X_n^2 - X_{n-1}*X_{n+1} against e_X*(k-1)^{n-1}, for n >= 1: the Vajda
+    form at (n - 1, 1, 1)."""
+    x, pk, e = ctx.seq(seq), ctx.pk, _e(ctx, seq)
     lhs = [x[n] * x[n] - x[n - 1] * x[n + 1] for n in ns]
-    rhs = [pk[n - 1] for n in ns] if seq == "B" else [-8 * pk[n] for n in ns]
+    rhs = [e * pk[n - 1] for n in ns]
     return lhs, rhs
 
 
 def _docagne(ctx: TermContext, seq: str, m: int, ns: range) -> _SideLists:
-    """X_m*X_{n+1} - X_n*X_{m+1} against (k-1)^n*B_{m-n} (B) or
-    -8(k-1)^{n+1}*B_{m-n} (C), for m >= n >= 0."""
-    x, b, pk = ctx.seq(seq), ctx.b, ctx.pk
+    """X_m*X_{n+1} - X_n*X_{m+1} against e_X*(k-1)^n*B_{m-n}, for m >= n >= 0:
+    the Vajda form at (n, 1, m - n)."""
+    x, b, pk, e = ctx.seq(seq), ctx.b, ctx.pk, _e(ctx, seq)
     xm, xm1 = x[m], x[m + 1]
     lhs = [xm * x[n + 1] - x[n] * xm1 for n in ns]
-    if seq == "B":
-        rhs = [pk[n] * b[m - n] for n in ns]
-    else:
-        rhs = [-8 * pk[n + 1] * b[m - n] for n in ns]
+    rhs = [e * pk[n] * b[m - n] for n in ns]
     return lhs, rhs
 
 
@@ -463,8 +469,7 @@ def _ar_commute(ctx: TermContext, entries: range) -> _SideLists:
 # the identity rows, in report order
 
 ROWS: dict[str, Sides] = {row.name: row for row in [
-    # catalan-c reads (k-1)^(n-r+1), so its tables reach n + 1 at r = 0
-    *_twins("catalan", lambda n, r: n + max(r, 1), *_triangle(1), _catalan, ("n", "r")),
+    *_twins("catalan", lambda n, r: n + r, *_triangle(1), _catalan, ("n", "r")),
     *_twins("cassini", lambda n: n + 1, *_row(1), _cassini),
     *_twins("docagne", lambda m, n: m + 1, *_triangle(0), _docagne, ("m", "n")),
     Sides("vajda-1", lambda i, j, n: n + i + j, _mirrored_pairs,
@@ -478,7 +483,7 @@ ROWS: dict[str, Sides] = {row.name: row for row in [
     *_twins("sum", lambda n: n, *_row(1), _sum),
     Sides("addition", lambda m, n: m + n, lambda m: product(range(1, m + 1), [range(m + 1)]),
           lambda m, n: m >= 1, _addition, ("m", "n")),
-    Sides("doubling", lambda n: 2 * n + 1, *_row(1), _doubling),
+    Sides("doubling", lambda n: 2 * n, *_row(1), _doubling),
     Sides("power-sum", lambda n: n + 1, *_row(1), _power_sum),
     Sides("c-from-b", lambda n: n + 1, *_row(0), _c_from_b),
     *_twins("matrix", lambda n, entry: n + 1, lambda m: product(range(1, m + 1), [range(4)]),

@@ -108,6 +108,32 @@ def test_erratum_gcd_product_rule():
     assert math.gcd(2, 2 * 2) == 2 != math.gcd(2, 2) * math.gcd(2, 2)
 
 
+ENTRIES = {erratum.name: erratum for erratum in ERRATA}
+
+
+@pytest.mark.parametrize("name, k, n", [
+    ("b2-row-shift", 2, 6),  # its values are for n = 4 and 5
+    ("c4-polynomial", 3, 5),  # its polynomials are for n = 4
+])
+def test_value_rows_refuse_an_index_without_a_value(name, k, n):
+    erratum = ENTRIES[name]
+    for row in erratum.rows:
+        with pytest.raises(ValueError, match=rf"^{row.name}\(n={n}\) is outside the domain$"):
+            row.at(SequenceParams(k), n=n)
+        # a sweep past the entry's box checks the box's points, from n = 4
+        assert row(SequenceParams(k), n).checked == len(range(4, erratum.max_index + 1))
+
+
+def test_negative_index_rows_refuse_k_1():
+    # as engines.term_b_negative does: the backward recurrence divides by 1 - k
+    message = r"^negative indices are undefined for k=1 \(division by k-1\)$"
+    for row in ENTRIES["negative-index-sign-base"].rows:
+        with pytest.raises(ValueError, match=message):
+            row.at(SequenceParams(1), n=2)
+        with pytest.raises(ValueError, match=message):
+            row(SequenceParams(1), 3)
+
+
 def test_an_entry_without_rows_is_not_swept():
     rowless = ERRATA[-1]
     assert rowless.rows is None

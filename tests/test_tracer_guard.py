@@ -9,7 +9,9 @@ imports the tracer as it is and serves one verify request through it.
 import sys
 from pathlib import Path
 
-from balseq import cli, divisibility, identities, verify
+# every module that install loads, so that the bindings taken before it
+# already hold every name it wraps
+from balseq import cli, divisibility, engines, genfunc, identities, ring, verify  # noqa: F401
 from balseq.identities import Report
 from balseq.ring import SequenceParams
 

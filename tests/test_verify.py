@@ -84,6 +84,24 @@ DECLARED = {**CATALOG, **{row.name: row for erratum in ERRATA if erratum.rows
                           for row in erratum.rows}}
 
 
+class _Recorded(list):
+    """A term table that adds the index of each read to reads, and a
+    slice's first and last index."""
+
+    def __init__(self, values: list, reads: set) -> None:
+        super().__init__(values)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            start = key.start or 0
+            stop = len(self) if key.stop is None else key.stop
+            self.reads.update({start, stop - 1} if stop > start else ())
+        else:
+            self.reads.add(key)
+        return super().__getitem__(key)
+
+
 class TestDeclarations:
     """Each row's where and reach against its domain and its sweep's tables."""
 
@@ -118,7 +136,34 @@ class TestDeclarations:
         params = SequenceParams(3)
         assert CATALOG["catalan-b"].at(params, n=500, r=0).holds
         assert CATALOG["vajda-2"].at(params, n=1, m=50, ell=2).holds
-        assert built == [501, 50]
+        assert built == [500, 50]
+
+    @pytest.mark.parametrize("name", list(DECLARED))
+    def test_reach_is_the_largest_index_read(self, name, monkeypatch):
+        # on tables that record every read, at each point with indices <= 8
+        reads = set()
+        ensure = identities.TermContext.ensure
+
+        def recording(ctx, hi):
+            ensure(ctx, hi)
+            ctx.b, ctx.c, ctx.pk = (_Recorded(table, reads) for table in (ctx.b, ctx.c, ctx.pk))
+            return ctx
+
+        monkeypatch.setattr(identities.TermContext, "ensure", recording)
+        row, unread = DECLARED[name], []
+        for k in (2, 5):
+            for *lead, last in row.domain(8):
+                for x in last:
+                    point = (*lead, x)
+                    reads.clear()
+                    row.at(SequenceParams(k), **dict(zip(row.keys, point)))
+                    if not reads:
+                        unread.append(point)
+                        continue
+                    assert min(reads) >= 0, (k, point)
+                    assert max(reads) == row.reach(*point), (k, point)
+        # the rows that read an engine or a backward recurrence, not a table
+        assert not unread or name in ("ar-commute", "negative-index-sign-base"), unread
 
     @pytest.mark.parametrize("value, shown", [(2.5, "2.5"), ("3", "'3'"), (True, "True")])
     def test_non_int_indices_rejected(self, value, shown):
