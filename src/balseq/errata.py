@@ -62,15 +62,25 @@ def _printed(row: Sides, rhs: Callable[..., list]) -> tuple[Sides, Sides]:
     return row._replace(name=f"{row.name} as printed", sides=sides), row
 
 
+def _k_text(ks: range) -> str:
+    return f"k = {ks[0]}" if len(ks) == 1 else f"k {ks[0]}..{ks[-1]}"
+
+
 def _column(name: str, lo: int, lhs: Callable, verified: Callable,
-            printed: Callable, hi: float = math.inf) -> tuple[Sides, Sides]:
+            printed: Callable, hi: float = math.inf,
+            ks: range | None = None) -> tuple[Sides, Sides]:
     """(printed row, verified row) over one index lo <= n <= hi, each side a
     function of (ctx, n): lhs against printed, and lhs against verified.
-    The entry's max_index bounds n too; hi is for sides that hold values
-    for a few n only."""
+    The entry's max_index bounds n too; hi and ks are for sides that hold
+    values for a few n, or for the k in ks, only.  At a k outside ks both
+    rows raise a one-line ValueError."""
+    def sides(ctx, ns):
+        if ks is not None and ctx.params.k not in ks:
+            raise ValueError(f"{name} has values for {_k_text(ks)} only, not k={ctx.params.k}")
+        return [lhs(ctx, n) for n in ns], [verified(ctx, n) for n in ns]
+
     row = Sides(name, lambda n: n, lambda m: [(range(lo, min(m, hi) + 1),)],
-                lambda n: lo <= n <= hi,
-                lambda ctx, ns: ([lhs(ctx, n) for n in ns], [verified(ctx, n) for n in ns]))
+                lambda n: lo <= n <= hi, sides)
     return _printed(row, lambda ctx, ns: [printed(ctx, n) for n in ns])
 
 
@@ -97,6 +107,11 @@ def _c4(lead: int) -> Callable:
     return lambda ctx, n: lead * ctx.params.k**3 - 8 * ctx.params.k**2 + 16 * ctx.params.k + 1
 
 
+# the one k whose values the b1-column and b2-row-shift entries hold: each
+# is both the entry's box and its rows' k range
+_B1_KS, _B2_KS = range(1, 2), range(2, 3)
+
+
 def _gcd_product_rule() -> tuple[bool, str]:
     lhs, rhs = math.gcd(2, 2 * 2), math.gcd(2, 2) * math.gcd(2, 2)
     return lhs != rhs, f"gcd(2, 2*2) = {lhs} but gcd(2, 2)*gcd(2, 2) = {rhs}"
@@ -109,8 +124,8 @@ ERRATA: tuple[Erratum, ...] = (
         "B_(1,n) = 3^n for n >= 2 (column 9, 27, 81, 243)",
         "B_(1,n) = 3^(n-1), which the recurrence B_(1,n) = 3*B_(1,n-1) with B_(1,1) = 1 forces",
         _column("b1-column", 2, lambda ctx, n: ctx.b[n],
-                lambda ctx, n: 3 ** (n - 1), lambda ctx, n: 3**n),
-        ks=range(1, 2),
+                lambda ctx, n: 3 ** (n - 1), lambda ctx, n: 3**n, ks=_B1_KS),
+        ks=_B1_KS,
     ),
     Erratum(
         "b2-row-shift",
@@ -118,8 +133,9 @@ ERRATA: tuple[Erratum, ...] = (
         "B_(2,4) = 1189 and B_(2,5) = 6930",
         "204 and 1189; the printed values are B_(2,5) and B_(2,6), one row too early",
         _column("b2-row-shift", 4, lambda ctx, n: ctx.b[n],
-                lambda ctx, n: {4: 204, 5: 1189}[n], lambda ctx, n: {4: 1189, 5: 6930}[n], 5),
-        ks=range(2, 3), max_index=5,
+                lambda ctx, n: {4: 204, 5: 1189}[n], lambda ctx, n: {4: 1189, 5: 6930}[n], 5,
+                _B2_KS),
+        ks=_B2_KS, max_index=5,
     ),
     Erratum(
         "c4-polynomial",
@@ -204,10 +220,8 @@ def _evidence(erratum: Erratum) -> tuple[bool, list[str]]:
         refutes, line = erratum.counterexample()
         return refutes, [f"counterexample: {line}"]
     printed, verified = sweep(erratum)
-    ks = erratum.ks
-    k_text = f"k = {ks[0]}" if len(ks) == 1 else f"k {ks[0]}..{ks[-1]}"
     lines = [
-        f"box: {k_text}, max-index {erratum.max_index}",
+        f"box: {_k_text(erratum.ks)}, max-index {erratum.max_index}",
         f"printed form fails at {printed.failed} of {printed.checked} points;"
         f" it holds {erratum.holds}",
         f"verified form fails at {verified.failed} of {verified.checked} points",

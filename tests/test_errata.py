@@ -124,6 +124,21 @@ def test_value_rows_refuse_an_index_without_a_value(name, k, n):
         assert row(SequenceParams(k), n).checked == len(range(4, erratum.max_index + 1))
 
 
+@pytest.mark.parametrize("name, k", [
+    ("b1-column", 2),  # its values are for k = 1
+    ("b2-row-shift", 3),  # and these for k = 2
+])
+def test_value_rows_refuse_a_k_without_values(name, k):
+    erratum = ENTRIES[name]
+    message = rf"^{name} has values for k = {erratum.ks[0]} only, not k={k}$"
+    for row in erratum.rows:
+        with pytest.raises(ValueError, match=message):
+            row.at(SequenceParams(k), n=4)
+        with pytest.raises(ValueError, match=message):
+            row(SequenceParams(k), erratum.max_index)
+        assert row.at(SequenceParams(erratum.ks[0]), n=4).lhs == oracle_b(erratum.ks[0], 4)[4]
+
+
 def test_negative_index_rows_refuse_k_1():
     # as engines.term_b_negative does: the backward recurrence divides by 1 - k
     message = r"^negative indices are undefined for k=1 \(division by k-1\)$"
