@@ -11,9 +11,11 @@ also declares where on its box the printed form still holds, in words and
 as a predicate that the tests check point by point against the sweep.
 
 Where the verified form is a catalog identity (catalan-c, vajda-2, sum-c),
-the verified row is that identities.ROWS row and the printed row reads its
-lhs, so each identity's arithmetic stays in one place.  This module takes
-only rows and the row driver from identities, no kernel and no TermContext.
+the verified row is that identities.ROWS row, and the printed row, built
+with the Sides constructor on its reach, domain, where and keys, reads
+its lhs through the row's kernel, so each identity's arithmetic stays in
+one place.  This module takes only rows and the row driver from
+identities, no kernel and no TermContext.
 The errata rows stay out of verify.CATALOG, so they never change a verify
 report.  The gcd product rule is a claim about all integers, not about the
 sequences, so it stays a one-point counterexample, and it has no rows to
@@ -56,10 +58,12 @@ class Erratum(NamedTuple):
 
 
 def _printed(row: Sides, rhs: Callable[..., list]) -> tuple[Sides, Sides]:
-    """(printed row, row): row's lhs against rhs(ctx, *domain row), then row."""
+    """(printed row, row): row's lhs against rhs(ctx, *domain row), on row's
+    reach, domain, where and keys, then row."""
     def sides(ctx, *args):
-        return row.sides(ctx, *args)[0], rhs(ctx, *args)
-    return row._replace(name=f"{row.name} as printed", sides=sides), row
+        return row._sides(ctx, *args)[0], rhs(ctx, *args)
+    return Sides(f"{row.name} as printed", row.reach, row.domain, row.where, sides,
+                 row.keys), row
 
 
 def _k_text(ks: range) -> str:

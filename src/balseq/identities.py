@@ -19,22 +19,23 @@ checks fail independently.  Only the matrix rows (_matrix, _ar_commute)
 read an engine: the matrices whose representation they check.
 
 Each kernel is held by one row, declared in ROWS right after the kernels:
-a Sides named tuple that states the row's domain, the largest term index
-its sides read at a point (reach) and, for a gcd row, its theorem's
-hypothesis.  One driver, Sides, runs every row, this module's and the gcd
-rows of divisibility: it calls the kernel on one TermContext per k, a whole
-row of the last index at a time, compares the two side lists it returns,
-and builds a Report only for a failing element.  A row's sweep,
-row(params, max_index), and its single point, row.at(params, **point), a
-one-element range, are the public ways to evaluate an identity, and they
-check their own input: the sweep builds its rows from the domain, and `at`
-refuses a point outside it.  A kernel checks nothing, so a row outside its
-domain would read terms at negative list indices.  verify.CATALOG is
+a Sides, which keeps its kernel in a private slot and states the row's
+domain, the largest term index its sides read at a point (reach) and, for
+a gcd row, its theorem's hypothesis.  One driver, Sides, runs every row,
+this module's and the gcd rows of divisibility: it calls the kernel on one
+TermContext per k, a whole row of the last index at a time, compares the
+two side lists it returns, and builds a Report only for a failing element.
+A row's sweep, row(params, max_index), and its single point,
+row.at(params, **point), a one-element range, are the only public ways to
+evaluate an identity, and they check their own input: the sweep builds its
+rows from the domain, and `at` refuses a point outside it.  A kernel checks
+nothing, so a row outside its domain would read terms at negative list
+indices.  verify.CATALOG is
 ROWS followed by divisibility.ROWS; a sweep returns a SweepOutcome of
 counts and failing reports, and merge_outcomes sums one name's outcomes.
 
 The vajda-1 sweep also shares a table of products of B terms on its
-context, stored by diagonal (diagonals[d][a] = B_a*B_{a+d}), so that both
+context, stored by diagonal (_diagonals[d][a] = B_a*B_{a+d}), so that both
 products of a row over n are runs of two diagonals and a check costs one
 subtraction and one multiplication by k - 1; a single point builds no
 table.  Rows (i, j) and (j, i) have equal sides, and the sweep runs them
@@ -69,22 +70,22 @@ class TermContext:
     """Iterative-engine term tables for one k, grown on demand.
 
     b[i] = B_{k,i}, c[i] = C_{k,i}, pk[i] = (k-1)^i, all empty until the
-    first `ensure`.  A sweep that reads the same products of B terms many
-    times may also share diagonals[d][a] = b[a]*b[a+d], built by
-    share_diagonals to the width each diagonal d is read at.  row_key and
-    row_sides hold the last vajda-1 row _vajda1 computed, so that its
-    mirror, the next row, reuses its lists.  Growing b drops the product
-    table and the row.
+    first `ensure`.  The rest is the vajda-1 sweep's, private to _vajda1
+    and the row driver: _diagonals[d][a] = b[a]*b[a+d], built by
+    _share_diagonals to the width each diagonal d is read at, and
+    _row_key and _row_sides, the last row _vajda1 computed, so that its
+    mirror, the next row, reuses its lists.  Each entry of these is a
+    function of k and its indices alone, so growing b keeps them.
     """
 
-    __slots__ = ("params", "b", "c", "pk", "diagonals", "row_key", "row_sides")
+    __slots__ = ("params", "b", "c", "pk", "_diagonals", "_row_key", "_row_sides")
 
     def __init__(self, params: SequenceParams) -> None:
         if not isinstance(params, SequenceParams):
             raise ValueError(f"TermContext takes a SequenceParams, got {params!r}")
         self.params = params
-        self.b, self.c, self.pk, self.diagonals = [], [], [], []
-        self.row_key = self.row_sides = None
+        self.b, self.c, self.pk, self._diagonals = [], [], [], []
+        self._row_key = self._row_sides = None
 
     def ensure(self, hi: int) -> TermContext:
         """Grow the tables to hold every index up to hi, an int >= 0."""
@@ -98,20 +99,18 @@ class TermContext:
             for _ in range(hi):
                 pk.append(pk[-1] * norm)
             self.pk = pk
-            self.diagonals = []
-            self.row_key = self.row_sides = None
         return self
 
-    def share_diagonals(self, widths: Iterable[int]) -> None:
+    def _share_diagonals(self, widths: Iterable[int]) -> None:
         """Build diagonal d of the product table for a < widths[d] (and
         a + d within b)."""
         b = self.b
-        self.diagonals = [list(map(mul, b[:w], b[d:d + w])) for d, w in enumerate(widths)]
+        self._diagonals = [list(map(mul, b[:w], b[d:d + w])) for d, w in enumerate(widths)]
 
-    def diagonal(self, d: int, lo: int, hi: int) -> list[int]:
+    def _diagonal(self, d: int, lo: int, hi: int) -> list[int]:
         """b[a]*b[a+d] for lo <= a < hi: a slice of the diagonal table where
         it covers them, computed otherwise (never a shorter list)."""
-        diagonals = self.diagonals
+        diagonals = self._diagonals
         if d < len(diagonals) and hi <= len(diagonals[d]):
             return diagonals[d][lo:hi]
         b = self.b
@@ -171,12 +170,16 @@ class SweepOutcome(NamedTuple):
 def merge_outcomes(outcomes: Iterable[SweepOutcome]) -> SweepOutcome:
     """One name's outcomes, one or more, as one outcome: their counts summed
     and their failures joined, in the order given."""
-    (name, *_), *counts, failures = zip(*outcomes)
+    columns = list(zip(*outcomes))
+    if not columns:
+        raise ValueError("merge_outcomes takes one or more outcomes, got none")
+    (name, *_), *counts, failures = columns
     return SweepOutcome(name, *map(sum, counts), [report for part in failures for report in part])
 
 
-class Sides(NamedTuple):
-    """One row: compares sides(ctx, *row) -> (lhs list, rhs list).
+class Sides:
+    """One row: compares sides(ctx, *row) -> (lhs list, rhs list), for a
+    kernel sides that it keeps private.
 
     A point gives one value to each of keys, in that order.  where(*point)
     says whether it is in the domain, where every key must also be >= 0, and
@@ -190,22 +193,28 @@ class Sides(NamedTuple):
     theorem's hypothesis, and an identity row none; that sets the kind of
     the row's reports.  When the hypothesis fails at a k, every check of
     that k counts as hypothesis_not_met, not as failed.
+
+    The row is evaluated only by its sweep, row(params, max_index), and by
+    at; the kernel and the sweep's context stay private, and a row is not a
+    tuple.
     """
 
-    name: str
-    reach: Callable[..., int]
-    domain: Callable[[int], Iterable[tuple]]
-    where: Callable[..., bool]
-    sides: Callable[..., _SideLists]
-    keys: tuple[str, ...] = ("n",)  # input names of an index tuple
-    hypothesis: Callable[[SequenceParams], bool] | None = None
-    diagonals: Callable[[int], Iterable[int]] | None = None
+    __slots__ = ("name", "reach", "domain", "where", "_sides", "keys", "hypothesis", "diagonals")
 
-    def context(self, params: SequenceParams, max_index: int) -> TermContext:
+    def __init__(self, name: str, reach: Callable[..., int],
+                 domain: Callable[[int], Iterable[tuple]], where: Callable[..., bool],
+                 sides: Callable[..., _SideLists], keys: tuple[str, ...] = ("n",),
+                 hypothesis: Callable[[SequenceParams], bool] | None = None,
+                 diagonals: Callable[[int], Iterable[int]] | None = None) -> None:
+        self.name, self.keys, self._sides = name, keys, sides
+        self.reach, self.domain, self.where = reach, domain, where
+        self.hypothesis, self.diagonals = hypothesis, diagonals
+
+    def _context(self, params: SequenceParams, max_index: int) -> TermContext:
         """The term tables (and product table, if any) the sweep reads."""
         ctx = TermContext(params).ensure(self.reach(*[max_index] * len(self.keys)))
         if self.diagonals is not None:
-            ctx.share_diagonals(self.diagonals(max_index))
+            ctx._share_diagonals(self.diagonals(max_index))
         return ctx
 
     def _report(self, params: SequenceParams, point: tuple, lhs, rhs, met: bool) -> Report:
@@ -228,18 +237,18 @@ class Sides(NamedTuple):
             raise ValueError(f"{self.name}({given}) is outside the domain")
         *lead, last = point
         ctx = TermContext(params).ensure(self.reach(*point))
-        (lhs,), (rhs,) = self.sides(ctx, *lead, range(last, last + 1))
+        (lhs,), (rhs,) = self._sides(ctx, *lead, range(last, last + 1))
         return self._report(params, point, lhs, rhs,
                            self.hypothesis is None or self.hypothesis(params))
 
     def __call__(self, params: SequenceParams, max_index: int) -> SweepOutcome:
         if not is_int(max_index) or max_index < 0:
             raise ValueError(f"{self.name} sweeps to an int max index >= 0, got {max_index!r}")
-        ctx = self.context(params, max_index)
+        ctx = self._context(params, max_index)
         met = self.hypothesis is None or self.hypothesis(params)
         checked, failures = 0, []
         for row in self.domain(max_index):
-            lhs, rhs = self.sides(ctx, *row)
+            lhs, rhs = self._sides(ctx, *row)
             checked += len(lhs)
             if lhs == rhs:
                 continue
@@ -340,7 +349,7 @@ def _vajda1(ctx: TermContext, i: int, j: int, ns: range) -> _SideLists:
     The free indices are named n, i, j (and m, ell in the second form); the
     sequence parameter k is a separate quantity (statements of this identity
     sometimes reuse the letter k for an index).  The two lhs products are
-    runs of diagonals |j - i| and i + j of ctx.diagonal, and each rhs is the
+    runs of diagonals |j - i| and i + j of ctx._diagonal, and each rhs is the
     one before it times k - 1.  Rows (i, j) and (j, i) read the same
     diagonals and the same B_i*B_j, so they have equal sides: a row whose
     mirror (or itself) was the last row computed on ctx returns that row's
@@ -348,14 +357,14 @@ def _vajda1(ctx: TermContext, i: int, j: int, ns: range) -> _SideLists:
     """
     lo, hi = ns.start, ns.stop
     key = (i, j, lo, hi) if i <= j else (j, i, lo, hi)
-    if ctx.row_key == key:
-        return ctx.row_sides
+    if ctx._row_key == key:
+        return ctx._row_sides
     a, b = key[0], ctx.b
-    lhs = list(map(sub, ctx.diagonal(abs(j - i), a + lo, a + hi),
-                   ctx.diagonal(i + j, lo, hi)))
+    lhs = list(map(sub, ctx._diagonal(abs(j - i), a + lo, a + hi),
+                   ctx._diagonal(i + j, lo, hi)))
     first = ctx.pk[lo] * b[i] * b[j]
     rhs = list(islice(accumulate(repeat(ctx.params.norm), mul, initial=first), hi - lo))
-    ctx.row_key, ctx.row_sides = key, (lhs, rhs)
+    ctx._row_key, ctx._row_sides = key, (lhs, rhs)
     return lhs, rhs
 
 

@@ -9,9 +9,10 @@ and Sides.at answers a single point.  This module declares no row and
 imports no kernel and no engine; it holds the run configuration, the
 runner and the JSON writer.  The per-identity counts are named once, as
 the fields of SweepOutcome between its name and its failures (COUNTS).
-Every record here (VerifyRunConfig, VerifyReport, and the Report, Sides and
+Every record here (VerifyRunConfig, VerifyReport, and the Report and
 SweepOutcome it imports) is a named tuple, as the rest of the package's
-records are, so no verify run imports dataclasses.
+records are, and a row (Sides) a slotted class that keeps its kernel
+private, so no verify run imports dataclasses.
 
 A sweep keeps its failing reports in one list, and each report's
 hypothesis_met names its pool: the violations (True) or, where a gcd row's

@@ -156,6 +156,13 @@ def test_an_entry_without_rows_is_not_swept():
         sweep(rowless)
 
 
+def test_an_entry_with_an_empty_box_is_refused():
+    # no k to sweep leaves no outcome to merge
+    empty = ENTRIES["sum-c-constant"]._replace(ks=range(0))
+    with pytest.raises(ValueError, match=r"^merge_outcomes takes one or more outcomes, got none$"):
+        sweep(empty)
+
+
 class TestRenderedDocument:
     def test_contains_every_entry(self, document):
         for erratum in ERRATA:

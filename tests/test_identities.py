@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from balseq import divisibility, identities
 from balseq.divisibility import residue_hypothesis
+from balseq.errata import ERRATA
 from balseq.identities import (
     TermContext,
     _addition,
@@ -282,6 +283,40 @@ def test_public_surface(module, names):
     assert public == names
 
 
+# every row: the catalog's, then both rows of each errata entry that has
+# rows (the verified row of catalan-c, vajda-2 and sum-c is the catalog row)
+EVERY_ROW = {**CATALOG, **{row.name: row for erratum in ERRATA if erratum.rows
+                           for row in erratum.rows}}
+
+
+@pytest.mark.parametrize("row", EVERY_ROW.values(), ids=list(EVERY_ROW))
+def test_a_row_is_evaluated_only_by_its_sweep_and_at(row):
+    # the kernel and the sweep's context are private; a tuple's fields,
+    # indexing and _replace would hand the kernel out or swap it
+    assert not isinstance(row, tuple)
+    for name in ("sides", "context"):
+        with pytest.raises(AttributeError):
+            getattr(row, name)
+        with pytest.raises(AttributeError):
+            setattr(row, name, None)
+    public = {name for name in dir(row) if not name.startswith("_")}
+    assert public == {"name", "keys", "reach", "domain", "where", "hypothesis",
+                      "diagonals", "at"}
+    assert callable(row)
+    assert all(getattr(row, name) is not row._sides for name in public)
+
+
+def test_term_context_public_surface():
+    # the vajda-1 product table and row cache are private to the sweep
+    public = {name for name in dir(TermContext(SequenceParams(3))) if not name.startswith("_")}
+    assert public == {"params", "b", "c", "pk", "ensure", "seq"}
+
+
+def test_merge_outcomes_refuses_no_outcomes():
+    with pytest.raises(ValueError, match=r"^merge_outcomes takes one or more outcomes, got none$"):
+        identities.merge_outcomes([])
+
+
 class TestFullSweep:
     @pytest.mark.parametrize("name", IDENTITY_NAMES)
     @pytest.mark.parametrize("k", range(1, 13))
@@ -397,10 +432,10 @@ class TestFullSweep:
         # a sweep row and the row's single point (at) at one in-domain point
         # of it give the same two sides
         sweep, params = CATALOG[name], SequenceParams(k)
-        ctx = sweep.context(params, max_index)
+        ctx = sweep._context(params, max_index)
         *lead, last = data.draw(st.sampled_from(list(sweep.domain(max_index))))
         x = data.draw(st.sampled_from(last))
-        lhs, rhs = sweep.sides(ctx, *lead, last)
+        lhs, rhs = sweep._sides(ctx, *lead, last)
         report = sweep.at(params, **dict(zip(sweep.keys, (*lead, x))))
         assert (report.lhs, report.rhs) == (lhs[last.index(x)], rhs[last.index(x)])
 
@@ -411,10 +446,10 @@ class TestFullSweep:
         # included, gives at each n the sides of the row's single point,
         # which builds no table
         sweep, params = CATALOG["vajda-1"], SequenceParams(k)
-        ctx = sweep.context(params, max_index)
-        assert len(ctx.diagonals) == 2 * max_index + 1
+        ctx = sweep._context(params, max_index)
+        assert len(ctx._diagonals) == 2 * max_index + 1
         i, j, ns = data.draw(st.sampled_from(list(sweep.domain(max_index))))
-        lhs, rhs = sweep.sides(ctx, i, j, ns)
+        lhs, rhs = sweep._sides(ctx, i, j, ns)
         got = [(r.lhs, r.rhs) for r in (sweep.at(params, n=n, i=i, j=j) for n in ns)]
         assert got == list(zip(lhs, rhs))
 
@@ -425,14 +460,14 @@ class TestFullSweep:
             raise AssertionError("diagonal table built")
 
         reads = []
-        diagonal = TermContext.diagonal
+        diagonal = TermContext._diagonal
 
         def spy(ctx, d, lo, hi):
-            reads.append((len(ctx.diagonals), hi - lo))
+            reads.append((len(ctx._diagonals), hi - lo))
             return diagonal(ctx, d, lo, hi)
 
-        monkeypatch.setattr(TermContext, "share_diagonals", refuse)
-        monkeypatch.setattr(TermContext, "diagonal", spy)
+        monkeypatch.setattr(TermContext, "_share_diagonals", refuse)
+        monkeypatch.setattr(TermContext, "_diagonal", spy)
         assert CATALOG["vajda-1"].at(SequenceParams(12), n=3000, i=3, j=4).holds
         assert reads == [(0, 1)] * 2
 
@@ -440,9 +475,9 @@ class TestFullSweep:
         # a read the table does not cover computes its products: never a
         # short slice, which would lower the sweep's checked count
         params = SequenceParams(5)
-        ctx = CATALOG["vajda-1"].context(params, 4)   # b[0..12], diagonals 0..8
+        ctx = CATALOG["vajda-1"]._context(params, 4)   # b[0..12], diagonals 0..8
         b = ctx.b
-        assert [len(diagonal) for diagonal in ctx.diagonals] == [9, 8, 7, 6, 5, 5, 5, 5, 5]
+        assert [len(diagonal) for diagonal in ctx._diagonals] == [9, 8, 7, 6, 5, 5, 5, 5, 5]
 
         def computed(d, lo, hi):
             return [b[a] * b[a + d] for a in range(lo, hi)]
@@ -452,25 +487,30 @@ class TestFullSweep:
             return [(r.lhs, r.rhs) for r in (vajda1.at(params, n=n, i=i, j=j) for n in ns)]
 
         # past the height: diagonal 10 of a table with diagonals 0..8
-        assert ctx.diagonal(10, 0, 3) == computed(10, 0, 3)
+        assert ctx._diagonal(10, 0, 3) == computed(10, 0, 3)
         lhs, rhs = _vajda1(ctx, 0, 10, range(3))
         assert list(zip(lhs, rhs)) == evaluated(0, 10, range(3))
         # past the width: diagonals 2 and 4 end at a = 6 and a = 4
-        assert ctx.diagonal(2, 6, 10) == computed(2, 6, 10)
+        assert ctx._diagonal(2, 6, 10) == computed(2, 6, 10)
         lhs, rhs = _vajda1(ctx, 1, 3, range(5, 9))
         assert list(zip(lhs, rhs)) == evaluated(1, 3, range(5, 9))
         # past the width of a table cut to a = 0..2 under a longer b
         with pytest.raises(TypeError):  # the tables are not arguments
             TermContext(params, b=[])
         narrow = TermContext(params)
-        narrow.b, narrow.diagonals = b, [row[:3] for row in ctx.diagonals]
-        assert narrow.diagonal(3, 1, 8) == computed(3, 1, 8)
-        assert narrow.diagonal(3, 1, 3) == computed(3, 1, 3)
-        # growing b drops the table, so no diagonal is narrower than it reads
+        narrow.b, narrow._diagonals = b, [row[:3] for row in ctx._diagonals]
+        assert narrow._diagonal(3, 1, 8) == computed(3, 1, 8)
+        assert narrow._diagonal(3, 1, 3) == computed(3, 1, 3)
+        # growing b keeps the table, whose entries depend on k and their
+        # indices alone: reads on it still answer as at does, and reads past
+        # its width compute
         ctx.ensure(30)
-        assert ctx.diagonals == [] and len(ctx.b) == 31
+        assert [len(diagonal) for diagonal in ctx._diagonals] == [9, 8, 7, 6, 5, 5, 5, 5, 5]
+        assert len(ctx.b) == 31
+        lhs, rhs = _vajda1(ctx, 1, 3, range(3))
+        assert list(zip(lhs, rhs)) == evaluated(1, 3, range(3))
         with pytest.raises(IndexError):   # past b itself: no short list either
-            ctx.diagonal(3, 20, 29)
+            ctx._diagonal(3, 20, 29)
         lhs, rhs = _vajda1(ctx, 8, 8, range(15))
         assert len(lhs) == len(rhs) == 15 and lhs == rhs == [
             CATALOG["vajda-1"].at(params, n=n, i=8, j=8).lhs for n in range(15)]
@@ -482,7 +522,7 @@ class TestFullSweep:
         # context the sweep builds, at n windows that start above 0 and may
         # run past the table's width or height (b reaches 3 * max_index)
         top = 3 * max_index
-        ctx = CATALOG["vajda-1"].context(SequenceParams(k), max_index)
+        ctx = CATALOG["vajda-1"]._context(SequenceParams(k), max_index)
         bo = oracle_b(k, top)
         i = data.draw(st.integers(0, top - 1))
         j = data.draw(st.integers(0, top - 1 - i))
@@ -495,7 +535,7 @@ class TestFullSweep:
 
     def test_vajda1_at_k1_takes_zero_to_the_zero_as_one(self):
         # beta = 0 at k = 1: the rhs is B_i*B_j at n = 0 and 0 after it
-        ctx = CATALOG["vajda-1"].context(SequenceParams(1), 6)
+        ctx = CATALOG["vajda-1"]._context(SequenceParams(1), 6)
         bo = oracle_b(1, 18)
         for i, j in ((0, 0), (2, 5), (6, 6)):
             lhs, rhs = _vajda1(ctx, i, j, range(7))
@@ -552,7 +592,7 @@ def _fresh(params: SequenceParams, b: list[int], max_index: int) -> TermContext:
     at max_index shares, built from b."""
     ctx = TermContext(params).ensure(len(b) - 1)
     ctx.b = b
-    ctx.share_diagonals(CATALOG["vajda-1"].diagonals(max_index))
+    ctx._share_diagonals(CATALOG["vajda-1"].diagonals(max_index))
     return ctx
 
 
@@ -606,7 +646,7 @@ class TestMirroredVajdaRows:
         entries, fills, mirrored = [], [], identities._mirrored
 
         def vajda1_spy(ctx, i, j, ns):
-            entries.append((ctx.row_key, (min(i, j), max(i, j), ns.start, ns.stop)))
+            entries.append((ctx._row_key, (min(i, j), max(i, j), ns.start, ns.stop)))
             return _vajda1(ctx, i, j, ns)
 
         def fill_spy(half, t):
@@ -614,7 +654,8 @@ class TestMirroredVajdaRows:
             return mirrored(half, t)
 
         monkeypatch.setattr(identities, "_mirrored", fill_spy)
-        vajda1 = CATALOG["vajda-1"]._replace(sides=vajda1_spy)
+        vajda1 = CATALOG["vajda-1"]
+        monkeypatch.setattr(vajda1, "_sides", vajda1_spy)
         for name, row in (("vajda-1", vajda1), ("vajda-2", CATALOG["vajda-2"])):
             for *lead, last in row.domain(m):
                 for x in last:
@@ -627,15 +668,6 @@ class TestMirroredVajdaRows:
         assert sum(held == key for held, key in entries) == m * (m + 1) // 2
         assert CATALOG["vajda-2"](params, m).held == m * (m + 1) * (m + 2) // 6
         assert fills
-
-    def test_growing_the_tables_drops_the_row(self):
-        ctx = CATALOG["vajda-1"].context(SequenceParams(4), 3)
-        sides = _vajda1(ctx, 1, 2, range(4))
-        assert ctx.row_key == (1, 2, 0, 4) and ctx.row_sides == sides
-        mirror = _vajda1(ctx, 2, 1, range(4))
-        assert mirror is ctx.row_sides and mirror[0] is sides[0] and mirror[1] is sides[1]
-        ctx.ensure(20)
-        assert ctx.row_key is None and ctx.row_sides is None and ctx.diagonals == []
 
     def test_planted_failures_are_closed_under_the_mirror(self, planted_b7):
         outcome = CATALOG["vajda-1"](SequenceParams(2), 12)

@@ -115,7 +115,7 @@ class TestDeclarations:
             box = product(*(range(8) if key == "entry" else range(m + 1) for key in row.keys))
             points = [(*lead, x) for *lead, last in row.domain(m) for x in last]
             assert sorted(points) == [p for p in box if row.where(*p)], (name, m)
-            size = len(row.context(params, m).b) - 1
+            size = len(row._context(params, m).b) - 1
             # an errata column starting at n = 4 has no point below M = 4
             assert max((row.reach(*p) for p in points), default=0) <= size, (name, m)
             assert row.reach(*[m] * len(row.keys)) == size, (name, m)
