@@ -327,11 +327,13 @@ def cmd_bench(args) -> int:
     if args.reps < 1:
         raise ValueError("reps must be >= 1")
     params = SequenceParams(args.k)
-    # a name listed twice is timed once, at its first place
-    engine_names = (
-        list(ENGINES) if args.engines == "all" else
-        list(dict.fromkeys(name.strip() for name in args.engines.split(",")))
-    )
+    # each name stripped and "all" expanded wherever it stands, as verify
+    # reads --identity; a name listed twice is timed once, at its first place
+    engine_names = []
+    for raw in args.engines.split(","):
+        name = raw.strip()
+        engine_names.extend(ENGINES if name == "all" else [name])
+    engine_names = list(dict.fromkeys(engine_names))
     for name in engine_names:
         if name not in ENGINES:
             raise ValueError(f"unknown engine {name!r}")

@@ -13,6 +13,10 @@ takes a different route to the same integers:
                B_{2n} = 2*B_n*B_{n+1} - 3k*B_n^2,
                B_{2n+1} = B_{n+1}^2 + (1-k)*B_n^2.
 
+The matrices are `Mat2` values: `a_matrix` builds A, `r_base_matrix` builds
+R, and `mat_pow` is the one routine that powers A, for the matrix engine
+and for the identities' matrix rows alike.
+
 The doubling pair state is (B_n, B_{n+1}) rather than the (B_{n-1}, B_n,
 B_{n+1}) window, so no division by (1-k) is ever needed and k = 1 works
 uniformly.  The iterative engine runs C's own recurrence from the seeds
@@ -112,10 +116,6 @@ class Mat2(NamedTuple):
     a21: int
     a22: int
 
-    @classmethod
-    def identity(cls, one=1) -> Mat2:
-        return cls(one, 0 * one, 0 * one, one)
-
     def __matmul__(self, other: Mat2) -> Mat2:
         with arithmetic_context(self.a11):
             return Mat2(
@@ -145,7 +145,8 @@ def mat_pow(m: Mat2, n: int) -> Mat2:
     check_exponent(n)
     with arithmetic_context(m.a11):
         if n == 0:
-            return Mat2.identity(type(m.a11)(1))  # the unit of the entries' type
+            one = type(m.a11)(1)  # the unit of the entries' type
+            return Mat2(one, 0 * one, 0 * one, one)
         result = m
         for shift in range(n.bit_length() - 2, -1, -1):
             result = _mat_square(result)
@@ -155,13 +156,16 @@ def mat_pow(m: Mat2, n: int) -> Mat2:
 
 
 def a_matrix(params: SequenceParams, one=1) -> Mat2:
-    """A = [[3k, 1-k], [1, 0]] with entries of the type of `one`."""
+    """A = [[3k, 1-k], [1, 0]] with entries of the type of `one`; for n >= 1,
+    A^n = mat_pow(A, n) = [[B_{n+1}, (1-k)B_n], [B_n, (1-k)B_{n-1}]]."""
     k = params.k
     with arithmetic_context(one):
         return Mat2(3 * k * one, (1 - k) * one, one, 0 * one)
 
 
 def r_base_matrix(params: SequenceParams) -> Mat2:
+    """R = [[3, 1-k], [1, 3(1-k)]] in int; for n >= 1, R @ A^n =
+    [[C_{n+1}, (1-k)C_n], [C_n, (1-k)C_{n-1}]]."""
     k = params.k
     return Mat2(3, 1 - k, 1, 3 * (1 - k))
 
@@ -353,15 +357,3 @@ def term_b_negative(params: SequenceParams, n: int) -> Fraction:
     from fractions import Fraction  # here: no term command needs it
 
     return Fraction(-term_b(params, n), (params.k - 1) ** n)
-
-
-def matrix_power(params: SequenceParams, n: int) -> Mat2:
-    """A^n for n >= 1; entries are [[B_{n+1}, (1-k)B_n], [B_n, (1-k)B_{n-1}]]."""
-    if not is_int(n) or n < 1:
-        raise ValueError(f"n must be an int >= 1, got {n!r}")
-    return mat_pow(a_matrix(params), n)
-
-
-def r_matrix(params: SequenceParams, n: int) -> Mat2:
-    """R*A^n for n >= 1; entries are [[C_{n+1}, (1-k)C_n], [C_n, (1-k)C_{n-1}]]."""
-    return r_base_matrix(params) @ matrix_power(params, n)

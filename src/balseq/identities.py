@@ -16,7 +16,9 @@ row differs from its B row only in e_X: 1 for B, -8(k-1) for C (Vajda,
 Terms are always recomputed from the iterative recurrence, never from the
 engine a caller might be trying to validate, so identity checks and engine
 checks fail independently.  Only the matrix rows (_matrix, _ar_commute)
-read an engine: the matrices whose representation they check.
+read an engine, the matrix representation they check: A from a_matrix and
+R from r_base_matrix, and _matrix takes A^n from mat_pow, the routine that
+the matrix engine of term_b and term_c powers A with.
 
 Each kernel is held by one row, declared in ROWS right after the kernels:
 a Sides, which keeps its kernel in a private slot and states the row's
@@ -53,14 +55,7 @@ from itertools import accumulate, islice, product, repeat
 from operator import mul, sub
 from typing import Callable, Iterable, NamedTuple
 
-from .engines import (
-    a_matrix,
-    b_table,
-    c_table,
-    matrix_power,
-    r_base_matrix,
-    r_matrix,
-)
+from .engines import a_matrix, b_table, c_table, mat_pow, r_base_matrix
 from .ring import SequenceParams, alpha_power_components, is_int
 
 Exact = int | Fraction
@@ -169,11 +164,15 @@ class SweepOutcome(NamedTuple):
 
 def merge_outcomes(outcomes: Iterable[SweepOutcome]) -> SweepOutcome:
     """One name's outcomes, one or more, as one outcome: their counts summed
-    and their failures joined, in the order given."""
+    and their failures joined, in the order given.  Outcomes of two or more
+    names are refused, as no outcomes are."""
     columns = list(zip(*outcomes))
     if not columns:
         raise ValueError("merge_outcomes takes one or more outcomes, got none")
-    (name, *_), *counts, failures = columns
+    (name, *others), *counts, failures = columns
+    if set(others) - {name}:
+        raise ValueError(f"merge_outcomes takes one name's outcomes, got"
+                         f" {', '.join(dict.fromkeys(columns[0]))}")
     return SweepOutcome(name, *map(sum, counts), [report for part in failures for report in part])
 
 
@@ -188,18 +187,19 @@ class Sides:
     max_index as rows, each the leading indices and a range of the last one;
     the sides come back as one list per side over that range.  A sweep builds
     its term tables to reach at the corner point whose every key is
-    max_index.  diagonals, if set, gives the width of each diagonal of the
-    shared table of B-term products the sides read.  A gcd row carries its
-    theorem's hypothesis, and an identity row none; that sets the kind of
-    the row's reports.  When the hypothesis fails at a k, every check of
-    that k counts as hypothesis_not_met, not as failed.
+    max_index.  diagonals, if given, gives the width of each diagonal of
+    the shared table of B-term products the sides read, and stays private
+    to the sweep.  A gcd row carries its theorem's hypothesis, and an
+    identity row none; that sets the kind of the row's reports.  When the
+    hypothesis fails at a k, every check of that k counts as
+    hypothesis_not_met, not as failed.
 
     The row is evaluated only by its sweep, row(params, max_index), and by
-    at; the kernel and the sweep's context stay private, and a row is not a
-    tuple.
+    at; the kernel, the product-table widths and the sweep's context stay
+    private, and a row is not a tuple.
     """
 
-    __slots__ = ("name", "reach", "domain", "where", "_sides", "keys", "hypothesis", "diagonals")
+    __slots__ = ("name", "reach", "domain", "where", "_sides", "keys", "hypothesis", "_diagonals")
 
     def __init__(self, name: str, reach: Callable[..., int],
                  domain: Callable[[int], Iterable[tuple]], where: Callable[..., bool],
@@ -208,13 +208,13 @@ class Sides:
                  diagonals: Callable[[int], Iterable[int]] | None = None) -> None:
         self.name, self.keys, self._sides = name, keys, sides
         self.reach, self.domain, self.where = reach, domain, where
-        self.hypothesis, self.diagonals = hypothesis, diagonals
+        self.hypothesis, self._diagonals = hypothesis, diagonals
 
     def _context(self, params: SequenceParams, max_index: int) -> TermContext:
         """The term tables (and product table, if any) the sweep reads."""
         ctx = TermContext(params).ensure(self.reach(*[max_index] * len(self.keys)))
-        if self.diagonals is not None:
-            ctx._share_diagonals(self.diagonals(max_index))
+        if self._diagonals is not None:
+            ctx._share_diagonals(self._diagonals(max_index))
         return ctx
 
     def _report(self, params: SequenceParams, point: tuple, lhs, rhs, met: bool) -> Report:
@@ -462,7 +462,8 @@ def _c_from_b(ctx: TermContext, ns: range) -> _SideLists:
 def _matrix(ctx: TermContext, seq: str, n: int, entries: range) -> _SideLists:
     """Row-major entries of A^n (B) or R*A^n (C) against the iterative terms."""
     x, k = ctx.seq(seq), ctx.params.k
-    got = matrix_power(ctx.params, n) if seq == "B" else r_matrix(ctx.params, n)
+    power = mat_pow(a_matrix(ctx.params), n)
+    got = power if seq == "B" else r_base_matrix(ctx.params) @ power
     want = (x[n + 1], (1 - k) * x[n], x[n], (1 - k) * x[n - 1])
     return [got[e] for e in entries], [want[e] for e in entries]
 

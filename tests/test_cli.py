@@ -782,12 +782,21 @@ class TestBench:
         assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["doubling", "matrix"]
         assert calls == ["doubling", "matrix"]
 
-    def test_all_is_every_engine_in_enum_order(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "--k", "2", "--n", "5",
-                               "--engines", "all", "--reps", "1", "--format", "csv")
-        assert code == 0
-        assert [line.split(",")[0] for line in out.splitlines()[1:]] == [
-            "iterative", "matrix", "binet", "doubling"]
+    @pytest.mark.parametrize("engines, timed", [
+        ("all", ["iterative", "matrix", "binet", "doubling"]),
+        (" all", ["iterative", "matrix", "binet", "doubling"]),
+        ("all,doubling", ["iterative", "matrix", "binet", "doubling"]),
+        ("doubling, all", ["doubling", "iterative", "matrix", "binet"]),
+        ("binet ,all, binet", ["binet", "iterative", "matrix", "doubling"]),
+    ])
+    def test_all_is_every_engine_in_enum_order(self, capsys, engines, timed):
+        # each name is stripped, as verify reads --identity, and "all" is
+        # every engine at its place; all but the first exited 2 with
+        # "unknown engine 'all'" while only the whole value was compared
+        code, out, err = run_cli(capsys, "bench", "--k", "2", "--n", "5",
+                                 "--engines", engines, "--reps", "1", "--format", "csv")
+        assert code == 0 and err == ""
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == timed
 
 
 class TestSharedParser:

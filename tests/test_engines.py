@@ -19,9 +19,7 @@ from balseq.engines import (
     b_table,
     c_table,
     mat_pow,
-    matrix_power,
     r_base_matrix,
-    r_matrix,
     term_b,
     term_b_negative,
     term_c,
@@ -365,35 +363,30 @@ class TestPowerSum:
 
 
 class TestMatrices:
+    """A^n is mat_pow(a_matrix(p), n) and R*A^n is r_base_matrix(p) @ A^n,
+    the one route that the matrix engine and the matrix rows power A by."""
+
     def test_a_matrix_first_power(self):
-        assert matrix_power(SequenceParams(2), 1) == Mat2(6, -1, 1, 0)
+        assert mat_pow(a_matrix(SequenceParams(2)), 1) == Mat2(6, -1, 1, 0)
 
     def test_a_matrix_square_k2(self):
-        assert matrix_power(SequenceParams(2), 2) == Mat2(35, -6, 6, -1)
+        assert mat_pow(a_matrix(SequenceParams(2)), 2) == Mat2(35, -6, 6, -1)
 
     def test_a_matrix_square_k3(self):
-        assert matrix_power(SequenceParams(3), 2) == Mat2(79, -18, 9, -2)
+        assert mat_pow(a_matrix(SequenceParams(3)), 2) == Mat2(79, -18, 9, -2)
 
     def test_r_matrix_square_k2(self):
-        assert r_matrix(SequenceParams(2), 2) == Mat2(99, -17, 17, -3)
+        p = SequenceParams(2)
+        assert r_base_matrix(p) @ mat_pow(a_matrix(p), 2) == Mat2(99, -17, 17, -3)
 
     def test_r_matrix_square_k3(self):
-        assert r_matrix(SequenceParams(3), 2) == Mat2(219, -50, 25, -6)
-
-    @pytest.mark.parametrize("bad_n", [0, -1])
-    def test_index_below_one_rejected(self, bad_n):
-        with pytest.raises(ValueError):
-            matrix_power(SequenceParams(2), bad_n)
-        with pytest.raises(ValueError):
-            r_matrix(SequenceParams(2), bad_n)
+        p = SequenceParams(3)
+        assert r_base_matrix(p) @ mat_pow(a_matrix(p), 2) == Mat2(219, -50, 25, -6)
 
     @pytest.mark.parametrize("n", [2.5, "3", True])
     def test_non_int_index_rejected(self, n):
         # 2.5 once raised AttributeError, "3" a TypeError, and mat_pow(m, True)
         # returned m
-        for power in (matrix_power, r_matrix):
-            with pytest.raises(ValueError, match=r"^n must be an int >= 1, got "):
-                power(SequenceParams(2), n)
         with pytest.raises(ValueError, match=r"^exponent must be an int >= 0, got "):
             mat_pow(Mat2(3, 1, 4, 1), n)
 
@@ -404,19 +397,20 @@ class TestMatrices:
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_determinant_power_law(self, k):
-        params = SequenceParams(k)
+        a = a_matrix(SequenceParams(k))
         for n in range(1, 101):
-            assert det(matrix_power(params, n)) == (k - 1) ** n
+            assert det(mat_pow(a, n)) == (k - 1) ** n
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_entries_match_terms(self, k):
         params = SequenceParams(k)
+        a, r = a_matrix(params), r_base_matrix(params)
         b, c = oracle_b(k, 62), oracle_c(k, 62)
         for n in range(1, 61):
-            assert matrix_power(params, n) == Mat2(
+            assert mat_pow(a, n) == Mat2(
                 b[n + 1], (1 - k) * b[n], b[n], (1 - k) * b[n - 1]
             )
-            assert r_matrix(params, n) == Mat2(
+            assert r @ mat_pow(a, n) == Mat2(
                 c[n + 1], (1 - k) * c[n], c[n], (1 - k) * c[n - 1]
             )
 
@@ -425,14 +419,19 @@ class TestMatrices:
         assert (m.a11, m.a12, m.a21, m.a22) == (3, -1, 4, 1)
         assert m == Mat2(3, -1, 4, 1) and m != Mat2(3, -1, 4, 2)
         assert hash(m) == hash(Mat2(3, -1, 4, 1))
-        assert Mat2.identity(Decimal(1)) == Mat2(1, 0, 0, 1)
+        # the entries are the whole class: no constructor beside Mat2(...)
+        assert {name for name in vars(Mat2) if not name.startswith("_")} == {
+            "a11", "a12", "a21", "a22"}
 
     def test_mat_pow_identity(self):
-        assert mat_pow(Mat2(3, 1, 4, 1), 0) == Mat2.identity()
+        assert mat_pow(Mat2(3, 1, 4, 1), 0) == Mat2(1, 0, 0, 1)
+        # the unit is built in the type of the entries
+        unit = mat_pow(a_matrix(SequenceParams(5), Decimal(1)), 0)
+        assert unit == Mat2(1, 0, 0, 1) and {type(x) for x in unit} == {Decimal}
 
     def test_mat_pow_matches_repeated_product_for_general_matrix(self):
         m = Mat2(3, -1, 4, 1)
-        power = Mat2.identity()
+        power = Mat2(1, 0, 0, 1)
         for n in range(65):
             assert mat_pow(m, n) == power
             power = power @ m

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balseq import divisibility, identities
+from balseq import divisibility, engines, identities
 from balseq.divisibility import residue_hypothesis
 from balseq.errata import ERRATA
 from balseq.identities import (
@@ -273,10 +273,13 @@ def test_ensure_takes_an_int_index(hi):
     (identities, {"TermContext", "Report", "Sides", "SweepOutcome", "merge_outcomes"}),
     (divisibility, {"residue_hypothesis", "check_index_divisibility", "check_coprime_norm",
                     "check_consecutive_coprime", "check_b_c_coprime", "check_strong_gcd"}),
-], ids=["identities", "divisibility"])
+    (engines, {"IterativeCapError", "Engine", "Mat2", "mat_pow", "a_matrix", "r_base_matrix",
+               "b_table", "c_table", "window_pair", "term_b", "term_c", "term_b_negative"}),
+], ids=["identities", "divisibility", "engines"])
 def test_public_surface(module, names):
     # the side kernels are private to their catalog rows, whose sweep and
-    # at are the public ways to evaluate an identity or a theorem
+    # at are the public ways to evaluate an identity or a theorem; engines
+    # powers A by mat_pow alone, for the matrix engine and the matrix rows
     public = {name for name, value in vars(module).items()
               if not name.startswith("_") and isinstance(value, (type, types.FunctionType))
               and value.__module__ == module.__name__}
@@ -291,17 +294,17 @@ EVERY_ROW = {**CATALOG, **{row.name: row for erratum in ERRATA if erratum.rows
 
 @pytest.mark.parametrize("row", EVERY_ROW.values(), ids=list(EVERY_ROW))
 def test_a_row_is_evaluated_only_by_its_sweep_and_at(row):
-    # the kernel and the sweep's context are private; a tuple's fields,
-    # indexing and _replace would hand the kernel out or swap it
+    # the kernel, the product-table widths and the sweep's context are
+    # private; a tuple's fields, indexing and _replace would hand the kernel
+    # out or swap it
     assert not isinstance(row, tuple)
-    for name in ("sides", "context"):
+    for name in ("sides", "context", "diagonals"):
         with pytest.raises(AttributeError):
             getattr(row, name)
         with pytest.raises(AttributeError):
             setattr(row, name, None)
     public = {name for name in dir(row) if not name.startswith("_")}
-    assert public == {"name", "keys", "reach", "domain", "where", "hypothesis",
-                      "diagonals", "at"}
+    assert public == {"name", "keys", "reach", "domain", "where", "hypothesis", "at"}
     assert callable(row)
     assert all(getattr(row, name) is not row._sides for name in public)
 
@@ -312,9 +315,44 @@ def test_term_context_public_surface():
     assert public == {"params", "b", "c", "pk", "ensure", "seq"}
 
 
+@pytest.mark.parametrize("name, entries", [("matrix-b", [2]), ("matrix-c", [0, 2])])
+def test_matrix_rows_take_a_power_from_mat_pow(name, entries, monkeypatch):
+    # the rows read A^n from the routine the matrix engine powers A with, so
+    # a fault planted in its A^5 shows in their sweep and at: a21 + 1 moves
+    # entry a21 of A^5, and entries a11 and a21 of R*A^5 by 1-k and 3(1-k)
+    assert identities.mat_pow is engines.mat_pow
+    params, calls = SequenceParams(3), []
+
+    def spy(m, n):
+        calls.append((m, n))
+        power = engines.mat_pow(m, n)
+        return power._replace(a21=power.a21 + 1) if n == 5 else power
+
+    monkeypatch.setattr(identities, "mat_pow", spy)
+    outcome = CATALOG[name](params, 6)
+    assert calls == [(engines.a_matrix(params), n) for n in range(1, 7)]
+    assert [report.inputs for report in outcome.failures] == [
+        {"k": 3, "n": 5, "entry": entry} for entry in entries]
+    calls.clear()
+    assert not CATALOG[name].at(params, n=5, entry=entries[0]).holds
+    assert CATALOG[name].at(params, n=4, entry=entries[0]).holds
+    assert calls == [(engines.a_matrix(params), 5), (engines.a_matrix(params), 4)]
+
+
 def test_merge_outcomes_refuses_no_outcomes():
     with pytest.raises(ValueError, match=r"^merge_outcomes takes one or more outcomes, got none$"):
         identities.merge_outcomes([])
+
+
+def test_merge_outcomes_refuses_outcomes_of_two_names():
+    # the counts of two identities once came back summed under the first name
+    params = SequenceParams(2)
+    cassini, vajda = CATALOG["cassini-b"](params, 3), CATALOG["vajda-1"](params, 2)
+    with pytest.raises(ValueError, match=r"^merge_outcomes takes one name's outcomes,"
+                                         r" got cassini-b, vajda-1$"):
+        identities.merge_outcomes([cassini, vajda, cassini])
+    merged = identities.merge_outcomes([cassini, cassini])
+    assert merged == identities.SweepOutcome("cassini-b", 6, 6, 0, 0, [])
 
 
 class TestFullSweep:
@@ -592,7 +630,7 @@ def _fresh(params: SequenceParams, b: list[int], max_index: int) -> TermContext:
     at max_index shares, built from b."""
     ctx = TermContext(params).ensure(len(b) - 1)
     ctx.b = b
-    ctx._share_diagonals(CATALOG["vajda-1"].diagonals(max_index))
+    ctx._share_diagonals(CATALOG["vajda-1"]._diagonals(max_index))
     return ctx
 
 

@@ -8,7 +8,8 @@ of the file it wrote (or "-" where it wrote none).  The list covers every
 subcommand in every format, `table` windows from 0 and from 900, `verify
 --threads 2` (the vajda rows, whose mirrored rows share their sides, among
 them), `verify --max-listed 1`, whose listing keeps the first failure of
-each pool, `--help` and `--version`, the usage errors of
+each pool, `bench --engines` values that name `all` beside another name
+or with spaces, `--help` and `--version`, the usage errors of
 `tests/test_cli.py`, and the requests whose stdout hashes that file's
 tables pinned before the corpus held them: `term` at n = 20000 and 30000
 on every engine, the `table` and `series` documents of a few thousand
@@ -153,6 +154,9 @@ def _requests() -> list[list[str]]:
             requests.append(["series", *variant, "--k", "12", "--N", "400", "--format", fmt])
     for fmt in FORMATS:
         requests.append(["verify", "--k", "1..12", "--max-index", "40", "--format", fmt])
+    # "all" among other names or padded with spaces in --engines
+    for engines in (" all", "all,doubling", "doubling, all"):
+        requests.append(["bench", "--k", "2", "--n", "50", "--engines", engines, "--reps", "1"])
     return requests
 
 
